@@ -14,7 +14,6 @@ from .checker import (
     Trace,
     TraceMismatch,
     Verdict,
-    check_expected_square,
     check_square,
     check_trace,
     explore,
@@ -38,7 +37,6 @@ from .coalgebra import (
     apply_phi_tuple,
 )
 from .compose import (
-    STOPPED,
     ProgramMethod,
     SubstrateRun,
     Translation,

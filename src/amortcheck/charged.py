@@ -88,13 +88,6 @@ class Dist:
     def point(x: Any) -> "Dist":
         return Dist(((Fraction(1), x),))
 
-    def map(self, f: Callable[[Any], Any]) -> "Dist":
-        return Dist.from_branches((w, f(x)) for w, x in self.branches)
-
-    @property
-    def support(self) -> Tuple[Any, ...]:
-        return tuple(x for _, x in self.branches)
-
     def is_point(self) -> bool:
         return len(self.branches) == 1
 
@@ -114,15 +107,6 @@ def expect(branches: Sequence[Tuple[Any, Charged]]) -> ExpectedCharged:
     an expected cost alongside a distribution of outcomes. Costs must live
     in the rational cost model so the expectation is exact.
     """
-    if not branches:
-        raise BadWeights("expect needs at least one branch")
-    weights = [Fraction(w) for w, _ in branches]
-    if any(w <= 0 for w in weights):
-        raise BadWeights("weights must be positive")
-    if sum(weights) != 1:
-        raise BadWeights("weights must sum exactly to 1")
-    expected = Fraction(0)
-    for w, ch in zip(weights, branches):
-        expected += w * Fraction(ch[1].cost)
     dist = Dist.from_branches((w, ch.value) for w, ch in branches)
+    expected = sum((Fraction(w) * Fraction(ch.cost) for w, ch in branches), Fraction(0))
     return ExpectedCharged(expected, dist)

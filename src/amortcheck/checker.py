@@ -10,16 +10,16 @@ cost(rhs) <= cost(lhs) in the monoid order. Behaviors (Stop/Continue tag,
 observable, specification successor states) must agree in both modes.
 
 `explore` quantifies the square over a breadth-first-reachable state space,
-`check_trace` verifies the telescoped identity over a concrete operation
-sequence, and `check_expected_square` is the square on expected costs and
-outcome distributions for randomized structures.
+and `check_trace` verifies the telescoped identity over a concrete operation
+sequence. For randomized structures the square compares expected costs and
+outcome distributions; a deterministic transition is the point-distribution
+case of the same square.
 """
 
 import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +37,6 @@ from .coalgebra import (
 from .encoding import encode
 from .errors import (
     ArityMismatch,
-    OrderUnavailable,
     StateInvariantViolation,
     TraceParseError,
     UnsupportedArity,
@@ -115,14 +114,6 @@ def _cost_of(result: Union[Charged, ExpectedCharged]) -> Any:
     return result.cost
 
 
-def _require_mode_support(case: VerificationCase, mode: Mode) -> None:
-    if mode is Mode.COLAX and not case.monoid.ordered:
-        raise OrderUnavailable(
-            f"{case.name}: colax check needs an ordered monoid, "
-            f"got {case.monoid.name}"
-        )
-
-
 def _cost_ok(case: VerificationCase, mode: Mode, lhs_cost: Any, rhs_cost: Any) -> bool:
     if mode is Mode.EXACT:
         return lhs_cost == rhs_cost
@@ -146,7 +137,18 @@ def _guard_outcome(sig: MethodSig, outcome: Any) -> None:
         )
 
 
-def _deterministic_square(case, method, inputs, arg):
+def _outcomes(case, result):
+    """A transition result as (cost, weighted outcomes).
+
+    A deterministic result is the point distribution on its outcome; a
+    randomized one contributes its expected cost and its branches.
+    """
+    if case.randomized:
+        return result.expected_cost, result.dist.branches
+    return result.cost, ((1, result.value),)
+
+
+def _square(case, method, inputs, arg):
     """Build lhs/rhs of the square; returns (SquareCheck, impl successors)."""
     sig = case.sig(method)
     inputs = tuple(inputs)
@@ -154,97 +156,55 @@ def _deterministic_square(case, method, inputs, arg):
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
-    mode = case.phi.mode
-    _require_mode_support(case, mode)
     monoid = case.monoid
 
     phi_in = apply_phi_tuple(monoid, case.phi, inputs)
     spec_res = case.spec.method(method).run(phi_in.value, arg)
-    _guard_outcome(sig, spec_res.value)
-    lhs = Charged(monoid.combine(phi_in.cost, spec_res.cost), spec_res.value)
+    spec_cost, spec_outs = _outcomes(case, spec_res)
+    for _w, out in spec_outs:
+        _guard_outcome(sig, out)
+    lhs_cost = monoid.combine(phi_in.cost, spec_cost)
 
     impl_res = case.impl.method(method).run(inputs, arg)
-    _guard_outcome(sig, impl_res.value)
-    if impl_res.value is STOP:
-        rhs = Charged(impl_res.cost, STOP)
-        successors: Tuple[Any, ...] = ()
-    else:
-        out = impl_res.value
+    rhs_cost, impl_outs = _outcomes(case, impl_res)
+    rhs_outs = []
+    successors: List[Any] = []
+    for w, out in impl_outs:
+        _guard_outcome(sig, out)
+        if out is STOP:
+            rhs_outs.append((w, STOP))
+            continue
         mapped = apply_phi_tuple(monoid, case.phi, out.states)
-        rhs = Charged(
-            monoid.combine(impl_res.cost, mapped.cost),
-            Continue(out.obs, mapped.value),
-        )
-        successors = out.states
+        rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
+        rhs_outs.append((w, Continue(out.obs, mapped.value)))
+        successors.extend(out.states)
 
-    behave_ok = lhs.value == rhs.value or encode(lhs.value) == encode(rhs.value)
+    if case.randomized:
+        lhs = ExpectedCharged(lhs_cost, Dist(spec_outs))
+        rhs = ExpectedCharged(rhs_cost, Dist.from_branches(rhs_outs))
+        behave_ok = lhs.dist == rhs.dist
+    else:
+        lhs = Charged(lhs_cost, spec_outs[0][1])
+        rhs = Charged(rhs_cost, rhs_outs[0][1])
+        behave_ok = lhs.value == rhs.value or encode(lhs.value) == encode(rhs.value)
     if not behave_ok:
         verdict = Verdict.BEHAVIOR_MISMATCH
-    elif _cost_ok(case, mode, lhs.cost, rhs.cost):
+    elif _cost_ok(case, case.phi.mode, lhs_cost, rhs_cost):
         verdict = Verdict.PASS
     else:
         verdict = Verdict.COST_MISMATCH
     return _mk_check(case, method, inputs, arg, lhs, rhs, verdict), successors
 
 
-def _expected_square(case, method, inputs, arg):
-    sig = case.sig(method)
-    inputs = tuple(inputs)
-    if len(inputs) != sig.in_arity:
-        raise ArityMismatch(
-            f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
-        )
-    mode = case.phi.mode
-    _require_mode_support(case, mode)
-    monoid = case.monoid
-
-    phi_in = apply_phi_tuple(monoid, case.phi, inputs)
-    spec_res = case.spec.method(method).run(phi_in.value, arg)
-    for _w, out in spec_res.dist.branches:
-        _guard_outcome(sig, out)
-    lhs = ExpectedCharged(
-        Fraction(phi_in.cost) + spec_res.expected_cost, spec_res.dist
-    )
-
-    impl_res = case.impl.method(method).run(inputs, arg)
-    extra = Fraction(0)
-    branches = []
-    successors: List[Any] = []
-    for w, out in impl_res.dist.branches:
-        _guard_outcome(sig, out)
-        if out is STOP:
-            branches.append((w, STOP))
-            continue
-        mapped = apply_phi_tuple(monoid, case.phi, out.states)
-        extra += w * Fraction(mapped.cost)
-        branches.append((w, Continue(out.obs, mapped.value)))
-        successors.extend(out.states)
-    rhs = ExpectedCharged(
-        impl_res.expected_cost + extra, Dist.from_branches(branches)
-    )
-
-    if lhs.dist != rhs.dist:
-        verdict = Verdict.BEHAVIOR_MISMATCH
-    elif _cost_ok(case, mode, lhs.expected_cost, rhs.expected_cost):
-        verdict = Verdict.PASS
-    else:
-        verdict = Verdict.COST_MISMATCH
-    return _mk_check(case, method, inputs, arg, lhs, rhs, verdict), tuple(successors)
-
-
 def check_square(
     case: VerificationCase, method: str, inputs: Sequence[Any], arg: Any = UNIT
 ) -> SquareCheck:
-    """Check the generalized amortization square at one input tuple."""
-    check, _ = _deterministic_square(case, method, inputs, arg)
-    return check
+    """Check the generalized amortization square at one input tuple.
 
-
-def check_expected_square(
-    case: VerificationCase, method: str, inputs: Sequence[Any], arg: Any = UNIT
-) -> SquareCheck:
-    """The square on expected costs and canonical outcome distributions."""
-    check, _ = _expected_square(case, method, inputs, arg)
+    Randomized cases are checked on expected costs and canonical outcome
+    distributions.
+    """
+    check, _ = _square(case, method, inputs, arg)
     return check
 
 
@@ -279,7 +239,6 @@ def explore(
         raise ValueError("max_states must cover at least the seeds")
 
     t0 = time.perf_counter()
-    square = _expected_square if case.randomized else _deterministic_square
     serialize = case.impl.state_domain.serialize
     invariant = case.impl.state_invariant
 
@@ -324,7 +283,7 @@ def explore(
                 succ_depth = 1 + max(depths[j] for j in idx_tuple)
                 can_expand = succ_depth <= max_depth
                 for arg in m.sig.arg_domain:
-                    check, successors = square(case, m.sig.name, inputs, arg)
+                    check, successors = _square(case, m.sig.name, inputs, arg)
                     squares += 1
                     gap = _slack(case.monoid, check)
                     if gap is not None and (slack_max is None or gap > slack_max):
@@ -377,7 +336,6 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     """
     t0 = time.perf_counter()
     mode = case.phi.mode
-    _require_mode_support(case, mode)
     monoid = case.monoid
 
     seed = case.impl.seeds[trace.seed_index]

@@ -5,16 +5,12 @@ Exit status: 0 when every report passes, 1 when any report fails
 (unknown case, unreadable or malformed trace file, a colax override on an
 unordered cost model).
 
-Independent cases may be verified in parallel; `AMORTIZE_THREADS` caps the
-worker count (0 or unset picks the implementation default). Output is
-assembled in case-name order either way, so reruns are deterministic.
+Reports print in case-name order, whatever order the cases were named in.
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .checker import Report, SquareCheck, TraceMismatch, check_trace, explore, parse_trace
 from .coalgebra import Mode, VerificationCase
@@ -75,21 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(allp)
 
     return parser
-
-
-def _worker_count(n_cases: int) -> int:
-    raw = os.environ.get("AMORTIZE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError(f"AMORTIZE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise _UsageError("AMORTIZE_THREADS must be >= 0")
-    if n == 0:
-        return 1
-    return min(n, max(1, n_cases))
 
 
 def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
@@ -163,29 +144,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _run_reports(
-    cases: List[VerificationCase], args
-) -> Tuple[List[Report], int]:
-    workers = _worker_count(len(cases))
-
-    def run_one(case: VerificationCase) -> Report:
-        return explore(
-            case,
-            max_depth=args.max_depth,
-            max_states=args.max_states,
-            limit=args.limit,
-        )
-
-    if workers <= 1:
-        reports = [run_one(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, cases))
-    reports.sort(key=lambda r: r.case_name)
-    status = 1 if any(not r.passed for r in reports) else 0
-    return reports, status
-
-
 def _output_reports(reports: List[Report], args) -> None:
     if args.format == "csv":
         _emit(_csv_rows(reports), args.out)
@@ -213,18 +171,17 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cases = _resolve_cases(args.cases, args.mode)
-    reports, status = _run_reports(cases, args)
+def _cmd_verify(args, names: Sequence[str]) -> int:
+    cases = _resolve_cases(names, args.mode)
+    reports = [
+        explore(
+            c, max_depth=args.max_depth, max_states=args.max_states, limit=args.limit
+        )
+        for c in cases
+    ]
+    reports.sort(key=lambda r: r.case_name)
     _output_reports(reports, args)
-    return status
-
-
-def _cmd_all(args) -> int:
-    cases = _resolve_cases(registered_names(include_negative=False), args.mode)
-    reports, status = _run_reports(cases, args)
-    _output_reports(reports, args)
-    return status
+    return 1 if any(not r.passed for r in reports) else 0
 
 
 def _cmd_trace(args) -> int:
@@ -256,14 +213,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "list":
             return _cmd_list()
         if args.subcommand == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, args.cases)
         if args.subcommand == "all":
-            return _cmd_all(args)
+            return _cmd_verify(args, registered_names(include_negative=False))
         return _cmd_trace(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AmortError, ValueError) as exc:
+    except (_UsageError, AmortError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,7 +60,6 @@ class MethodSig:
     out_arity: int = 1
     arg_domain: Tuple[Any, ...] = UNIT_DOMAIN
     may_stop: bool = False
-    obs_domain: Optional[Tuple[Any, ...]] = None
 
     def __post_init__(self):
         if self.in_arity < 1:
@@ -118,9 +117,6 @@ class StateDomain:
     name: str
     serialize: Callable[[Any], str] = encode
     deserialize: Callable[[str], Any] = decode
-
-    def same(self, a: Any, b: Any) -> bool:
-        return self.serialize(a) == self.serialize(b)
 
 
 @dataclass(frozen=True)

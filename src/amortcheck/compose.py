@@ -14,7 +14,7 @@ Three constructions:
   implementation and composing potentials checks the whole pipeline.
 
 A substrate call that Stops (e.g. popping an empty stack) is treated as an
-unproductive observation: the program sees the refusal, the substrate state
+unproductive observation: the program sees `STOP`, the substrate state
 is unchanged, and the Stop's cost (zero in every structure here) still
 accumulates. Programs need this to probe emptiness and keep going.
 """
@@ -72,7 +72,6 @@ def _lift_method(method: Method, side: int, tag: str) -> Method:
         out_arity=1,
         arg_domain=method.sig.arg_domain,
         may_stop=method.sig.may_stop,
-        obs_domain=method.sig.obs_domain,
     )
 
     def run(states, arg):
@@ -147,15 +146,6 @@ def pair_cases(
     )
 
 
-class _Stopped:
-    def __repr__(self) -> str:
-        return "STOPPED"
-
-
-#: Returned by `SubstrateRun.call` when the substrate method refuses.
-STOPPED = _Stopped()
-
-
 class SubstrateRun:
     """One translated-method execution over a substrate coalgebra.
 
@@ -181,19 +171,12 @@ class SubstrateRun:
         self.cost = self._monoid.combine(self.cost, res.cost)
         self.calls.append((method, arg, res.cost))
         if res.value is STOP:
-            return STOPPED
+            return STOP
         out = res.value
         if len(out.states) != 1:
             raise UnsupportedArity(f"substrate method {method} is not 1-out")
         self.state = out.states[0]
         return out.obs
-
-    def charge(self, cost: Any) -> None:
-        """Explicitly charge cost not tied to a substrate call."""
-        if len(self.calls) >= self._budget:
-            raise StepBudgetExceeded("translation program exceeded its budget")
-        self.cost = self._monoid.combine(self.cost, cost)
-        self.calls.append(("charge", None, cost))
 
 
 @dataclass(frozen=True)
@@ -201,7 +184,7 @@ class ProgramMethod:
     """A target method implemented as a program over the source interface."""
 
     sig: MethodSig
-    program: Callable[[SubstrateRun, Any], Any]  # returns obs, or STOPPED
+    program: Callable[[SubstrateRun, Any], Any]  # returns obs, or STOP
 
 
 @dataclass(frozen=True)
@@ -224,7 +207,7 @@ def run_program(
     """Execute one translated method; returns its outcome and the call log."""
     sub = SubstrateRun(substrate, monoid, state, budget)
     result = pm.program(sub, arg)
-    if result is STOPPED:
+    if result is STOP:
         return Charged(sub.cost, STOP), tuple(sub.calls)
     return Charged(sub.cost, Continue(result, (sub.state,))), tuple(sub.calls)
 
@@ -357,7 +340,7 @@ def counter_via_stack_case() -> VerificationCase:
 
     def decrement(sub: SubstrateRun, arg):
         got = sub.call("pop")
-        return STOPPED if got is STOPPED else UNIT
+        return STOP if got is STOP else UNIT
 
     translation = Translation(
         source=base.spec.sig_table,
@@ -440,15 +423,14 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
 
     def dequeue(sub: SubstrateRun, arg):
         got = sub.call("right.pop")
-        if got is not STOPPED:
+        if got is not STOP:
             return got
         while True:
             moved = sub.call("left.pop")
-            if moved is STOPPED:
+            if moved is STOP:
                 break
             sub.call("right.push", moved)
-        got = sub.call("right.pop")
-        return STOPPED if got is STOPPED else got
+        return sub.call("right.pop")
 
     translation = Translation(
         source=base.spec.sig_table,

@@ -70,5 +70,3 @@ TRACE_COST = CostMonoid("trace", "", _concat, False, None, numeric=False)
 RATIONAL_COST = CostMonoid(
     "rational", Fraction(0), _add_fractions, True, operator.le, numeric=True
 )
-
-INSTANCES = (NAT_COST, INT_COST, TRACE_COST, RATIONAL_COST)

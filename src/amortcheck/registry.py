@@ -36,10 +36,7 @@ REGISTRY: Dict[str, CaseEntry] = {e.name: e for e in _ENTRIES}
 
 
 def get_case(name: str) -> VerificationCase:
-    entry = REGISTRY.get(name)
-    if entry is None:
-        raise KeyError(name)
-    return entry.factory()
+    return REGISTRY[name].factory()
 
 
 def registered_names(include_negative: bool = True) -> List[str]:

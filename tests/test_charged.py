@@ -146,6 +146,6 @@ def test_dist_canonical_form_merges_and_orders():
     d1 = Dist.from_branches([(Fraction(1, 4), "b"), (Fraction(1, 2), "a"), (Fraction(1, 4), "b")])
     d2 = Dist.from_branches([(Fraction(1, 2), "b"), (Fraction(1, 2), "a")])
     assert d1 == d2
-    assert d1.support == ("a", "b")
+    assert [x for _w, x in d1.branches] == ["a", "b"]
     assert not d1.is_point()
     assert Dist.point(3).is_point()

@@ -11,15 +11,25 @@ from fractions import Fraction
 import pytest
 
 from amortcheck import (
+    RATIONAL_COST,
+    STOP,
+    UNIT,
     ArityMismatch,
+    Coalgebra,
+    Continue,
+    Method,
+    MethodSig,
     Mode,
     OrderUnavailable,
+    PotentialMorphism,
+    StateDomain,
     Trace,
     TraceParseError,
-    UNIT,
     UnsupportedArity,
+    VerificationCase,
     Verdict,
-    check_expected_square,
+    charge,
+    expect,
     check_square,
     check_trace,
     explore,
@@ -79,7 +89,7 @@ def test_check_square_arity_and_order_errors():
     with pytest.raises(ArityMismatch):
         check_square(case, "alloc", (0, 1))
     with pytest.raises(OrderUnavailable):
-        check_square(buffer_case(4).with_mode(Mode.COLAX), "write", ("",), "a")
+        buffer_case(4).with_mode(Mode.COLAX)
 
 
 def test_explore_allocator_closed_carrier():
@@ -192,11 +202,11 @@ def test_square_implies_telescope_on_random_traces():
 
 def test_expected_square_randomized_allocator_values():
     case = randomized_allocator_case(4, Fraction(1, 2))
-    at0 = check_expected_square(case, "alloc", (0,))
+    at0 = check_square(case, "alloc", (0,))
     # lhs = 3/2 + 1/2 = 2 ; rhs = E[Bin(4,1/2)] + phi(3) = 2 + 0
     assert at0.verdict is Verdict.PASS
     assert at0.lhs_cost == 2 and at0.rhs_cost == 2
-    at2 = check_expected_square(case, "alloc", (2,))
+    at2 = check_square(case, "alloc", (2,))
     # lhs = 1/2 + 1/2 = 1 ; rhs = 0 + phi(1) = 1
     assert at2.verdict is Verdict.PASS
     assert at2.lhs_cost == 1 and at2.rhs_cost == 1
@@ -204,10 +214,71 @@ def test_expected_square_randomized_allocator_values():
 
 def test_expected_point_distribution_matches_deterministic_verdict():
     rand = randomized_allocator_case(1, Fraction(0))
-    expected = check_expected_square(rand, "alloc", (0,))
+    expected = check_square(rand, "alloc", (0,))
     assert expected.verdict is Verdict.PASS
     report = explore(rand)
     assert report.passed and report.states_explored == 1
+
+
+def _coin_stop_case(spec_stop_weight):
+    """Impl `alloc` stops on a fair coin; the spec stops with the given weight.
+
+    Impl states flip between 0 and 1 with potentials 0 and 2, and a Continue
+    out of state 1 costs 6. The spec's Continue costs 1/(1 - weight), so its
+    expected cost is 1 whatever the weight: only the outcome law can differ.
+    """
+    half = Fraction(1, 2)
+    go = 1 - Fraction(spec_stop_weight)
+    sig = MethodSig("alloc", may_stop=True)
+
+    def impl_alloc(states, arg):
+        (d,) = states
+        return expect(
+            [
+                (half, charge(Fraction(0), STOP)),
+                (half, charge(Fraction(6 * d), Continue(UNIT, (1 - d,)))),
+            ]
+        )
+
+    def spec_alloc(states, arg):
+        return expect(
+            [
+                (1 - go, charge(Fraction(0), STOP)),
+                (go, charge(1 / go, Continue(UNIT, (UNIT,)))),
+            ]
+        )
+
+    impl = Coalgebra(StateDomain("bit"), (0,), (Method(sig, impl_alloc),))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_alloc),))
+    phi = PotentialMorphism(lambda d: charge(Fraction(2 * d), UNIT))
+    return VerificationCase(
+        "coin-stop", RATIONAL_COST, impl, spec, phi, randomized=True
+    )
+
+
+def test_square_weighs_stop_and_continue_branches():
+    case = _coin_stop_case(Fraction(1, 2))
+    # lhs = phi(0) + 1 = 1 ; rhs = E[impl] + 1/2 * phi(1) = 0 + 1
+    at0 = check_square(case, "alloc", (0,))
+    assert at0.verdict is Verdict.PASS
+    assert at0.lhs_cost == 1 and at0.rhs_cost == 1
+    # lhs = phi(1) + 1 = 3 ; rhs = 1/2 * 6 + 1/2 * phi(0) = 3
+    at1 = check_square(case, "alloc", (1,))
+    assert at1.verdict is Verdict.PASS
+    assert at1.lhs_cost == 3 and at1.rhs_cost == 3
+
+    # Same expected costs, but the spec stops with probability 1/4.
+    skewed = check_square(_coin_stop_case(Fraction(1, 4)), "alloc", (0,))
+    assert skewed.verdict is Verdict.BEHAVIOR_MISMATCH
+    assert skewed.lhs_cost == skewed.rhs_cost == 1
+
+
+def test_explore_admits_only_continue_successors():
+    report = explore(_coin_stop_case(Fraction(1, 2)))
+    # The seed 0 plus the one successor of its Continue branch; Stop adds none.
+    assert report.passed
+    assert report.states_explored == 2
+    assert report.squares_checked == 2
 
 
 def test_parse_trace_and_errors():

@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, output formats, determinism, env knobs."""
+"""CLI behavior: exit codes, output formats, determinism."""
 
 from amortcheck.cli import CSV_HEADER, main
 
@@ -108,12 +108,6 @@ def test_verify_limit_flag_caps_counterexamples(capsys):
     assert out.count("cost-mismatch") == 2
 
 
-def test_zero_threads_means_default(capsys, monkeypatch):
-    monkeypatch.setenv("AMORTIZE_THREADS", "0")
-    code, out, _ = run(capsys, "verify", "allocator")
-    assert code == 0 and "PASS" in out
-
-
 def test_trace_parse_error_reports_line_and_column(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text('write "ab"\nwrite "qq"\n')
@@ -135,13 +129,14 @@ def test_all_subcommand_skips_negative_controls(capsys):
     assert "queue-via-stacks" in out
 
 
-def test_threaded_verification_matches_sequential(capsys, monkeypatch):
-    args = ("verify", "queue-exact", "stack", "piggy", "--format", "csv")
-    code_seq, out_seq, _ = run(capsys, *args)
-    monkeypatch.setenv("AMORTIZE_THREADS", "3")
-    code_par, out_par, _ = run(capsys, *args)
-    assert code_seq == code_par == 0
-    assert out_seq == out_par
+def test_verify_reports_in_case_name_order(capsys):
+    args = ("verify", "stack", "queue-exact", "piggy", "--format", "csv")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["piggy", "queue-exact", "stack"]
+    again = run(capsys, *args)
+    assert again == (0, out, "")
 
 
 def test_state_cap_below_seed_count_is_config_error(capsys):
@@ -155,10 +150,3 @@ def test_explicit_depth_flag_overrides_case_default(capsys):
     assert code == 0
     states = int(out.split("states=")[1].split()[0])
     assert states < 16129  # documented bound explores the full space
-
-
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("AMORTIZE_THREADS", "many")
-    code, _, err = run(capsys, "verify", "allocator")
-    assert code == 2
-    assert "AMORTIZE_THREADS" in err

@@ -122,7 +122,7 @@ def test_serialization_round_trips_on_explored_states(name):
             if m.sig.in_arity != 1:
                 continue
             out = m.run((s,), m.sig.arg_domain[0])
-            value = out.dist.support[0] if case.randomized else out.value
+            value = out.dist.branches[0][1] if case.randomized else out.value
             if hasattr(value, "states"):
                 frontier.extend(value.states)
     for s in states:

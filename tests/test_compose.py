@@ -143,21 +143,20 @@ def test_pipeline_over_arrays_passes_colax(explored):
 
 
 def test_translation_cost_accounting_matches_call_log():
-    from amortcheck import STOPPED
+    from amortcheck import STOP
 
     base = pair_cases(get_case("stack"), get_case("stack"))
 
     def dequeue(sub, arg):
         got = sub.call("right.pop")
-        if got is not STOPPED:
+        if got is not STOP:
             return got
         while True:
             moved = sub.call("left.pop")
-            if moved is STOPPED:
+            if moved is STOP:
                 break
             sub.call("right.push", moved)
-        got = sub.call("right.pop")
-        return STOPPED if got is STOPPED else got
+        return sub.call("right.pop")
 
     pm = ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue)
     out, log = run_program(base.spec, NAT_COST, pm, (("a", "b"), ()), UNIT)
