@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .charged import Charged, Dist, ExpectedCharged
 from .coalgebra import (
@@ -34,7 +34,7 @@ from .coalgebra import (
     VerificationCase,
     apply_phi_tuple,
 )
-from .encoding import encode
+from .encoding import encode, state_key
 from .errors import (
     ArityMismatch,
     StateInvariantViolation,
@@ -148,24 +148,19 @@ def _outcomes(case, result):
     return result.cost, ((1, result.value),)
 
 
-def _square(case, method, inputs, arg):
-    """Build lhs/rhs of the square; returns (SquareCheck, impl successors)."""
-    sig = case.sig(method)
-    inputs = tuple(inputs)
-    if len(inputs) != sig.in_arity:
-        raise ArityMismatch(
-            f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
-        )
-    monoid = case.monoid
+def _square(case, sig, inputs, arg, phi_in):
+    """Build lhs/rhs of the square at `inputs`, whose image under Φ is `phi_in`.
 
-    phi_in = apply_phi_tuple(monoid, case.phi, inputs)
-    spec_res = case.spec.method(method).run(phi_in.value, arg)
+    Returns (verdict, lhs, rhs, impl successors); no state text is built.
+    """
+    monoid = case.monoid
+    spec_res = case.spec.method(sig.name).run(phi_in.value, arg)
     spec_cost, spec_outs = _outcomes(case, spec_res)
     for _w, out in spec_outs:
         _guard_outcome(sig, out)
     lhs_cost = monoid.combine(phi_in.cost, spec_cost)
 
-    impl_res = case.impl.method(method).run(inputs, arg)
+    impl_res = case.impl.method(sig.name).run(inputs, arg)
     rhs_cost, impl_outs = _outcomes(case, impl_res)
     rhs_outs = []
     successors: List[Any] = []
@@ -193,7 +188,7 @@ def _square(case, method, inputs, arg):
         verdict = Verdict.PASS
     else:
         verdict = Verdict.COST_MISMATCH
-    return _mk_check(case, method, inputs, arg, lhs, rhs, verdict), successors
+    return verdict, lhs, rhs, successors
 
 
 def check_square(
@@ -204,14 +199,37 @@ def check_square(
     Randomized cases are checked on expected costs and canonical outcome
     distributions.
     """
-    check, _ = _square(case, method, inputs, arg)
-    return check
+    sig = case.sig(method)
+    inputs = tuple(inputs)
+    if len(inputs) != sig.in_arity:
+        raise ArityMismatch(
+            f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
+        )
+    phi_in = apply_phi_tuple(case.monoid, case.phi, inputs)
+    verdict, lhs, rhs, _ = _square(case, sig, inputs, arg, phi_in)
+    return _mk_check(case, method, inputs, arg, lhs, rhs, verdict)
 
 
-def _slack(monoid, check: SquareCheck) -> Optional[Any]:
+def _slack(monoid, lhs, rhs) -> Optional[Any]:
     if not monoid.numeric:
         return None
-    return check.lhs_cost - check.rhs_cost
+    return _cost_of(lhs) - _cost_of(rhs)
+
+
+def _tuples_with_max(i: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """The k-tuples over range(i + 1) whose largest entry is i.
+
+    Yields them in lexicographic order: the order of
+    ``product(range(i + 1), repeat=k)`` restricted to those tuples.
+    """
+    if k == 1:
+        yield (i,)
+        return
+    for head in range(i):
+        for rest in _tuples_with_max(i, k - 1):
+            yield (head,) + rest
+    for rest in product(range(i + 1), repeat=k - 1):
+        yield (i,) + rest
 
 
 def explore(
@@ -225,9 +243,11 @@ def explore(
     For every reached input tuple (all ordered in_arity-sized combinations
     of reached states, generated once each), every method and every
     argument in its domain, the amortization square is checked. Continue
-    successors join the frontier, deduplicated by serialization, until the
-    depth or state limits are hit; the case's `explore_filter` keeps
-    out-of-scope successors from being admitted at all.
+    successors join the frontier, deduplicated by typed value identity
+    (`state_key`: equal values of different types, such as ``1`` and
+    ``True``, stay distinct), until the depth or state limits are hit; the
+    case's `explore_filter` keeps out-of-scope successors from being
+    admitted at all. State text is built only for kept counterexamples.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -239,24 +259,26 @@ def explore(
         raise ValueError("max_states must cover at least the seeds")
 
     t0 = time.perf_counter()
-    serialize = case.impl.state_domain.serialize
+    monoid = case.monoid
+    keep = case.explore_filter
     invariant = case.impl.state_invariant
 
     states: List[Any] = []
     depths: List[int] = []
-    index = {}
+    seen = set()
 
     def admit(s: Any, depth: int) -> None:
-        if case.explore_filter is not None and not case.explore_filter(s):
+        if keep is not None and not keep(s):
             return
-        key = serialize(s)
-        if key in index or len(states) >= max_states:
+        key = state_key(s)
+        if key in seen or len(states) >= max_states:
             return
         if invariant is not None and not invariant(s):
             raise StateInvariantViolation(
-                f"{case.name}: state {key} at depth {depth} breaks the invariant"
+                f"{case.name}: state {case.impl.state_domain.serialize(s)} "
+                f"at depth {depth} breaks the invariant"
             )
-        index[key] = len(states)
+        seen.add(key)
         states.append(s)
         depths.append(depth)
 
@@ -270,28 +292,33 @@ def explore(
 
     i = 0
     while i < len(states):
+        # Breadth-first admission keeps depths sorted, so state i is the
+        # deepest component of every tuple it closes.
+        succ_depth = depths[i] + 1
+        can_expand = succ_depth <= max_depth
+        phi_one = None  # Φ of (state i,), shared by every unary square
         for m in case.impl.methods:
-            k = m.sig.in_arity
-            if k == 1:
-                tuples = [(i,)]
-            else:
-                # Every ordered k-tuple over reached states, generated once:
-                # exactly those whose newest component is state i.
-                tuples = [t for t in product(range(i + 1), repeat=k) if max(t) == i]
-            for idx_tuple in tuples:
+            sig = m.sig
+            k = sig.in_arity
+            if k == 1 and phi_one is None:
+                phi_one = apply_phi_tuple(monoid, case.phi, (states[i],))
+            # Every ordered k-tuple over reached states, generated once:
+            # exactly those whose newest component is state i.
+            for idx_tuple in _tuples_with_max(i, k):
                 inputs = tuple(states[j] for j in idx_tuple)
-                succ_depth = 1 + max(depths[j] for j in idx_tuple)
-                can_expand = succ_depth <= max_depth
-                for arg in m.sig.arg_domain:
-                    check, successors = _square(case, m.sig.name, inputs, arg)
+                phi_in = phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
+                for arg in sig.arg_domain:
+                    verdict, lhs, rhs, successors = _square(case, sig, inputs, arg, phi_in)
                     squares += 1
-                    gap = _slack(case.monoid, check)
+                    gap = _slack(monoid, lhs, rhs)
                     if gap is not None and (slack_max is None or gap > slack_max):
                         slack_max = gap
-                    if check.verdict is not Verdict.PASS:
+                    if verdict is not Verdict.PASS:
                         failures += 1
                         if len(counterexamples) < limit:
-                            counterexamples.append(check)
+                            counterexamples.append(
+                                _mk_check(case, sig.name, inputs, arg, lhs, rhs, verdict)
+                            )
                     if can_expand:
                         for s in successors:
                             admit(s, succ_depth)

@@ -112,7 +112,12 @@ Outcome = Any  # Stop | Continue
 
 @dataclass(frozen=True)
 class StateDomain:
-    """Carrier description: naming plus deterministic (de)serialization."""
+    """Carrier description: naming plus deterministic (de)serialization.
+
+    `serialize` is for reports only (counterexample inputs and invariant
+    errors); it plays no part in which states count as the same.
+    Exploration identifies states by typed value (`encoding.state_key`).
+    """
 
     name: str
     serialize: Callable[[Any], str] = encode

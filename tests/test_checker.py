@@ -7,10 +7,12 @@ frozen here; exploration results are cross-checked against those.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from amortcheck import (
+    INT_COST,
     RATIONAL_COST,
     STOP,
     UNIT,
@@ -23,6 +25,7 @@ from amortcheck import (
     OrderUnavailable,
     PotentialMorphism,
     StateDomain,
+    StateInvariantViolation,
     Trace,
     TraceParseError,
     UnsupportedArity,
@@ -37,6 +40,8 @@ from amortcheck import (
     parse_trace,
     random_trace,
 )
+from amortcheck.checker import _tuples_with_max
+from amortcheck.encoding import encode
 from amortcheck.structures import (
     allocator_case,
     batched_queue_case,
@@ -304,3 +309,80 @@ def test_parse_trace_unit_and_int_literals():
     trace = parse_trace(alloc, "alloc ()\nalloc ()\n")
     assert trace.steps == (("alloc", UNIT), ("alloc", UNIT))
     assert check_trace(alloc, trace).passed
+
+
+def _lookalike_chain_case(seen):
+    """`step` walks 1 -> True -> Fraction(1) -> (1,) -> (True,) -> 1.
+
+    The five states hash and compare equal in pairs, but their encodings
+    differ, so exploration must keep them apart. Every input the impl sees
+    is appended to `seen`.
+    """
+    chain = [1, True, Fraction(1), (1,), (True,)]
+    following = {encode(s): chain[(n + 1) % len(chain)] for n, s in enumerate(chain)}
+    sig = MethodSig("step")
+
+    def impl_step(states, arg):
+        (s,) = states
+        seen.append(s)
+        return charge(1, Continue(UNIT, (following[encode(s)],)))
+
+    def spec_step(states, arg):
+        return charge(1, Continue(UNIT, (UNIT,)))
+
+    impl = Coalgebra(StateDomain("lookalikes"), (1,), (Method(sig, impl_step),))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_step),))
+    phi = PotentialMorphism(lambda s: charge(0, UNIT))
+    return VerificationCase("lookalikes", INT_COST, impl, spec, phi)
+
+
+def test_explore_keeps_equal_values_of_different_types_apart():
+    seen = []
+    report = explore(_lookalike_chain_case(seen))
+    assert report.passed
+    assert report.states_explored == 5 and report.squares_checked == 5
+    assert [encode(s) for s in seen] == ["i1", "b1", "q1/1", "t(i1)", "t(b1)"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("i", range(7))
+def test_tuples_with_max_matches_filtered_product(i, k):
+    expected = [t for t in product(range(i + 1), repeat=k) if max(t) == i]
+    assert list(_tuples_with_max(i, k)) == expected
+
+
+def test_check_square_fills_serialized_inputs():
+    check = check_square(broken_allocator_case(), "alloc", (0,))
+    assert check.verdict is Verdict.COST_MISMATCH
+    assert check.inputs_serialized == ("i0",) and check.arg_literal == "()"
+    passing = check_square(allocator_case(), "alloc", (3,))
+    assert passing.verdict is Verdict.PASS
+    assert passing.inputs_serialized == ("i3",)
+
+
+def test_reports_serialize_states_with_the_domain_serializer():
+    sig = MethodSig("tick")
+
+    def impl_tick(states, arg):
+        (n,) = states
+        return charge(2, Continue(UNIT, (n + 1,)))
+
+    def spec_tick(states, arg):
+        return charge(1, Continue(UNIT, (UNIT,)))
+
+    impl = Coalgebra(
+        StateDomain("nat", serialize=lambda n: f"<{n}>"),
+        (0,),
+        (Method(sig, impl_tick),),
+        state_invariant=lambda n: n < 3,
+    )
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_tick),))
+    phi = PotentialMorphism(lambda n: charge(0, UNIT))
+    case = VerificationCase("ticks", INT_COST, impl, spec, phi)
+
+    with pytest.raises(StateInvariantViolation) as err:
+        explore(case)
+    assert "state <3> at depth 3" in str(err.value)
+    report = explore(case, max_depth=2, limit=2)
+    assert report.failures == 3
+    assert [c.inputs_serialized for c in report.counterexamples] == [("<0>",), ("<1>",)]

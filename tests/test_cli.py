@@ -150,3 +150,30 @@ def test_explicit_depth_flag_overrides_case_default(capsys):
     assert code == 0
     states = int(out.split("states=")[1].split()[0])
     assert states < 16129  # documented bound explores the full space
+
+
+ALLOCATOR_BROKEN_COUNTEREXAMPLES = [
+    "  cost-mismatch: method=alloc arg=() inputs=[i0] lhs_cost=1 rhs_cost=15",
+    "  cost-mismatch: method=alloc arg=() inputs=[i1] lhs_cost=2 rhs_cost=0",
+    "  cost-mismatch: method=alloc arg=() inputs=[i2] lhs_cost=3 rhs_cost=1",
+    "  cost-mismatch: method=alloc arg=() inputs=[i3] lhs_cost=4 rhs_cost=2",
+    "  cost-mismatch: method=alloc arg=() inputs=[i4] lhs_cost=5 rhs_cost=3",
+    "  cost-mismatch: method=alloc arg=() inputs=[i5] lhs_cost=6 rhs_cost=4",
+    "  cost-mismatch: method=alloc arg=() inputs=[i6] lhs_cost=7 rhs_cost=5",
+    "  cost-mismatch: method=alloc arg=() inputs=[i7] lhs_cost=8 rhs_cost=6",
+]
+
+
+def test_negative_control_counterexample_lines(capsys):
+    code, out, _ = run(capsys, "verify", "allocator-broken")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "  8 failing check(s); showing 8:"
+    assert lines[2:] == ALLOCATOR_BROKEN_COUNTEREXAMPLES
+
+    code, out, err = run(capsys, "verify", "allocator-broken", "--format", "csv")
+    assert code == 1
+    assert out == CSV_HEADER + "\nallocator-broken,exact,8,8,fail,2\n"
+    assert err.splitlines() == [
+        "allocator-broken:" + line for line in ALLOCATOR_BROKEN_COUNTEREXAMPLES
+    ]
