@@ -148,19 +148,21 @@ def _outcomes(case, result):
     return result.cost, ((1, result.value),)
 
 
-def _square(case, sig, inputs, arg, phi_in):
+def _square(case, impl, spec, inputs, arg, phi_in):
     """Build lhs/rhs of the square at `inputs`, whose image under Φ is `phi_in`.
 
-    Returns (verdict, lhs, rhs, impl successors); no state text is built.
+    `impl` and `spec` are the method on each side. Returns (verdict, lhs,
+    rhs, impl successors); no state text is built.
     """
     monoid = case.monoid
-    spec_res = case.spec.method(sig.name).run(phi_in.value, arg)
+    sig = impl.sig
+    spec_res = spec.run(phi_in.value, arg)
     spec_cost, spec_outs = _outcomes(case, spec_res)
     for _w, out in spec_outs:
         _guard_outcome(sig, out)
     lhs_cost = monoid.combine(phi_in.cost, spec_cost)
 
-    impl_res = case.impl.method(sig.name).run(inputs, arg)
+    impl_res = impl.run(inputs, arg)
     rhs_cost, impl_outs = _outcomes(case, impl_res)
     rhs_outs = []
     successors: List[Any] = []
@@ -199,14 +201,17 @@ def check_square(
     Randomized cases are checked on expected costs and canonical outcome
     distributions.
     """
-    sig = case.sig(method)
+    impl = case.impl.method(method)
+    sig = impl.sig
     inputs = tuple(inputs)
     if len(inputs) != sig.in_arity:
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
     phi_in = apply_phi_tuple(case.monoid, case.phi, inputs)
-    verdict, lhs, rhs, _ = _square(case, sig, inputs, arg, phi_in)
+    verdict, lhs, rhs, _ = _square(
+        case, impl, case.spec.method(method), inputs, arg, phi_in
+    )
     return _mk_check(case, method, inputs, arg, lhs, rhs, verdict)
 
 
@@ -289,6 +294,7 @@ def explore(
     failures = 0
     counterexamples: List[SquareCheck] = []
     slack_max: Optional[Any] = None
+    methods = [(m, case.spec.method(m.sig.name)) for m in case.impl.methods]
 
     i = 0
     while i < len(states):
@@ -297,8 +303,8 @@ def explore(
         succ_depth = depths[i] + 1
         can_expand = succ_depth <= max_depth
         phi_one = None  # Φ of (state i,), shared by every unary square
-        for m in case.impl.methods:
-            sig = m.sig
+        for impl, spec in methods:
+            sig = impl.sig
             k = sig.in_arity
             if k == 1 and phi_one is None:
                 phi_one = apply_phi_tuple(monoid, case.phi, (states[i],))
@@ -308,7 +314,9 @@ def explore(
                 inputs = tuple(states[j] for j in idx_tuple)
                 phi_in = phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
                 for arg in sig.arg_domain:
-                    verdict, lhs, rhs, successors = _square(case, sig, inputs, arg, phi_in)
+                    verdict, lhs, rhs, successors = _square(
+                        case, impl, spec, inputs, arg, phi_in
+                    )
                     squares += 1
                     gap = _slack(monoid, lhs, rhs)
                     if gap is not None and (slack_max is None or gap > slack_max):
@@ -366,9 +374,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     monoid = case.monoid
 
     seed = case.impl.seeds[trace.seed_index]
-    phi0_cost = case.phi.cost_of(seed)
+    phi0 = case.phi.phi(seed)
     impl_state = seed
-    spec_state = case.phi.beh_of(seed)
+    spec_state = phi0.value
 
     total_impl = monoid.identity
     total_spec = monoid.identity
@@ -415,7 +423,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     slack = None
     if not mismatches:
-        lhs = monoid.combine(phi0_cost, total_spec)
+        lhs = monoid.combine(phi0.cost, total_spec)
         if stopped:
             rhs = total_impl
         else:
@@ -492,6 +500,7 @@ def parse_trace(case: VerificationCase, text: str, seed_index: int = 0) -> Trace
     double-quoted strings, ``()`` for unit, or the name of a function in
     the method's domain.
     """
+    table = case.impl.sig_table
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -499,7 +508,6 @@ def parse_trace(case: VerificationCase, text: str, seed_index: int = 0) -> Trace
             continue
         name = stripped.split(None, 1)[0]
         column = raw.index(name) + 1
-        table = case.impl.sig_table
         if name not in table:
             raise TraceParseError(line_no, column, f"unknown method {name!r}")
         rest = stripped[len(name):].strip()

@@ -82,11 +82,6 @@ def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
             raise _UsageError(
                 f"unknown case {name!r}; run `amortcheck list` for the registry"
             )
-        if mode == "colax" and not case.monoid.ordered:
-            raise _UsageError(
-                f"case {name!r} uses the unordered cost model "
-                f"{case.monoid.name}; colax mode is unavailable"
-            )
         if mode != "default":
             case = case.with_mode(Mode(mode))
         cases.append(case)
@@ -135,10 +130,11 @@ def _text_report(report: Report) -> str:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
+    """Write `text`, ending in one newline, to stdout or to `out_path`."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from .charged import Charged
 from .cost import CostMonoid
-from .encoding import decode, encode
+from .encoding import encode
 from .errors import (
     ArityMismatch,
     NonCommutativeTensor,
@@ -112,7 +112,7 @@ Outcome = Any  # Stop | Continue
 
 @dataclass(frozen=True)
 class StateDomain:
-    """Carrier description: naming plus deterministic (de)serialization.
+    """Carrier description: naming plus deterministic serialization.
 
     `serialize` is for reports only (counterexample inputs and invariant
     errors); it plays no part in which states count as the same.
@@ -121,7 +121,6 @@ class StateDomain:
 
     name: str
     serialize: Callable[[Any], str] = encode
-    deserialize: Callable[[str], Any] = decode
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,6 @@ class VerificationCase:
     max_depth: int = 12
     max_states: int = 5000
     explore_filter: Optional[Callable[[Any], bool]] = None
-    description: str = ""
 
     def __post_init__(self):
         impl_table = self.impl.sig_table

@@ -142,34 +142,35 @@ def pair_cases(
         phi=PotentialMorphism(phi, mode),
         max_depth=min(left.max_depth, right.max_depth),
         max_states=min(5000, left.max_states * right.max_states),
-        description=f"product of {left.name} and {right.name}",
     )
+
+
+#: Substrate calls one translated method may make before it is cut off.
+STEP_BUDGET = 10_000
 
 
 class SubstrateRun:
     """One translated-method execution over a substrate coalgebra.
 
-    Threads the substrate state through `call`s, accumulates cost in the
-    ambient monoid, and logs every call so cost accounting can be audited:
-    the run's total cost is exactly the fold of the logged costs.
+    Threads the substrate state through `call`s and sequences their costs
+    in the ambient monoid, so the run's cost is exactly the substrate's.
     """
 
-    def __init__(self, coalg: Coalgebra, monoid: CostMonoid, state: Any, budget: int):
+    def __init__(self, coalg: Coalgebra, monoid: CostMonoid, state: Any):
         self._coalg = coalg
         self._monoid = monoid
         self.state = state
         self.cost = monoid.identity
-        self.calls: list = []
-        self._budget = budget
+        self.calls = 0
 
     def call(self, method: str, arg: Any = UNIT) -> Any:
-        if len(self.calls) >= self._budget:
+        if self.calls >= STEP_BUDGET:
             raise StepBudgetExceeded(
-                f"translation program exceeded {self._budget} substrate calls"
+                f"translation program exceeded {STEP_BUDGET} substrate calls"
             )
         res = self._coalg.method(method).run((self.state,), arg)
         self.cost = self._monoid.combine(self.cost, res.cost)
-        self.calls.append((method, arg, res.cost))
+        self.calls += 1
         if res.value is STOP:
             return STOP
         out = res.value
@@ -193,7 +194,6 @@ class Translation:
 
     source: Dict[str, MethodSig]
     programs: Tuple[ProgramMethod, ...]
-    step_budget: int = 10_000
 
 
 def run_program(
@@ -202,14 +202,13 @@ def run_program(
     pm: ProgramMethod,
     state: Any,
     arg: Any,
-    budget: int = 10_000,
-) -> Tuple[Charged, Tuple]:
-    """Execute one translated method; returns its outcome and the call log."""
-    sub = SubstrateRun(substrate, monoid, state, budget)
+) -> Charged:
+    """Execute one translated method; returns its charged outcome."""
+    sub = SubstrateRun(substrate, monoid, state)
     result = pm.program(sub, arg)
     if result is STOP:
-        return Charged(sub.cost, STOP), tuple(sub.calls)
-    return Charged(sub.cost, Continue(result, (sub.state,))), tuple(sub.calls)
+        return Charged(sub.cost, STOP)
+    return Charged(sub.cost, Continue(result, (sub.state,)))
 
 
 def translate_case(
@@ -243,10 +242,7 @@ def translate_case(
     def make_runner(pm: ProgramMethod):
         def run(states, arg):
             (state,) = states
-            out, _log = run_program(
-                substrate, monoid, pm, state, arg, translation.step_budget
-            )
-            return out
+            return run_program(substrate, monoid, pm, state, arg)
 
         return run
 
@@ -265,7 +261,6 @@ def translate_case(
         phi=phi,
         max_depth=max_depth,
         max_states=max_states,
-        description=f"{name}: programs over {base.name}.{over}",
     )
 
 
@@ -292,7 +287,6 @@ def alloc16_to_8_case() -> VerificationCase:
         phi=alloc16_to_8_phi(),
         max_depth=32,
         max_states=64,
-        description="16-cycle allocator simulated by the 8-cycle one",
     )
 
 
@@ -318,7 +312,6 @@ def alloc16_via_8_case() -> VerificationCase:
         phi=composed,
         max_depth=32,
         max_states=64,
-        description="composed potential through the 8-burst allocator",
     )
 
 

@@ -83,7 +83,6 @@ def allocator_case(phi_shift: int = 0) -> VerificationCase:
         phi=phi,
         max_depth=16,
         max_states=64,
-        description="burst allocator, potential 7-d",
     )
 
 
@@ -99,7 +98,6 @@ def broken_allocator_case() -> VerificationCase:
         phi=phi,
         max_depth=16,
         max_states=64,
-        description="negative control: wrong allocator potential",
     )
 
 
@@ -143,7 +141,6 @@ def varying_cost_case(defect_at: Optional[int] = None) -> VerificationCase:
         phi=phi,
         max_depth=_VARY_N,
         max_states=_VARY_N + 8,
-        description="time-varying costs over a 64-cycle",
     )
 
 
@@ -212,7 +209,6 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
         phi=phi,
         max_depth=8,
         max_states=600,
-        description="doubling array, potential 2(|a|+1) - 2^(n+1)",
     )
 
 
@@ -271,7 +267,6 @@ def stack_case() -> VerificationCase:
         phi=phi,
         max_depth=8,
         max_states=5000,
-        description="array-backed stack, truncated potential, colax",
     )
 
 
@@ -339,7 +334,6 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
         phi=phi,
         max_depth=7,
         max_states=5000,
-        description=f"batched queue, reverse cost {per} per element",
     )
 
 
@@ -448,7 +442,6 @@ def deque_case() -> VerificationCase:
         max_depth=12,
         max_states=17000,
         explore_filter=lambda st: len(st[0]) <= 6 and len(st[1]) <= 6,
-        description="deque with halving rebalance, imbalance potential",
     )
 
 
@@ -500,7 +493,6 @@ def buffer_case(n: int = 4) -> VerificationCase:
         phi=phi,
         max_depth=6,
         max_states=64,
-        description=f"string buffering with chunk size {n}",
     )
 
 
@@ -566,7 +558,6 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
         randomized=True,
         max_depth=2 * k,
         max_states=k + 4,
-        description=f"binomial burst allocator, k={k}, p={p}",
     )
 
 
@@ -634,5 +625,4 @@ def piggy_bank_case() -> VerificationCase:
         phi=phi,
         max_depth=8,
         max_states=40,
-        description="piggy bank: summed potential across merge/split",
     )

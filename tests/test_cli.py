@@ -1,5 +1,9 @@
 """CLI behavior: exit codes, output formats, determinism."""
 
+import re
+
+import pytest
+
 from amortcheck.cli import CSV_HEADER, main
 
 
@@ -48,7 +52,7 @@ def test_unknown_case_is_usage_error(capsys):
 def test_colax_override_rejected_on_unordered_model(capsys):
     code, _, err = run(capsys, "verify", "buffer", "--mode", "colax")
     assert code == 2
-    assert "colax" in err
+    assert err == "error: buffer: colax mode needs an ordered cost monoid\n"
 
 
 def test_csv_output_is_deterministic(capsys):
@@ -78,6 +82,19 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     content = target.read_text()
     assert content.startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    args = ("verify", "allocator", "allocator-broken", "--format", fmt)
+    code, out, _ = run(capsys, *args)
+    target = tmp_path / "report"
+    code_out, out_empty, _ = run(capsys, *args, "--out", str(target))
+    assert code == code_out == 1 and out_empty == ""
+    # Text reports end each head line with the case's wall time.
+    mask = lambda text: re.sub(r" \d+\.\d{3}s$", " _s", text, flags=re.M)
+    written = target.read_bytes().decode()
+    assert written.endswith("\n") and mask(written) == mask(out)
 
 
 def test_trace_subcommand(tmp_path, capsys):

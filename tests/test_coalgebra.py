@@ -22,6 +22,7 @@ from amortcheck import (
     get_case,
 )
 from amortcheck.coalgebra import Continue
+from amortcheck.encoding import state_key
 
 
 def test_apply_phi_tuple_allocator_potential():
@@ -105,28 +106,29 @@ def test_case_rejects_colax_over_unordered_monoid():
 
 @pytest.mark.parametrize("name", ["allocator", "stack", "queue-lax", "buffer", "piggy"])
 def test_serialization_round_trips_on_explored_states(name):
+    """Report text leads back to one state: `serialize` is injective here."""
     case = get_case(name)
     domain = case.impl.state_domain
-    states = [case.impl.seeds[0]]
-    seen = set()
+    states = {}  # typed value identity -> state
     # walk a few transitions to gather reachable states
     frontier = list(case.impl.seeds)
-    while frontier and len(seen) < 200:
+    while frontier and len(states) < 200:
         s = frontier.pop()
-        key = domain.serialize(s)
-        if key in seen:
+        key = state_key(s)
+        if key in states:
             continue
-        seen.add(key)
-        states.append(s)
+        states[key] = s
         for m in case.impl.methods:
             if m.sig.in_arity != 1:
                 continue
-            out = m.run((s,), m.sig.arg_domain[0])
-            value = out.dist.branches[0][1] if case.randomized else out.value
-            if hasattr(value, "states"):
-                frontier.extend(value.states)
-    for s in states:
-        assert domain.deserialize(domain.serialize(s)) == s
+            for arg in m.sig.arg_domain:
+                out = m.run((s,), arg)
+                value = out.dist.branches[0][1] if case.randomized else out.value
+                if hasattr(value, "states"):
+                    frontier.extend(value.states)
+    texts = {domain.serialize(s) for s in states.values()}
+    assert len(states) > 1
+    assert len(texts) == len(states)
 
 
 def test_mode_override_produces_equivalent_case():

@@ -18,7 +18,6 @@ from amortcheck import (
     Verdict,
     charge,
     check_square,
-    combine_all,
     compose_phi,
     explore,
     get_case,
@@ -26,6 +25,7 @@ from amortcheck import (
     run_program,
 )
 from amortcheck.compose import (
+    STEP_BUDGET,
     ProgramMethod,
     Translation,
     alloc16_to_8_case,
@@ -142,8 +142,8 @@ def test_pipeline_over_arrays_passes_colax(explored):
     assert report.passed and report.mode is Mode.COLAX
 
 
-def test_translation_cost_accounting_matches_call_log():
-    from amortcheck import STOP
+def test_translation_flush_cost_is_the_sum_of_substrate_costs():
+    from amortcheck import STOP, Continue
 
     base = pair_cases(get_case("stack"), get_case("stack"))
 
@@ -159,11 +159,10 @@ def test_translation_cost_accounting_matches_call_log():
         return sub.call("right.pop")
 
     pm = ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue)
-    out, log = run_program(base.spec, NAT_COST, pm, (("a", "b"), ()), UNIT)
-    # flush: failed pop, two pop+push moves, emptiness probe, final pop
-    assert len(log) == 7
-    assert out.cost == combine_all(NAT_COST, [c for (_m, _a, c) in log])
-    assert out.cost == 12
+    out = run_program(base.spec, NAT_COST, pm, (("a", "b"), ()), UNIT)
+    # failed pop 0, two pop+push moves 2*(2+3), emptiness probe 0, final pop 2
+    assert out.cost == 0 + 2 * (2 + 3) + 0 + 2 == 12
+    assert out.value == Continue("b", (((), ("a",)),))
 
 
 def test_translation_budget_is_enforced():
@@ -171,14 +170,16 @@ def test_translation_budget_is_enforced():
 
     base = allocator_case()
 
+    calls_made = []
+
     def loops_forever(sub, arg):
         while True:
             sub.call("alloc")
+            calls_made.append(sub.calls)
 
     translation = Translation(
         source=base.spec.sig_table,
         programs=(ProgramMethod(MethodSig("spin"), loops_forever),),
-        step_budget=50,
     )
     spec = Coalgebra(
         StateDomain("unit"),
@@ -188,5 +189,6 @@ def test_translation_budget_is_enforced():
     case = translate_case(
         base, translation, spec, _identity_phi(), name="spin", max_depth=1
     )
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded, match=f"exceeded {STEP_BUDGET} "):
         check_square(case, "spin", (UNIT,))
+    assert calls_made[-1] == len(calls_made) == STEP_BUDGET
