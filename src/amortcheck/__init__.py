@@ -39,10 +39,8 @@ from .coalgebra import (
 from .compose import (
     ProgramMethod,
     SubstrateRun,
-    Translation,
     compose_phi,
     pair_cases,
-    run_program,
     translate_case,
 )
 from .cost import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST, CostMonoid, combine_all

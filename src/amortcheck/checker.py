@@ -34,11 +34,12 @@ from .coalgebra import (
     VerificationCase,
     apply_phi_tuple,
 )
-from .encoding import encode, state_key
+from .encoding import state_key
 from .errors import (
     ArityMismatch,
     StateInvariantViolation,
     TraceParseError,
+    UnknownMethod,
     UnsupportedArity,
 )
 
@@ -64,11 +65,11 @@ class SquareCheck:
 
     @property
     def lhs_cost(self) -> Any:
-        return _cost_of(self.lhs)
+        return _cost(self.lhs)
 
     @property
     def rhs_cost(self) -> Any:
-        return _cost_of(self.rhs)
+        return _cost(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class Trace:
     seed_index: int = 0
 
 
-def _cost_of(result: Union[Charged, ExpectedCharged]) -> Any:
+def _cost(result: Union[Charged, ExpectedCharged]) -> Any:
     if isinstance(result, ExpectedCharged):
         return result.expected_cost
     return result.cost
@@ -183,7 +184,7 @@ def _square(case, impl, spec, inputs, arg, phi_in):
     else:
         lhs = Charged(lhs_cost, spec_outs[0][1])
         rhs = Charged(rhs_cost, rhs_outs[0][1])
-        behave_ok = lhs.value == rhs.value or encode(lhs.value) == encode(rhs.value)
+        behave_ok = lhs.value == rhs.value
     if not behave_ok:
         verdict = Verdict.BEHAVIOR_MISMATCH
     elif _cost_ok(case, case.phi.mode, lhs_cost, rhs_cost):
@@ -218,7 +219,7 @@ def check_square(
 def _slack(monoid, lhs, rhs) -> Optional[Any]:
     if not monoid.numeric:
         return None
-    return _cost_of(lhs) - _cost_of(rhs)
+    return _cost(lhs) - _cost(rhs)
 
 
 def _tuples_with_max(i: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -346,17 +347,19 @@ def explore(
     )
 
 
-def _step_point(case, coalg, method, state, arg):
-    """Run one 1-in/1-out step, unwrapping the randomized point outcome."""
-    res = coalg.method(method).run((state,), arg)
+def _point(case, sig, result):
+    """The one outcome of a trace step as (cost, outcome), shape-checked."""
     if case.randomized:
-        if not res.dist.is_point():
+        if not result.dist.is_point():
             raise UnsupportedArity(
                 f"{case.name}: trace checking needs point outcome "
-                f"distributions, {method} branches"
+                f"distributions, {sig.name} branches"
             )
-        return res.expected_cost, res.dist.branches[0][1]
-    return res.cost, res.value
+        cost, out = result.expected_cost, result.dist.branches[0][1]
+    else:
+        cost, out = result.cost, result.value
+    _guard_outcome(sig, out)
+    return cost, out
 
 
 def check_trace(case: VerificationCase, trace: Trace) -> Report:
@@ -367,7 +370,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     agree, Stop must happen on both sides together, and the totals must
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
     under the case's mode (the final potential term vanishes if the trace
-    ends in Stop).
+    ends in Stop). Steps get the same shape guard as squares: Stop only
+    from a ``may_stop`` method, else exactly one successor state.
     """
     t0 = time.perf_counter()
     mode = case.phi.mode
@@ -383,16 +387,21 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     steps_run = 0
     stopped = False
     mismatches: List[TraceMismatch] = []
+    methods = {m.sig.name: (m, case.spec.method(m.sig.name)) for m in case.impl.methods}
 
     for step_no, (method, arg) in enumerate(trace.steps):
-        sig = case.sig(method)
+        try:
+            impl, spec = methods[method]
+        except KeyError:
+            raise UnknownMethod(method) from None
+        sig = impl.sig
         if not sig.sequential:
             raise UnsupportedArity(
                 f"{method} is {sig.in_arity}-in/{sig.out_arity}-out; "
                 "traces cover sequential methods only"
             )
-        impl_cost, impl_out = _step_point(case, case.impl, method, impl_state, arg)
-        spec_cost, spec_out = _step_point(case, case.spec, method, spec_state, arg)
+        impl_cost, impl_out = _point(case, sig, impl.run((impl_state,), arg))
+        spec_cost, spec_out = _point(case, sig, spec.run((spec_state,), arg))
         total_impl = monoid.combine(total_impl, impl_cost)
         total_spec = monoid.combine(total_spec, spec_cost)
         steps_run += 1
@@ -408,7 +417,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         if impl_stop:
             stopped = True
             break
-        if impl_out.obs != spec_out.obs and encode(impl_out.obs) != encode(spec_out.obs):
+        if impl_out.obs != spec_out.obs:
             mismatches.append(
                 TraceMismatch(
                     step_no,
@@ -427,7 +436,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         if stopped:
             rhs = total_impl
         else:
-            rhs = monoid.combine(total_impl, case.phi.cost_of(impl_state))
+            rhs = monoid.combine(total_impl, case.phi.phi(impl_state).cost)
         if not _cost_ok(case, mode, lhs, rhs):
             rel = "=" if mode is Mode.EXACT else ">="
             mismatches.append(

@@ -1,11 +1,11 @@
 """Command-line front end: list cases, verify them, run trace files.
 
-Exit status: 0 when every report passes, 1 when any report fails
-(counterexamples are printed), 2 on usage or configuration errors
-(unknown case, unreadable or malformed trace file, a colax override on an
-unordered cost model).
-
-Reports print in case-name order, whatever order the cases were named in.
+Exit status: 0 when every report passes, 1 when any report fails, 2 on
+usage or configuration errors (unknown case, unreadable or malformed trace
+file, a colax override on an unordered cost model). `verify`, `all` and
+`trace` share one writer: a failing report's counterexamples follow it in
+text format and go to stderr in CSV format. Reports print in case-name
+order, whatever order the cases were named in.
 """
 
 import argparse
@@ -192,10 +192,7 @@ def _cmd_trace(args) -> int:
     except TraceParseError as exc:
         raise _UsageError(f"{args.file}: {exc}")
     report = check_trace(case, trace)
-    if args.format == "csv":
-        _emit(_csv_rows([report]), args.out)
-    else:
-        _emit(_text_report(report), args.out)
+    _output_reports([report], args)
     return 0 if report.passed else 1
 
 

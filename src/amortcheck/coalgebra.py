@@ -178,12 +178,6 @@ class PotentialMorphism:
     phi: Callable[[Any], Charged]
     mode: Mode = Mode.EXACT
 
-    def cost_of(self, state: Any) -> Any:
-        return self.phi(state).cost
-
-    def beh_of(self, state: Any) -> Any:
-        return self.phi(state).value
-
 
 def apply_phi_tuple(
     monoid: CostMonoid, phi: PotentialMorphism, states: Tuple[Any, ...]
@@ -246,9 +240,6 @@ class VerificationCase:
             raise OrderUnavailable(
                 f"{self.name}: colax mode needs an ordered cost monoid"
             )
-
-    def sig(self, name: str) -> MethodSig:
-        return self.impl.method(name).sig
 
     def with_mode(self, mode: Mode) -> "VerificationCase":
         """Same case with the potential checked under a different mode."""

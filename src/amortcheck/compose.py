@@ -6,11 +6,12 @@ Three constructions:
   amortized implementation verifies against the outermost specification.
 * `pair_cases` runs two structures side by side over a shared commutative
   cost model; the paired potential adds the component potentials.
-* `translate_case` implements one interface by deterministic programs over
-  another: each target method makes finitely many calls into a substrate
-  coalgebra, threading its state and accumulating exactly the substrate's
-  costs. Running the programs over the base case's specification isolates
-  the translation's own potential; running them over the base case's
+* `translate_case` implements one interface by deterministic programs
+  (`ProgramMethod`s) over another: each target method makes finitely many
+  calls into a substrate coalgebra, threading its state and accumulating
+  exactly the substrate's costs, so the result is just another coalgebra.
+  Running the programs over the base case's specification isolates the
+  translation's own potential; running them over the base case's
   implementation and composing potentials checks the whole pipeline.
 
 A substrate call that Stops (e.g. popping an empty stack) is treated as an
@@ -20,7 +21,7 @@ accumulates. Programs need this to probe emptiness and keep going.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Tuple
 
 from .charged import Charged, charge, tensor
 from .coalgebra import (
@@ -188,32 +189,9 @@ class ProgramMethod:
     program: Callable[[SubstrateRun, Any], Any]  # returns obs, or STOP
 
 
-@dataclass(frozen=True)
-class Translation:
-    """Implements a target signature by programs over a source signature."""
-
-    source: Dict[str, MethodSig]
-    programs: Tuple[ProgramMethod, ...]
-
-
-def run_program(
-    substrate: Coalgebra,
-    monoid: CostMonoid,
-    pm: ProgramMethod,
-    state: Any,
-    arg: Any,
-) -> Charged:
-    """Execute one translated method; returns its charged outcome."""
-    sub = SubstrateRun(substrate, monoid, state)
-    result = pm.program(sub, arg)
-    if result is STOP:
-        return Charged(sub.cost, STOP)
-    return Charged(sub.cost, Continue(result, (sub.state,)))
-
-
 def translate_case(
     base: VerificationCase,
-    translation: Translation,
+    programs: Tuple[ProgramMethod, ...],
     target_spec: Coalgebra,
     phi_extra: PotentialMorphism,
     name: str,
@@ -221,17 +199,16 @@ def translate_case(
     max_depth: int = 8,
     max_states: int = 2000,
 ) -> VerificationCase:
-    """Build the case whose implementation runs translation programs.
+    """Build the case whose implementation runs `programs` over `base`.
+
+    Programs call the substrate by method name through a `SubstrateRun`
+    (`UnknownMethod` for a name it lacks) and cost exactly those calls.
 
     With ``over="spec"`` the substrate is the base case's specification
     coalgebra, so `phi_extra` alone is on trial. With ``over="impl"`` the
     substrate is the base implementation and the checked potential is
     `compose_phi(base.phi, phi_extra)`: the full pipeline.
     """
-    if translation.source != base.spec.sig_table:
-        raise ValueError(
-            f"translation source table does not match {base.name}'s interface"
-        )
     if base.randomized:
         raise ValueError("translation over randomized substrates is unsupported")
     if over not in ("spec", "impl"):
@@ -242,14 +219,17 @@ def translate_case(
     def make_runner(pm: ProgramMethod):
         def run(states, arg):
             (state,) = states
-            return run_program(substrate, monoid, pm, state, arg)
+            sub = SubstrateRun(substrate, monoid, state)
+            obs = pm.program(sub, arg)
+            out = STOP if obs is STOP else Continue(obs, (sub.state,))
+            return Charged(sub.cost, out)
 
         return run
 
     impl = Coalgebra(
         substrate.state_domain,
         substrate.seeds,
-        tuple(Method(pm.sig, make_runner(pm)) for pm in translation.programs),
+        tuple(Method(pm.sig, make_runner(pm)) for pm in programs),
         substrate.state_invariant,
     )
     phi = phi_extra if over == "spec" else compose_phi(monoid, base.phi, phi_extra)
@@ -335,12 +315,9 @@ def counter_via_stack_case() -> VerificationCase:
         got = sub.call("pop")
         return STOP if got is STOP else UNIT
 
-    translation = Translation(
-        source=base.spec.sig_table,
-        programs=(
-            ProgramMethod(MethodSig("increment"), increment),
-            ProgramMethod(MethodSig("decrement", may_stop=True), decrement),
-        ),
+    programs = (
+        ProgramMethod(MethodSig("increment"), increment),
+        ProgramMethod(MethodSig("decrement", may_stop=True), decrement),
     )
 
     def spec_increment(states, arg):
@@ -364,7 +341,7 @@ def counter_via_stack_case() -> VerificationCase:
     phi = PotentialMorphism(lambda l: Charged(0, len(l)))
     return translate_case(
         base,
-        translation,
+        programs,
         target_spec,
         phi,
         name="counter-via-stack",
@@ -425,12 +402,9 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
             sub.call("right.push", moved)
         return sub.call("right.pop")
 
-    translation = Translation(
-        source=base.spec.sig_table,
-        programs=(
-            ProgramMethod(MethodSig("enqueue", arg_domain=ALPHABET), enqueue),
-            ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue),
-        ),
+    programs = (
+        ProgramMethod(MethodSig("enqueue", arg_domain=ALPHABET), enqueue),
+        ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue),
     )
 
     def phi(pair):
@@ -440,7 +414,7 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
     name = "queue-via-stacks" if over == "spec" else "queue-via-stacks-full"
     return translate_case(
         base,
-        translation,
+        programs,
         _queue_target_spec(),
         PotentialMorphism(phi),
         name=name,

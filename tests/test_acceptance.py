@@ -104,7 +104,7 @@ def test_criterion_04_behavioral_simulation():
         for _ in range(100):
             trace = random_trace(case, 32, rng)
             impl_state = case.impl.seeds[trace.seed_index]
-            spec_state = case.phi.beh_of(impl_state)
+            spec_state = case.phi.phi(impl_state).value
             for method, arg in trace.steps:
                 ires = case.impl.method(method).run((impl_state,), arg)
                 sres = case.spec.method(method).run((spec_state,), arg)
@@ -191,7 +191,7 @@ def test_criterion_08_composition_pipeline(explored):
     enq = case.spec.method("enqueue").run(((),), "a")
     deq = case.spec.method("dequeue").run((("a",),), UNIT)
     ok = ok and enq.cost == 8 and deq.cost == 2  # derived costs
-    ok = ok and case.phi.cost_of((("a", "b"), ())) == 10  # 5 per inbox element
+    ok = ok and case.phi.phi((("a", "b"), ())).cost == 10  # 5 per inbox element
 
     pipeline = explore(queue_via_stacks_case(over="impl"))
     ok = ok and pipeline.passed and pipeline.mode is Mode.COLAX

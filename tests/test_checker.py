@@ -27,7 +27,9 @@ from amortcheck import (
     StateDomain,
     StateInvariantViolation,
     Trace,
+    TraceMismatch,
     TraceParseError,
+    UnknownMethod,
     UnsupportedArity,
     VerificationCase,
     Verdict,
@@ -195,6 +197,44 @@ def test_trace_rejects_multi_slot_methods():
         check_trace(case, Trace((("merge", UNIT),)))
 
 
+def _one_method_case(impl_out, spec_out):
+    """Method `step` on the state 0: impl and spec return the given outcomes."""
+    sig = MethodSig("step")
+
+    def side(outcome):
+        method = Method(sig, lambda states, arg: charge(0, outcome))
+        return Coalgebra(StateDomain("zero"), (0,), (method,))
+
+    phi = PotentialMorphism(lambda s: charge(0, s))
+    return VerificationCase("one", INT_COST, side(impl_out), side(spec_out), phi)
+
+
+def test_non_plain_observable_mismatch_is_a_verdict():
+    case = _one_method_case(Continue(1.5, (0,)), Continue(2.5, (0,)))
+    report = explore(case)
+    assert [c.verdict for c in report.counterexamples] == [Verdict.BEHAVIOR_MISMATCH]
+    report = check_trace(case, Trace((("step", UNIT),)))
+    assert report.counterexamples == (
+        TraceMismatch(0, "observable", "step: impl observed 1.5, spec observed 2.5"),
+    )
+
+
+@pytest.mark.parametrize(
+    "outcome", [STOP, Continue(UNIT, (0, 0))], ids=["stop-not-may-stop", "two-states"]
+)
+def test_trace_steps_get_the_square_shape_guard(outcome):
+    case = _one_method_case(outcome, outcome)
+    with pytest.raises(ArityMismatch):
+        explore(case)
+    with pytest.raises(ArityMismatch):
+        check_trace(case, Trace((("step", UNIT),)))
+
+
+def test_trace_naming_an_unknown_method_raises():
+    with pytest.raises(UnknownMethod):
+        check_trace(allocator_case(), Trace((("alloc", UNIT), ("free", UNIT))))
+
+
 def test_square_implies_telescope_on_random_traces():
     rng = random.Random(12345)
     for name in ["allocator", "stack", "queue-exact", "buffer"]:
@@ -284,6 +324,17 @@ def test_explore_admits_only_continue_successors():
     assert report.passed
     assert report.states_explored == 2
     assert report.squares_checked == 2
+
+
+def test_trace_rejects_branching_randomized_step():
+    # rand-alloc folds its coin flips into the expected cost, so each of its
+    # steps is a point distribution; the coin-stop impl really branches.
+    assert check_trace(get_case("rand-alloc"), Trace((("alloc", UNIT),))).passed
+    with pytest.raises(
+        UnsupportedArity,
+        match="coin-stop: trace checking needs point outcome distributions, alloc branches",
+    ):
+        check_trace(_coin_stop_case(Fraction(1, 2)), Trace((("alloc", UNIT),)))
 
 
 def test_parse_trace_and_errors():

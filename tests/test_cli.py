@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, output formats, determinism."""
 
 import re
+from pathlib import Path
 
 import pytest
 
-from amortcheck.cli import CSV_HEADER, main
+from amortcheck import registered_names
+from amortcheck.cli import CSV_HEADER, _csv_rows, main
+
+EXPECTED_ALL_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "all.csv"
 
 
 def run(capsys, *argv):
@@ -117,6 +121,20 @@ def test_trace_subcommand_buffer_csv(tmp_path, capsys):
     assert lines[1] == "buffer,exact,4,3,pass,"
 
 
+def test_trace_csv_prints_counterexamples_on_stderr(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc ()\n" * 2)
+    code, out, err = run(
+        capsys, "trace", "allocator-broken", "--file", str(trace), "--format", "csv"
+    )
+    assert code == 1
+    assert out == CSV_HEADER + "\nallocator-broken,exact,3,2,fail,-12\n"
+    assert err == (
+        "allocator-broken:  telescope at telescoped total: "
+        "wanted lhs = rhs, got lhs=2 rhs=14\n"
+    )
+
+
 def test_verify_limit_flag_caps_counterexamples(capsys):
     code, out, _ = run(
         capsys, "verify", "allocator-broken", "--limit", "2"
@@ -194,3 +212,9 @@ def test_negative_control_counterexample_lines(capsys):
     assert err.splitlines() == [
         "allocator-broken:" + line for line in ALLOCATOR_BROKEN_COUNTEREXAMPLES
     ]
+
+
+def test_all_csv_matches_the_recorded_bytes(explored):
+    reports = [explored(name) for name in registered_names(include_negative=False)]
+    reports.sort(key=lambda r: r.case_name)
+    assert _csv_rows(reports).encode() == EXPECTED_ALL_CSV.read_bytes()

@@ -47,7 +47,7 @@ def test_apply_phi_tuple_singleton_equals_phi():
     phi = PotentialMorphism(lambda s: Charged(2 * s, s + 1))
     for s in range(6):
         assert apply_phi_tuple(NAT_COST, phi, (s,)) == Charged(
-            phi.cost_of(s), (phi.beh_of(s),)
+            phi.phi(s).cost, (phi.phi(s).value,)
         )
 
 

@@ -22,12 +22,11 @@ from amortcheck import (
     explore,
     get_case,
     pair_cases,
-    run_program,
 )
 from amortcheck.compose import (
     STEP_BUDGET,
     ProgramMethod,
-    Translation,
+    SubstrateRun,
     alloc16_to_8_case,
     alloc16_via_8_case,
     counter_via_stack_case,
@@ -61,7 +60,7 @@ def test_compose_is_associative_pointwise():
 def test_alloc16_composite_potential_is_fifteen_minus_d():
     case = alloc16_via_8_case()
     for d in range(16):
-        assert case.phi.cost_of(d) == 15 - d
+        assert case.phi.phi(d).cost == 15 - d
     assert explore(case).passed
 
 
@@ -83,7 +82,7 @@ def test_pair_potential_adds_component_potentials():
     paired = pair_cases(allocator_case(), allocator_case())
     for a in range(8):
         for b in range(8):
-            assert paired.phi.cost_of((a, b)) == (7 - a) + (7 - b)
+            assert paired.phi.phi((a, b)).cost == (7 - a) + (7 - b)
 
 
 def test_pairing_with_a_failing_case_fails():
@@ -143,7 +142,7 @@ def test_pipeline_over_arrays_passes_colax(explored):
 
 
 def test_translation_flush_cost_is_the_sum_of_substrate_costs():
-    from amortcheck import STOP, Continue
+    from amortcheck import STOP
 
     base = pair_cases(get_case("stack"), get_case("stack"))
 
@@ -158,11 +157,11 @@ def test_translation_flush_cost_is_the_sum_of_substrate_costs():
             sub.call("right.push", moved)
         return sub.call("right.pop")
 
-    pm = ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue)
-    out = run_program(base.spec, NAT_COST, pm, (("a", "b"), ()), UNIT)
+    sub = SubstrateRun(base.spec, NAT_COST, (("a", "b"), ()))
+    got = dequeue(sub, UNIT)
     # failed pop 0, two pop+push moves 2*(2+3), emptiness probe 0, final pop 2
-    assert out.cost == 0 + 2 * (2 + 3) + 0 + 2 == 12
-    assert out.value == Continue("b", (((), ("a",)),))
+    assert sub.cost == 0 + 2 * (2 + 3) + 0 + 2 == 12
+    assert (got, sub.state) == ("b", ((), ("a",)))
 
 
 def test_translation_budget_is_enforced():
@@ -177,17 +176,14 @@ def test_translation_budget_is_enforced():
             sub.call("alloc")
             calls_made.append(sub.calls)
 
-    translation = Translation(
-        source=base.spec.sig_table,
-        programs=(ProgramMethod(MethodSig("spin"), loops_forever),),
-    )
+    programs = (ProgramMethod(MethodSig("spin"), loops_forever),)
     spec = Coalgebra(
         StateDomain("unit"),
         (UNIT,),
         (Method(MethodSig("spin"), lambda s, a: charge(1, Continue(UNIT, (UNIT,)))),),
     )
     case = translate_case(
-        base, translation, spec, _identity_phi(), name="spin", max_depth=1
+        base, programs, spec, _identity_phi(), name="spin", max_depth=1
     )
     with pytest.raises(StepBudgetExceeded, match=f"exceeded {STEP_BUDGET} "):
         check_square(case, "spin", (UNIT,))

@@ -70,9 +70,9 @@ def test_varying_phi_matches_prefix_sum_difference_oracle():
     case = varying_cost_case()
     impl_cost = lambda i: (8, 1, 2, 3)[i % 4]
     spec_cost = lambda i: (4, 4, 3, 3)[i % 4]
-    phi = case.phi.cost_of(0)
+    phi = case.phi.phi(0).cost
     for i in range(32):
-        assert case.phi.cost_of(i) == phi
+        assert case.phi.phi(i).cost == phi
         assert phi >= 0
         phi = phi + spec_cost(i) - impl_cost(i)
 
@@ -191,7 +191,7 @@ def test_queue_simulation_observables_match():
     for _ in range(30):
         trace = random_trace(case, 24, rng)
         impl_state = case.impl.seeds[trace.seed_index]
-        spec_state = case.phi.beh_of(impl_state)
+        spec_state = case.phi.phi(impl_state).value
         impl_obs, spec_obs = [], []
         for method, arg in trace.steps:
             ires = case.impl.method(method).run((impl_state,), arg)
@@ -304,7 +304,7 @@ def test_randomized_allocator_degenerate_p_zero():
 
 def test_randomized_allocator_k_one_collapses_to_spec():
     case = randomized_allocator_case(1, Fraction(1, 2))
-    assert case.phi.cost_of(0) == 0
+    assert case.phi.phi(0).cost == 0
     assert explore(case).passed
 
 
