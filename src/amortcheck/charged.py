@@ -19,7 +19,7 @@ from .encoding import encode
 from .errors import BadWeights, NonCommutativeTensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Charged:
     """A value of type A together with the cost spent producing it."""
 
@@ -92,7 +92,7 @@ class Dist:
         return len(self.branches) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedCharged:
     """The expected-cost view of a randomized charged computation."""
 

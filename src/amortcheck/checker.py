@@ -33,6 +33,7 @@ from .coalgebra import (
     NamedFn,
     VerificationCase,
     apply_phi_tuple,
+    guard_outcome,
 )
 from .encoding import state_key
 from .errors import (
@@ -52,7 +53,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SquareCheck:
-    """Result of one amortization-square check, fully reproducible."""
+    """Result of one amortization-square check, fully reproducible.
+
+    Built only for reported squares: `check_square` and kept counterexamples.
+    """
 
     method: str
     inputs: Tuple[Any, ...]
@@ -121,77 +125,69 @@ def _cost_ok(case: VerificationCase, mode: Mode, lhs_cost: Any, rhs_cost: Any) -
     return case.monoid.leq(rhs_cost, lhs_cost)
 
 
-def _mk_check(case, method, inputs, arg, lhs, rhs, verdict) -> SquareCheck:
+def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
+    """The `SquareCheck` of a reported square: its sides and state text."""
+    verdict, lhs_cost, rhs_cost, _successors, lhs_beh, rhs_beh = square
+    if case.randomized:
+        lhs = ExpectedCharged(lhs_cost, lhs_beh)
+        rhs = ExpectedCharged(rhs_cost, rhs_beh)
+    else:
+        lhs = Charged(lhs_cost, lhs_beh if lhs_beh is STOP else Continue(*lhs_beh))
+        rhs = Charged(rhs_cost, rhs_beh if rhs_beh is STOP else Continue(*rhs_beh))
     ser = tuple(case.impl.state_domain.serialize(s) for s in inputs)
     return SquareCheck(method, tuple(inputs), arg, lhs, rhs, verdict, ser, arg_literal(arg))
 
 
-def _guard_outcome(sig: MethodSig, outcome: Any) -> None:
-    """Transitions must honor their declared shape."""
-    if outcome is STOP:
-        if not sig.may_stop:
-            raise ArityMismatch(f"{sig.name} returned Stop but is not may_stop")
-    elif len(outcome.states) != sig.out_arity:
-        raise ArityMismatch(
-            f"{sig.name} produced {len(outcome.states)} successor state(s), "
-            f"declared out_arity is {sig.out_arity}"
-        )
-
-
-def _outcomes(case, result):
-    """A transition result as (cost, weighted outcomes).
-
-    A deterministic result is the point distribution on its outcome; a
-    randomized one contributes its expected cost and its branches.
-    """
-    if case.randomized:
-        return result.expected_cost, result.dist.branches
-    return result.cost, ((1, result.value),)
-
-
 def _square(case, impl, spec, inputs, arg, phi_in):
-    """Build lhs/rhs of the square at `inputs`, whose image under Φ is `phi_in`.
+    """Check the square at `inputs`, whose image under Φ is `phi_in`.
 
-    `impl` and `spec` are the method on each side. Returns (verdict, lhs,
-    rhs, impl successors); no state text is built.
+    `impl` and `spec` are the method on each side. Returns (verdict, lhs
+    cost, rhs cost, impl successors, lhs behaviour, rhs behaviour) and
+    builds no sides: `_mk_check` does, for reported squares only. A
+    deterministic behaviour is `STOP` or (observable, states), the impl's
+    states taken through Φ; a randomized one is a canonical `Dist`.
     """
     monoid = case.monoid
     sig = impl.sig
     spec_res = spec.run(phi_in.value, arg)
-    spec_cost, spec_outs = _outcomes(case, spec_res)
-    for _w, out in spec_outs:
-        _guard_outcome(sig, out)
-    lhs_cost = monoid.combine(phi_in.cost, spec_cost)
-
-    impl_res = impl.run(inputs, arg)
-    rhs_cost, impl_outs = _outcomes(case, impl_res)
-    rhs_outs = []
-    successors: List[Any] = []
-    for w, out in impl_outs:
-        _guard_outcome(sig, out)
-        if out is STOP:
-            rhs_outs.append((w, STOP))
-            continue
-        mapped = apply_phi_tuple(monoid, case.phi, out.states)
-        rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
-        rhs_outs.append((w, Continue(out.obs, mapped.value)))
-        successors.extend(out.states)
-
     if case.randomized:
-        lhs = ExpectedCharged(lhs_cost, Dist(spec_outs))
-        rhs = ExpectedCharged(rhs_cost, Dist.from_branches(rhs_outs))
-        behave_ok = lhs.dist == rhs.dist
+        lhs_beh = spec_res.dist
+        for _w, out in lhs_beh.branches:
+            guard_outcome(sig, out)
+        lhs_cost = monoid.combine(phi_in.cost, spec_res.expected_cost)
+        impl_res = impl.run(inputs, arg)
+        rhs_cost, rhs_outs, successors = impl_res.expected_cost, [], []
+        for w, out in impl_res.dist.branches:
+            guard_outcome(sig, out)
+            if out is not STOP:
+                mapped = apply_phi_tuple(monoid, case.phi, out.states)
+                rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
+                successors.extend(out.states)
+                out = Continue(out.obs, mapped.value)
+            rhs_outs.append((w, out))
+        rhs_beh = Dist.from_branches(rhs_outs)
     else:
-        lhs = Charged(lhs_cost, spec_outs[0][1])
-        rhs = Charged(rhs_cost, rhs_outs[0][1])
-        behave_ok = lhs.value == rhs.value
-    if not behave_ok:
+        spec_out = spec_res.value
+        guard_outcome(sig, spec_out)
+        lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+        lhs_cost = monoid.combine(phi_in.cost, spec_res.cost)
+        impl_res = impl.run(inputs, arg)
+        out = impl_res.value
+        guard_outcome(sig, out)
+        rhs_cost, rhs_beh, successors = impl_res.cost, STOP, ()
+        if out is not STOP:
+            mapped = apply_phi_tuple(monoid, case.phi, out.states)
+            rhs_cost = monoid.combine(rhs_cost, mapped.cost)
+            rhs_beh = (out.obs, mapped.value)
+            successors = out.states
+
+    if lhs_beh != rhs_beh:
         verdict = Verdict.BEHAVIOR_MISMATCH
     elif _cost_ok(case, case.phi.mode, lhs_cost, rhs_cost):
         verdict = Verdict.PASS
     else:
         verdict = Verdict.COST_MISMATCH
-    return verdict, lhs, rhs, successors
+    return verdict, lhs_cost, rhs_cost, successors, lhs_beh, rhs_beh
 
 
 def check_square(
@@ -210,16 +206,8 @@ def check_square(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
     phi_in = apply_phi_tuple(case.monoid, case.phi, inputs)
-    verdict, lhs, rhs, _ = _square(
-        case, impl, case.spec.method(method), inputs, arg, phi_in
-    )
-    return _mk_check(case, method, inputs, arg, lhs, rhs, verdict)
-
-
-def _slack(monoid, lhs, rhs) -> Optional[Any]:
-    if not monoid.numeric:
-        return None
-    return _cost(lhs) - _cost(rhs)
+    square = _square(case, impl, case.spec.method(method), inputs, arg, phi_in)
+    return _mk_check(case, method, inputs, arg, square)
 
 
 def _tuples_with_max(i: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -253,7 +241,9 @@ def explore(
     (`state_key`: equal values of different types, such as ``1`` and
     ``True``, stay distinct), until the depth or state limits are hit; the
     case's `explore_filter` keeps out-of-scope successors from being
-    admitted at all. State text is built only for kept counterexamples.
+    admitted at all. Slack is read off the two costs of each square; the
+    sides and state text of a square are built only for the first `limit`
+    failures, the counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -266,6 +256,7 @@ def explore(
 
     t0 = time.perf_counter()
     monoid = case.monoid
+    numeric = monoid.numeric
     keep = case.explore_filter
     invariant = case.impl.state_invariant
 
@@ -315,18 +306,16 @@ def explore(
                 inputs = tuple(states[j] for j in idx_tuple)
                 phi_in = phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
                 for arg in sig.arg_domain:
-                    verdict, lhs, rhs, successors = _square(
-                        case, impl, spec, inputs, arg, phi_in
-                    )
+                    square = _square(case, impl, spec, inputs, arg, phi_in)
+                    verdict, lhs_cost, rhs_cost, successors, _, _ = square
                     squares += 1
-                    gap = _slack(monoid, lhs, rhs)
-                    if gap is not None and (slack_max is None or gap > slack_max):
-                        slack_max = gap
+                    if numeric and (slack_max is None or lhs_cost - rhs_cost > slack_max):
+                        slack_max = lhs_cost - rhs_cost
                     if verdict is not Verdict.PASS:
                         failures += 1
                         if len(counterexamples) < limit:
                             counterexamples.append(
-                                _mk_check(case, sig.name, inputs, arg, lhs, rhs, verdict)
+                                _mk_check(case, sig.name, inputs, arg, square)
                             )
                     if can_expand:
                         for s in successors:
@@ -358,7 +347,7 @@ def _point(case, sig, result):
         cost, out = result.expected_cost, result.dist.branches[0][1]
     else:
         cost, out = result.cost, result.value
-    _guard_outcome(sig, out)
+    guard_outcome(sig, out)
     return cost, out
 
 
@@ -371,13 +360,17 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
     under the case's mode (the final potential term vanishes if the trace
     ends in Stop). Steps get the same shape guard as squares: Stop only
-    from a ``may_stop`` method, else exactly one successor state.
+    from a ``may_stop`` method, else exactly one successor state. The
+    trace's `seed_index` must index the case's seeds (else `ValueError`).
     """
+    seeds = case.impl.seeds
+    if not 0 <= trace.seed_index < len(seeds):
+        raise ValueError(f"{case.name}: seed_index must lie in range({len(seeds)})")
     t0 = time.perf_counter()
     mode = case.phi.mode
     monoid = case.monoid
 
-    seed = case.impl.seeds[trace.seed_index]
+    seed = seeds[trace.seed_index]
     phi0 = case.phi.phi(seed)
     impl_state = seed
     spec_state = phi0.value

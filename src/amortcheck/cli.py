@@ -31,28 +31,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, explores=True):
         p.add_argument(
             "--mode",
             choices=["exact", "colax", "default"],
             default="default",
             help="override the case's checking mode",
         )
-        p.add_argument(
-            "--max-depth",
-            type=int,
-            default=None,
-            help="exploration depth (default: the case's documented bound, else 12)",
-        )
-        p.add_argument(
-            "--max-states",
-            type=int,
-            default=None,
-            help="state cap (default: the case's documented bound, else 5000)",
-        )
-        p.add_argument(
-            "--limit", type=int, default=10, help="max counterexamples to keep"
-        )
+        if explores:
+            p.add_argument(
+                "--max-depth",
+                type=int,
+                default=None,
+                help="exploration depth (default: the case's documented bound, else 12)",
+            )
+            p.add_argument(
+                "--max-states",
+                type=int,
+                default=None,
+                help="state cap (default: the case's documented bound, else 5000)",
+            )
+            p.add_argument(
+                "--limit", type=int, default=10, help="max counterexamples to keep"
+            )
         p.add_argument("--format", choices=["text", "csv"], default="text")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="check the telescoped identity on a trace file")
     trace.add_argument("case")
     trace.add_argument("--file", required=True, help="trace file to run")
-    add_common(trace)
+    add_common(trace, explores=False)
 
     allp = sub.add_parser("all", help="verify every registered (non-control) case")
     add_common(allp)

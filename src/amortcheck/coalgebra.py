@@ -96,7 +96,7 @@ class Stop:
 STOP = Stop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Continue:
     """Productive outcome: an observable plus the successor state slots."""
 
@@ -108,6 +108,18 @@ class Continue:
 
 
 Outcome = Any  # Stop | Continue
+
+
+def guard_outcome(sig: MethodSig, outcome: Outcome) -> None:
+    """Transitions must honor their declared shape (else `ArityMismatch`)."""
+    if outcome is STOP:
+        if not sig.may_stop:
+            raise ArityMismatch(f"{sig.name} returned Stop but is not may_stop")
+    elif len(outcome.states) != sig.out_arity:
+        raise ArityMismatch(
+            f"{sig.name} produced {len(outcome.states)} successor state(s), "
+            f"declared out_arity is {sig.out_arity}"
+        )
 
 
 @dataclass(frozen=True)

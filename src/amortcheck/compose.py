@@ -35,6 +35,7 @@ from .coalgebra import (
     PotentialMorphism,
     StateDomain,
     VerificationCase,
+    guard_outcome,
 )
 from .cost import CostMonoid, NAT_COST
 from .errors import (
@@ -165,18 +166,21 @@ class SubstrateRun:
         self.calls = 0
 
     def call(self, method: str, arg: Any = UNIT) -> Any:
+        """Run a 1-in/1-out substrate method; its observable, or `STOP`."""
         if self.calls >= STEP_BUDGET:
             raise StepBudgetExceeded(
                 f"translation program exceeded {STEP_BUDGET} substrate calls"
             )
-        res = self._coalg.method(method).run((self.state,), arg)
+        m = self._coalg.method(method)
+        if not m.sig.sequential:
+            raise UnsupportedArity(f"substrate method {method} is not 1-in/1-out")
+        res = m.run((self.state,), arg)
+        out = res.value
+        guard_outcome(m.sig, out)
         self.cost = self._monoid.combine(self.cost, res.cost)
         self.calls += 1
-        if res.value is STOP:
+        if out is STOP:
             return STOP
-        out = res.value
-        if len(out.states) != 1:
-            raise UnsupportedArity(f"substrate method {method} is not 1-out")
         self.state = out.states[0]
         return out.obs
 

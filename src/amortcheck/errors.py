@@ -14,7 +14,7 @@ class BadWeights(AmortError):
 
 
 class ArityMismatch(AmortError):
-    """Number of input states does not match the method signature."""
+    """Input states or a transition's outcome do not fit the method signature."""
 
 
 class UnknownMethod(AmortError):

@@ -1,5 +1,6 @@
 """Charged values: sequencing, tensoring, and the expected-cost layer."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amortcheck import (
+    STOP,
     BadWeights,
     Charged,
+    Continue,
     Dist,
+    ExpectedCharged,
     NAT_COST,
     NonCommutativeTensor,
     TRACE_COST,
@@ -19,6 +23,7 @@ from amortcheck import (
     tensor,
     unit,
 )
+from amortcheck.encoding import encode
 
 nat_costs = st.integers(min_value=0, max_value=50)
 trace_costs = st.text(alphabet="ab", max_size=4)
@@ -149,3 +154,42 @@ def test_dist_canonical_form_merges_and_orders():
     assert [x for _w, x in d1.branches] == ["a", "b"]
     assert not d1.is_point()
     assert Dist.point(3).is_point()
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Charged, (1, "x")),
+        (ExpectedCharged, (Fraction(1, 2), Dist.point("x"))),
+        (Continue, ("x", ("s",))),
+    ],
+    ids=["Charged", "ExpectedCharged", "Continue"],
+)
+def test_slotted_value_classes_keep_their_contract(cls, fields):
+    a, b = cls(*fields), cls(*fields)
+    assert not hasattr(a, "__dict__")
+    assert a == b and hash(a) == hash(b)
+    assert a != fields
+    first = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, first, 7)
+    assert dataclasses.replace(a, **{first: fields[0]}) == a
+    moved = dataclasses.replace(a, **{first: 7})
+    assert getattr(moved, first) == 7 and moved != a
+    assert Charged(1, "x") != (1, "x")
+
+
+def test_outcome_encoding_and_distribution_order_are_unchanged():
+    assert encode(Continue(1, ("a",))) == 't(s"cont",i1,t(s"a"))'
+    dist = Dist.from_branches(
+        [
+            (Fraction(1, 2), Continue(2, ("b",))),
+            (Fraction(1, 4), STOP),
+            (Fraction(1, 4), Continue(1, ("a",))),
+        ]
+    )
+    assert dist.branches == (
+        (Fraction(1, 4), Continue(1, ("a",))),
+        (Fraction(1, 2), Continue(2, ("b",))),
+        (Fraction(1, 4), STOP),
+    )

@@ -120,12 +120,22 @@ def test_explore_broken_allocator_counterexample_at_zero():
 
 
 def test_counterexamples_round_trip_through_check_square():
-    report = explore(broken_allocator_case())
-    assert report.failures >= 1
-    for c in report.counterexamples:
-        again = check_square(broken_allocator_case(), c.method, c.inputs, c.arg)
-        assert again.verdict is c.verdict
-        assert again.lhs_cost == c.lhs_cost and again.rhs_cost == c.rhs_cost
+    cases = [
+        broken_allocator_case(),
+        get_case("queue-lax").with_mode(Mode.EXACT),
+        _one_method_case(Continue(1.5, (0,)), Continue(2.5, (0,))),
+        _coin_stop_case(Fraction(1, 4)),
+    ]
+    verdicts = set()
+    for case in cases:
+        report = explore(case)
+        assert report.counterexamples, case.name
+        for c in report.counterexamples:
+            again = check_square(case, c.method, c.inputs, c.arg)
+            for field in ("lhs", "rhs", "verdict", "inputs_serialized", "arg_literal"):
+                assert getattr(again, field) == getattr(c, field), (case.name, field)
+            verdicts.add(c.verdict)
+    assert verdicts == {Verdict.COST_MISMATCH, Verdict.BEHAVIOR_MISMATCH}
 
 
 def test_behavior_mismatch_takes_precedence_and_never_passes():
@@ -228,6 +238,13 @@ def test_trace_steps_get_the_square_shape_guard(outcome):
         explore(case)
     with pytest.raises(ArityMismatch):
         check_trace(case, Trace((("step", UNIT),)))
+
+
+@pytest.mark.parametrize("seed_index", [-1, 8])
+def test_trace_rejects_a_seed_index_out_of_range(seed_index):
+    trace = Trace((("alloc", UNIT),), seed_index=seed_index)
+    with pytest.raises(ValueError, match=r"allocator: seed_index must lie in range\(8\)"):
+        check_trace(allocator_case(), trace)
 
 
 def test_trace_naming_an_unknown_method_raises():

@@ -157,6 +157,17 @@ def test_trace_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--limit", "3"], ["--max-depth", "1"], ["--max-states", "9"]]
+)
+def test_trace_rejects_exploration_flags(tmp_path, capsys, flag):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc ()\n")
+    code, out, err = run(capsys, "trace", "allocator", "--file", str(trace), *flag)
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_all_subcommand_skips_negative_controls(capsys):
     code, out, _ = run(capsys, "all", "--max-depth", "6", "--max-states", "60")
     assert code == 0

@@ -3,7 +3,10 @@
 import pytest
 
 from amortcheck import (
+    STOP,
+    ArityMismatch,
     Charged,
+    Continue,
     Coalgebra,
     Method,
     MethodSig,
@@ -142,8 +145,6 @@ def test_pipeline_over_arrays_passes_colax(explored):
 
 
 def test_translation_flush_cost_is_the_sum_of_substrate_costs():
-    from amortcheck import STOP
-
     base = pair_cases(get_case("stack"), get_case("stack"))
 
     def dequeue(sub, arg):
@@ -164,8 +165,32 @@ def test_translation_flush_cost_is_the_sum_of_substrate_costs():
     assert (got, sub.state) == ("b", ((), ("a",)))
 
 
+def _substrate(sig, outcome):
+    method = Method(sig, lambda states, arg: charge(0, outcome))
+    return Coalgebra(StateDomain("zero"), (0,), (method,))
+
+
+@pytest.mark.parametrize(
+    "outcome", [STOP, Continue(UNIT, (0, 0))], ids=["stop-not-may-stop", "two-states"]
+)
+def test_substrate_calls_get_the_square_shape_guard(outcome):
+    sub = SubstrateRun(_substrate(MethodSig("tick"), outcome), NAT_COST, 0)
+    with pytest.raises(ArityMismatch):
+        sub.call("tick")
+
+
+def test_substrate_calls_need_one_in_one_out_methods():
+    stops = _substrate(MethodSig("tick", may_stop=True), STOP)
+    sub = SubstrateRun(stops, NAT_COST, 0)
+    assert sub.call("tick") is STOP and sub.state == 0
+    split = MethodSig("split", out_arity=2)
+    sub = SubstrateRun(_substrate(split, Continue(UNIT, (0, 0))), NAT_COST, 0)
+    with pytest.raises(UnsupportedArity, match="split is not 1-in/1-out"):
+        sub.call("split")
+
+
 def test_translation_budget_is_enforced():
-    from amortcheck import Continue, translate_case
+    from amortcheck import translate_case
 
     base = allocator_case()
 

@@ -1,12 +1,14 @@
 """Differential oracle: `explore` against the plain explorer it replaced.
 
 `reference_explore` keys states on their serialization, recomputes Φ for
-every square (through `check_square`) and filters the full product of state
-indices for k-input tuples. Both explorers run on random small coalgebras
+every square, filters the full product of state indices for k-input tuples
+and checks each square with `reference_square`, which builds both sides as
+`Charged`/`ExpectedCharged` values and compares them whole, apart from the
+checker's own square engine. Both explorers run on random small coalgebras
 over Fin n, whose states are labelled with values that Python compares
 equal in pairs (``1``, ``True``, ``Fraction(1)``, ...) but that serialize
-apart. The reports must agree on every count, on the slack and on the kept
-counterexamples, in order.
+apart, in a deterministic and a randomized flavour. The reports must agree
+on every count, on the slack and on the kept counterexamples, in order.
 """
 
 import random
@@ -15,20 +17,27 @@ from itertools import product
 
 from amortcheck import (
     INT_COST,
+    RATIONAL_COST,
     STOP,
+    Charged,
     Coalgebra,
     Continue,
+    Dist,
+    ExpectedCharged,
     Method,
     MethodSig,
     Mode,
     PotentialMorphism,
+    SquareCheck,
     StateDomain,
     VerificationCase,
     Verdict,
+    apply_phi_tuple,
     charge,
-    check_square,
+    expect,
     explore,
 )
+from amortcheck.checker import arg_literal
 from amortcheck.encoding import encode
 
 LABELS = (0, 1, True, Fraction(1), (1,), (True,), "1", None)
@@ -37,6 +46,46 @@ INDEX = {encode(s): j for j, s in enumerate(LABELS)}
 STEP = MethodSig("step", arg_domain=(0, 1))
 DROP = MethodSig("drop", may_stop=True)
 MERGE = MethodSig("merge", in_arity=2, out_arity=2)
+
+
+def reference_square(case, method, inputs, arg):
+    """The square at `inputs` with both sides built and compared whole."""
+    monoid = case.monoid
+    impl = case.impl.method(method)
+    phi_in = apply_phi_tuple(monoid, case.phi, inputs)
+    spec_res = case.spec.method(method).run(phi_in.value, arg)
+    impl_res = impl.run(inputs, arg)
+    if case.randomized:
+        spec_cost, spec_outs = spec_res.expected_cost, spec_res.dist.branches
+        rhs_cost, impl_outs = impl_res.expected_cost, impl_res.dist.branches
+    else:
+        spec_cost, spec_outs = spec_res.cost, ((1, spec_res.value),)
+        rhs_cost, impl_outs = impl_res.cost, ((1, impl_res.value),)
+    lhs_cost = monoid.combine(phi_in.cost, spec_cost)
+    rhs_outs = []
+    for w, out in impl_outs:
+        if out is not STOP:
+            mapped = apply_phi_tuple(monoid, case.phi, out.states)
+            rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
+            out = Continue(out.obs, mapped.value)
+        rhs_outs.append((w, out))
+    if case.randomized:
+        lhs = ExpectedCharged(lhs_cost, Dist(spec_outs))
+        rhs = ExpectedCharged(rhs_cost, Dist.from_branches(rhs_outs))
+        same = lhs.dist == rhs.dist
+    else:
+        lhs = Charged(lhs_cost, spec_outs[0][1])
+        rhs = Charged(rhs_cost, rhs_outs[0][1])
+        same = lhs.value == rhs.value
+    exact = case.phi.mode is Mode.EXACT
+    if not same:
+        verdict = Verdict.BEHAVIOR_MISMATCH
+    elif lhs_cost == rhs_cost if exact else monoid.leq(rhs_cost, lhs_cost):
+        verdict = Verdict.PASS
+    else:
+        verdict = Verdict.COST_MISMATCH
+    serialized = tuple(case.impl.state_domain.serialize(s) for s in inputs)
+    return SquareCheck(method, inputs, arg, lhs, rhs, verdict, serialized, arg_literal(arg))
 
 
 def reference_explore(case, max_depth, max_states, limit):
@@ -66,7 +115,7 @@ def reference_explore(case, max_depth, max_states, limit):
                 inputs = tuple(states[j] for j in t)
                 succ_depth = 1 + max(depths[j] for j in t)
                 for arg in m.sig.arg_domain:
-                    check = check_square(case, m.sig.name, inputs, arg)
+                    check = reference_square(case, m.sig.name, inputs, arg)
                     squares += 1
                     gap = check.lhs_cost - check.rhs_cost
                     if slack_max is None or gap > slack_max:
@@ -75,10 +124,12 @@ def reference_explore(case, max_depth, max_states, limit):
                         failures += 1
                         if len(kept) < limit:
                             kept.append(check)
-                    out = m.run(inputs, arg).value
-                    if succ_depth <= max_depth and out is not STOP:
-                        for s in out.states:
-                            admit(s, succ_depth)
+                    res = m.run(inputs, arg)
+                    outs = res.dist.branches if case.randomized else ((1, res.value),)
+                    for _w, out in outs:
+                        if succ_depth <= max_depth and out is not STOP:
+                            for s in out.states:
+                                admit(s, succ_depth)
         i += 1
     kept.sort(key=lambda c: (c.method, c.inputs_serialized, c.arg_literal))
     return len(states), squares, failures, slack_max, kept
@@ -101,18 +152,36 @@ def transition(rng, n, sources, outs, potential, may_stop=False):
     return (cost, obs, succ), (spec_cost, obs + 10 * twisted, succ)
 
 
-def random_case(rng):
-    """A random case over Fin n with its `explore` bounds."""
+def weighted_transition(rng, n, sources, outs, potential, may_stop=False):
+    """A randomized entry pair: 1 or 2 weighted branches, each a `transition`.
+
+    Each spec branch mirrors its impl branch, so the spec law is the impl
+    law under Φ unless a branch is twisted, and the expected spec cost is
+    the balanced one up to the drawn offsets.
+    """
+    w = rng.choice([1, Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)])
+    weights = (w,) if w == 1 else (w, 1 - w)
+    pairs = [transition(rng, n, sources, outs, potential, may_stop) for _ in weights]
+    return tuple(tuple(zip(weights, side)) for side in zip(*pairs))
+
+
+def random_case(rng, randomized=False):
+    """A random case over Fin n with its `explore` bounds.
+
+    The randomized flavour draws every entry as 1–2 weighted branches over
+    `RATIONAL_COST`, so `explore` compares expected costs and laws.
+    """
+    draw = weighted_transition if randomized else transition
     n = rng.randint(1, len(LABELS))
     potential = [rng.randint(0, 3) for _ in range(n)]
     step = {
-        (j, a): transition(rng, n, (j,), 1, potential)
+        (j, a): draw(rng, n, (j,), 1, potential)
         for j in range(n)
         for a in STEP.arg_domain
     }
-    drop = {(j,): transition(rng, n, (j,), 1, potential, may_stop=True) for j in range(n)}
+    drop = {(j,): draw(rng, n, (j,), 1, potential, may_stop=True) for j in range(n)}
     merge = {
-        (j, l): transition(rng, n, (j, l), 2, potential)
+        (j, l): draw(rng, n, (j, l), 2, potential)
         for j in range(n)
         for l in range(n)
     }
@@ -123,6 +192,13 @@ def random_case(rng):
     }
 
     def methods(side):
+        def charged(entry):
+            if entry is None:
+                return charge(0, STOP)
+            cost, obs, succ = entry
+            out = succ if side else tuple(LABELS[j] for j in succ)
+            return charge(cost, Continue(obs, out))
+
         def method_for(name):
             def run(states, arg):
                 if side == 0:
@@ -130,11 +206,9 @@ def random_case(rng):
                 else:
                     js = states  # spec states are the Fin n indices themselves
                 entry = tables[name](js, arg)[side]
-                if entry is None:
-                    return charge(0, STOP)
-                cost, obs, succ = entry
-                out = succ if side else tuple(LABELS[j] for j in succ)
-                return charge(cost, Continue(obs, out))
+                if randomized:
+                    return expect([(w, charged(e)) for w, e in entry])
+                return charged(entry)
 
             return run
 
@@ -144,13 +218,14 @@ def random_case(rng):
     excluded = set(rng.sample(range(n), rng.randint(0, min(2, n))))
     case = VerificationCase(
         "random",
-        INT_COST,
+        RATIONAL_COST if randomized else INT_COST,
         Coalgebra(StateDomain("fin"), seeds, methods(0)),
         Coalgebra(StateDomain("fin-spec"), (0,), methods(1)),
         PotentialMorphism(
             lambda s: charge(potential[INDEX[encode(s)]], INDEX[encode(s)]),
             rng.choice(list(Mode)),
         ),
+        randomized=randomized,
         explore_filter=(lambda s: INDEX[encode(s)] not in excluded) if excluded else None,
     )
     bounds = {
@@ -161,15 +236,25 @@ def random_case(rng):
     return case, bounds
 
 
+def assert_explore_matches_reference(case, bounds, seed):
+    report = explore(case, **bounds)
+    states, squares, failures, slack_max, kept = reference_explore(case, **bounds)
+    got = (report.states_explored, report.squares_checked, report.failures, report.slack_max)
+    assert got == (states, squares, failures, slack_max), seed
+    assert report.passed == (failures == 0), seed
+    assert [c.inputs_serialized for c in report.counterexamples] == [
+        c.inputs_serialized for c in kept
+    ], seed
+    assert list(report.counterexamples) == kept, seed
+
+
 def test_explore_matches_reference_explorer():
     for seed in range(300):
         case, bounds = random_case(random.Random(seed))
-        report = explore(case, **bounds)
-        states, squares, failures, slack_max, kept = reference_explore(case, **bounds)
-        got = (report.states_explored, report.squares_checked, report.failures, report.slack_max)
-        assert got == (states, squares, failures, slack_max), seed
-        assert report.passed == (failures == 0), seed
-        assert [c.inputs_serialized for c in report.counterexamples] == [
-            c.inputs_serialized for c in kept
-        ], seed
-        assert list(report.counterexamples) == kept, seed
+        assert_explore_matches_reference(case, bounds, seed)
+
+
+def test_randomized_explore_matches_reference_explorer():
+    for seed in range(300, 500):
+        case, bounds = random_case(random.Random(seed), randomized=True)
+        assert_explore_matches_reference(case, bounds, seed)
