@@ -119,12 +119,6 @@ def _cost(result: Union[Charged, ExpectedCharged]) -> Any:
     return result.cost
 
 
-def _cost_ok(case: VerificationCase, mode: Mode, lhs_cost: Any, rhs_cost: Any) -> bool:
-    if mode is Mode.EXACT:
-        return lhs_cost == rhs_cost
-    return case.monoid.leq(rhs_cost, lhs_cost)
-
-
 def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
     """The `SquareCheck` of a reported square: its sides and state text."""
     verdict, lhs_cost, rhs_cost, _successors, lhs_beh, rhs_beh = square
@@ -138,56 +132,73 @@ def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
     return SquareCheck(method, tuple(inputs), arg, lhs, rhs, verdict, ser, arg_literal(arg))
 
 
-def _square(case, impl, spec, inputs, arg, phi_in):
-    """Check the square at `inputs`, whose image under Φ is `phi_in`.
+def _square_for(case: VerificationCase):
+    """The one square engine, `_square`, with the case's constants bound."""
+    monoid, phi_morphism = case.monoid, case.phi
+    combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
+    phi = phi_morphism.phi
+    exact = phi_morphism.mode is Mode.EXACT
+    randomized = case.randomized
 
-    `impl` and `spec` are the method on each side. Returns (verdict, lhs
-    cost, rhs cost, impl successors, lhs behaviour, rhs behaviour) and
-    builds no sides: `_mk_check` does, for reported squares only. A
-    deterministic behaviour is `STOP` or (observable, states), the impl's
-    states taken through Φ; a randomized one is a canonical `Dist`.
-    """
-    monoid = case.monoid
-    sig = impl.sig
-    spec_res = spec.run(phi_in.value, arg)
-    if case.randomized:
-        lhs_beh = spec_res.dist
-        for _w, out in lhs_beh.branches:
-            guard_outcome(sig, out)
-        lhs_cost = monoid.combine(phi_in.cost, spec_res.expected_cost)
-        impl_res = impl.run(inputs, arg)
-        rhs_cost, rhs_outs, successors = impl_res.expected_cost, [], []
-        for w, out in impl_res.dist.branches:
-            guard_outcome(sig, out)
-            if out is not STOP:
-                mapped = apply_phi_tuple(monoid, case.phi, out.states)
-                rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
-                successors.extend(out.states)
-                out = Continue(out.obs, mapped.value)
-            rhs_outs.append((w, out))
-        rhs_beh = Dist.from_branches(rhs_outs)
-    else:
-        spec_out = spec_res.value
-        guard_outcome(sig, spec_out)
-        lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
-        lhs_cost = monoid.combine(phi_in.cost, spec_res.cost)
-        impl_res = impl.run(inputs, arg)
-        out = impl_res.value
-        guard_outcome(sig, out)
-        rhs_cost, rhs_beh, successors = impl_res.cost, STOP, ()
-        if out is not STOP:
-            mapped = apply_phi_tuple(monoid, case.phi, out.states)
-            rhs_cost = monoid.combine(rhs_cost, mapped.cost)
-            rhs_beh = (out.obs, mapped.value)
-            successors = out.states
+    def _square(impl, spec, inputs, arg, phi_cost, phi_values):
+        """Check the square at `inputs`, whose Φ image is (`phi_cost`, `phi_values`).
 
-    if lhs_beh != rhs_beh:
-        verdict = Verdict.BEHAVIOR_MISMATCH
-    elif _cost_ok(case, case.phi.mode, lhs_cost, rhs_cost):
-        verdict = Verdict.PASS
-    else:
-        verdict = Verdict.COST_MISMATCH
-    return verdict, lhs_cost, rhs_cost, successors, lhs_beh, rhs_beh
+        `impl` and `spec` are the method on each side. Returns (verdict,
+        lhs cost, rhs cost, impl successors, lhs behaviour, rhs behaviour)
+        and builds no sides: `_mk_check` does, for reported squares only.
+        A deterministic behaviour is `STOP` or (observable, states), the
+        impl's states taken through Φ (summed from the identity, left to
+        right, after the impl's cost); a randomized one is a canonical
+        `Dist` on both sides.
+        """
+        sig = impl.sig
+        spec_res = spec.run(phi_values, arg)
+        if randomized:
+            spec_outs = spec_res.dist.branches
+            for _w, out in spec_outs:
+                guard_outcome(sig, out)
+            lhs_beh = Dist.from_branches(spec_outs)
+            lhs_cost = combine(phi_cost, spec_res.expected_cost)
+            impl_res = impl.run(inputs, arg)
+            rhs_cost, rhs_outs, successors = impl_res.expected_cost, [], []
+            for w, out in impl_res.dist.branches:
+                guard_outcome(sig, out)
+                if out is not STOP:
+                    mapped_cost, mapped = apply_phi_tuple(monoid, phi_morphism, out.states)
+                    rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
+                    successors.extend(out.states)
+                    out = Continue(out.obs, mapped)
+                rhs_outs.append((w, out))
+            rhs_beh = Dist.from_branches(rhs_outs)
+        else:
+            spec_out = spec_res.value
+            guard_outcome(sig, spec_out)
+            lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+            lhs_cost = combine(phi_cost, spec_res.cost)
+            impl_res = impl.run(inputs, arg)
+            out = impl_res.value
+            guard_outcome(sig, out)
+            if out is STOP:
+                rhs_cost, rhs_beh, successors = impl_res.cost, STOP, ()
+            else:
+                successors = out.states
+                if len(successors) == 1:
+                    ch = phi(successors[0])
+                    mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
+                else:
+                    mapped_cost, mapped = apply_phi_tuple(monoid, phi_morphism, successors)
+                rhs_cost = combine(impl_res.cost, mapped_cost)
+                rhs_beh = (out.obs, mapped)
+
+        if lhs_beh != rhs_beh:
+            verdict = Verdict.BEHAVIOR_MISMATCH
+        elif lhs_cost == rhs_cost if exact else leq(rhs_cost, lhs_cost):
+            verdict = Verdict.PASS
+        else:
+            verdict = Verdict.COST_MISMATCH
+        return verdict, lhs_cost, rhs_cost, successors, lhs_beh, rhs_beh
+
+    return _square
 
 
 def check_square(
@@ -205,8 +216,9 @@ def check_square(
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
-    phi_in = apply_phi_tuple(case.monoid, case.phi, inputs)
-    square = _square(case, impl, case.spec.method(method), inputs, arg, phi_in)
+    spec = case.spec.method(method)
+    phi_cost, phi_values = apply_phi_tuple(case.monoid, case.phi, inputs)
+    square = _square_for(case)(impl, spec, inputs, arg, phi_cost, phi_values)
     return _mk_check(case, method, inputs, arg, square)
 
 
@@ -236,13 +248,15 @@ def explore(
 
     For every reached input tuple (all ordered in_arity-sized combinations
     of reached states, generated once each), every method and every
-    argument in its domain, the amortization square is checked. Continue
-    successors join the frontier, deduplicated by typed value identity
-    (`state_key`: equal values of different types, such as ``1`` and
-    ``True``, stay distinct), until the depth or state limits are hit; the
-    case's `explore_filter` keeps out-of-scope successors from being
-    admitted at all. Slack is read off the two costs of each square; the
-    sides and state text of a square are built only for the first `limit`
+    argument in its domain, the amortization square is checked by the
+    case's one square engine (`_square_for`), built once per call. Once all
+    squares of a state are checked, its Continue successors are admitted in
+    order by the rule the seeds pass too: the case's `explore_filter`
+    first, then deduplication by typed value identity (`state_key`: equal
+    values of different types, such as ``1`` and ``True``, stay distinct),
+    the state cap and the state invariant; nothing past the depth limit is
+    admitted. Slack is read off the two costs of each square; the sides
+    and state text of a square are built only for the first `limit`
     failures, the counterexamples kept.
     """
     if max_depth is None:
@@ -259,67 +273,75 @@ def explore(
     numeric = monoid.numeric
     keep = case.explore_filter
     invariant = case.impl.state_invariant
+    square = _square_for(case)
 
     states: List[Any] = []
     depths: List[int] = []
     seen = set()
-
-    def admit(s: Any, depth: int) -> None:
-        if keep is not None and not keep(s):
-            return
-        key = state_key(s)
-        if key in seen or len(states) >= max_states:
-            return
-        if invariant is not None and not invariant(s):
-            raise StateInvariantViolation(
-                f"{case.name}: state {case.impl.state_domain.serialize(s)} "
-                f"at depth {depth} breaks the invariant"
-            )
-        seen.add(key)
-        states.append(s)
-        depths.append(depth)
-
-    for seed in case.impl.seeds:
-        admit(seed, 0)
-
     squares = 0
     failures = 0
     counterexamples: List[SquareCheck] = []
     slack_max: Optional[Any] = None
-    methods = [(m, case.spec.method(m.sig.name)) for m in case.impl.methods]
+    methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
 
+    # Candidates wait in `batch` for the one admission rule: first the
+    # seeds, then the successors of each state, once its squares are done.
+    batch, depth = case.impl.seeds, 0
     i = 0
-    while i < len(states):
+    while True:
+        for s in batch:
+            if keep is not None and not keep(s):
+                continue
+            key = state_key(s)
+            if key in seen or len(states) >= max_states:
+                continue
+            if invariant is not None and not invariant(s):
+                raise StateInvariantViolation(
+                    f"{case.name}: state {case.impl.state_domain.serialize(s)} "
+                    f"at depth {depth} breaks the invariant"
+                )
+            seen.add(key)
+            states.append(s)
+            depths.append(depth)
+        if i == len(states):
+            break
         # Breadth-first admission keeps depths sorted, so state i is the
         # deepest component of every tuple it closes.
-        succ_depth = depths[i] + 1
-        can_expand = succ_depth <= max_depth
-        phi_one = None  # Φ of (state i,), shared by every unary square
-        for impl, spec in methods:
-            sig = impl.sig
+        depth = depths[i] + 1
+        can_expand = depth <= max_depth
+        batch = []
+        one = (states[i],)
+        phi_one = None  # Φ of `one`, shared by every unary square
+        for impl, spec, sig in methods:
             k = sig.in_arity
-            if k == 1 and phi_one is None:
-                phi_one = apply_phi_tuple(monoid, case.phi, (states[i],))
-            # Every ordered k-tuple over reached states, generated once:
-            # exactly those whose newest component is state i.
-            for idx_tuple in _tuples_with_max(i, k):
-                inputs = tuple(states[j] for j in idx_tuple)
-                phi_in = phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
+            if k == 1:
+                if phi_one is None:
+                    phi_one = apply_phi_tuple(monoid, case.phi, one)
+                tuples = (one,)
+            else:
+                # Every ordered k-tuple over reached states, generated
+                # once: exactly those whose newest component is state i.
+                tuples = (tuple([states[j] for j in t]) for t in _tuples_with_max(i, k))
+            for inputs in tuples:
+                phi_cost, phi_values = (
+                    phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
+                )
                 for arg in sig.arg_domain:
-                    square = _square(case, impl, spec, inputs, arg, phi_in)
-                    verdict, lhs_cost, rhs_cost, successors, _, _ = square
+                    result = square(impl, spec, inputs, arg, phi_cost, phi_values)
+                    verdict, lhs_cost, rhs_cost, successors, _, _ = result
                     squares += 1
-                    if numeric and (slack_max is None or lhs_cost - rhs_cost > slack_max):
-                        slack_max = lhs_cost - rhs_cost
+                    if numeric:
+                        gap = lhs_cost - rhs_cost
+                        if slack_max is None or gap > slack_max:
+                            slack_max = gap
                     if verdict is not Verdict.PASS:
                         failures += 1
                         if len(counterexamples) < limit:
                             counterexamples.append(
-                                _mk_check(case, sig.name, inputs, arg, square)
+                                _mk_check(case, sig.name, inputs, arg, result)
                             )
                     if can_expand:
-                        for s in successors:
-                            admit(s, succ_depth)
+                        batch += successors
         i += 1
 
     counterexamples.sort(key=lambda c: (c.method, c.inputs_serialized, c.arg_literal))
@@ -380,15 +402,18 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     steps_run = 0
     stopped = False
     mismatches: List[TraceMismatch] = []
-    methods = {m.sig.name: (m, case.spec.method(m.sig.name)) for m in case.impl.methods}
+    methods = {
+        m.sig.name: (m, case.spec.method(m.sig.name), m.sig.sequential)
+        for m in case.impl.methods
+    }
 
     for step_no, (method, arg) in enumerate(trace.steps):
         try:
-            impl, spec = methods[method]
+            impl, spec, sequential = methods[method]
         except KeyError:
             raise UnknownMethod(method) from None
         sig = impl.sig
-        if not sig.sequential:
+        if not sequential:
             raise UnsupportedArity(
                 f"{method} is {sig.in_arity}-in/{sig.out_arity}-out; "
                 "traces cover sequential methods only"
@@ -430,7 +455,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
             rhs = total_impl
         else:
             rhs = monoid.combine(total_impl, case.phi.phi(impl_state).cost)
-        if not _cost_ok(case, mode, lhs, rhs):
+        if not (lhs == rhs if mode is Mode.EXACT else monoid.leq(rhs, lhs)):
             rel = "=" if mode is Mode.EXACT else ">="
             mismatches.append(
                 TraceMismatch(
@@ -439,7 +464,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                     f"wanted lhs {rel} rhs, got lhs={lhs!r} rhs={rhs!r}",
                 )
             )
-        if case.monoid.numeric:
+        if monoid.numeric:
             slack = lhs - rhs
 
     return Report(

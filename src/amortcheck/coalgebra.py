@@ -193,25 +193,25 @@ class PotentialMorphism:
 
 def apply_phi_tuple(
     monoid: CostMonoid, phi: PotentialMorphism, states: Tuple[Any, ...]
-) -> Charged:
-    """Apply the potential to a tuple of states, summing stored potential.
+) -> Tuple[Any, Tuple[Any, ...]]:
+    """Apply the potential to a tuple of states: (summed cost, spec states).
 
-    Costs combine left to right; behaviors are collected positionally.
-    More than one slot requires a commutative monoid, since the summed
-    potential of parallel states must not depend on slot order.
+    Costs combine left to right from the identity; the specification
+    states are collected positionally. More than one slot requires a
+    commutative monoid, since the summed potential of parallel states must
+    not depend on slot order.
     """
     if len(states) > 1 and not monoid.is_commutative:
         raise NonCommutativeTensor(
             f"cannot sum potentials of {len(states)} states over "
             f"non-commutative monoid {monoid.name}"
         )
-    total = monoid.identity
-    beh = []
+    combine, total, values = monoid.combine, monoid.identity, []
     for s in states:
         ch = phi.phi(s)
-        total = monoid.combine(total, ch.cost)
-        beh.append(ch.value)
-    return Charged(total, tuple(beh))
+        total = combine(total, ch.cost)
+        values.append(ch.value)
+    return total, tuple(values)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ frozen here; exploration results are cross-checked against those.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,8 @@ from amortcheck import (
     ArityMismatch,
     Coalgebra,
     Continue,
+    Dist,
+    ExpectedCharged,
     Method,
     MethodSig,
     Mode,
@@ -205,6 +208,10 @@ def test_trace_rejects_multi_slot_methods():
     case = get_case("piggy")
     with pytest.raises(UnsupportedArity):
         check_trace(case, Trace((("merge", UNIT),)))
+    # Raised at the first step naming one, after the sequential steps ran.
+    steps = Trace((("deposit", UNIT), ("split", UNIT), ("merge", UNIT)))
+    with pytest.raises(UnsupportedArity, match=r"^split is 1-in/2-out; traces cover"):
+        check_trace(case, steps)
 
 
 def _one_method_case(impl_out, spec_out):
@@ -335,6 +342,41 @@ def test_square_weighs_stop_and_continue_branches():
     assert skewed.lhs_cost == skewed.rhs_cost == 1
 
 
+def _fair_flip_case():
+    """A fair coin whose spec law is built with the public `Dist` constructor
+    in non-canonical order: the obs-1 branch before the obs-0 branch."""
+    half = Fraction(1, 2)
+    sig = MethodSig("flip")
+
+    def impl_flip(states, arg):
+        return expect(
+            [
+                (half, charge(Fraction(1), Continue(1, (1,)))),
+                (half, charge(Fraction(1), Continue(0, (0,)))),
+            ]
+        )
+
+    def spec_flip(states, arg):
+        law = Dist(((half, Continue(1, (UNIT,))), (half, Continue(0, (UNIT,)))))
+        return ExpectedCharged(Fraction(1), law)
+
+    impl = Coalgebra(StateDomain("bit"), (0,), (Method(sig, impl_flip),))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_flip),))
+    phi = PotentialMorphism(lambda d: charge(Fraction(0), UNIT))
+    return VerificationCase("fair-flip", RATIONAL_COST, impl, spec, phi, randomized=True)
+
+
+def test_spec_law_is_canonicalized_like_the_impl_law():
+    case = _fair_flip_case()
+    check = check_square(case, "flip", (0,))
+    assert check.verdict is Verdict.PASS
+    assert check.lhs.dist == check.rhs.dist
+    assert check.lhs.dist == Dist.from_branches(check.lhs.dist.branches)
+    report = explore(case)
+    assert report.passed
+    assert (report.states_explored, report.squares_checked) == (2, 2)
+
+
 def test_explore_admits_only_continue_successors():
     report = explore(_coin_stop_case(Fraction(1, 2)))
     # The seed 0 plus the one successor of its Continue branch; Stop adds none.
@@ -454,3 +496,47 @@ def test_reports_serialize_states_with_the_domain_serializer():
     report = explore(case, max_depth=2, limit=2)
     assert report.failures == 3
     assert [c.inputs_serialized for c in report.counterexamples] == [("<0>",), ("<1>",)]
+
+
+def _counted(case):
+    """`case` with its user calls counted: impl and spec transitions, Φ."""
+    counts = {"impl": 0, "spec": 0, "phi": 0}
+
+    def counter(key, fn):
+        def run(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return run
+
+    def side(coalg, key):
+        methods = tuple(replace(m, run=counter(key, m.run)) for m in coalg.methods)
+        return replace(coalg, methods=methods)
+
+    phi = replace(case.phi, phi=counter("phi", case.phi.phi))
+    counted = replace(case, impl=side(case.impl, "impl"), spec=side(case.spec, "spec"), phi=phi)
+    return counted, counts
+
+
+@pytest.mark.parametrize(
+    "name, impl, spec, phi",
+    [
+        ("stack", 1749, 1749, 2329),
+        ("queue-lax", 1539, 1539, 2051),
+        ("piggy", 1720, 1720, 5000),
+        ("rand-alloc", 4, 4, 8),
+    ],
+)
+def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi):
+    # One impl and one spec call per square; Φ once per state for unary
+    # squares, once per input of each k-input tuple and once per successor.
+    case, counts = _counted(get_case(name))
+    report = explore(case)
+    assert report.squares_checked == impl
+    assert counts == {"impl": impl, "spec": spec, "phi": phi}
+
+
+def test_check_square_makes_one_call_per_side_and_per_state():
+    case, counts = _counted(get_case("piggy"))
+    assert check_square(case, "merge", (2, 5)).verdict is Verdict.PASS
+    assert counts == {"impl": 1, "spec": 1, "phi": 3}

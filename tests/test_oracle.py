@@ -7,7 +7,8 @@ and checks each square with `reference_square`, which builds both sides as
 checker's own square engine. Both explorers run on random small coalgebras
 over Fin n, whose states are labelled with values that Python compares
 equal in pairs (``1``, ``True``, ``Fraction(1)``, ...) but that serialize
-apart, in a deterministic and a randomized flavour. The reports must agree
+apart, in a deterministic, a randomized and a word-cost flavour (string
+costs over the non-commutative `TRACE_COST`). The reports must agree
 on every count, on the slack and on the kept counterexamples, in order.
 """
 
@@ -19,6 +20,7 @@ from amortcheck import (
     INT_COST,
     RATIONAL_COST,
     STOP,
+    TRACE_COST,
     Charged,
     Coalgebra,
     Continue,
@@ -41,6 +43,7 @@ from amortcheck.checker import arg_literal
 from amortcheck.encoding import encode
 
 LABELS = (0, 1, True, Fraction(1), (1,), (True,), "1", None)
+WORDS = ("", "a", "b", "ab")
 INDEX = {encode(s): j for j, s in enumerate(LABELS)}
 
 STEP = MethodSig("step", arg_domain=(0, 1))
@@ -52,8 +55,8 @@ def reference_square(case, method, inputs, arg):
     """The square at `inputs` with both sides built and compared whole."""
     monoid = case.monoid
     impl = case.impl.method(method)
-    phi_in = apply_phi_tuple(monoid, case.phi, inputs)
-    spec_res = case.spec.method(method).run(phi_in.value, arg)
+    phi_cost, phi_values = apply_phi_tuple(monoid, case.phi, inputs)
+    spec_res = case.spec.method(method).run(phi_values, arg)
     impl_res = impl.run(inputs, arg)
     if case.randomized:
         spec_cost, spec_outs = spec_res.expected_cost, spec_res.dist.branches
@@ -61,16 +64,16 @@ def reference_square(case, method, inputs, arg):
     else:
         spec_cost, spec_outs = spec_res.cost, ((1, spec_res.value),)
         rhs_cost, impl_outs = impl_res.cost, ((1, impl_res.value),)
-    lhs_cost = monoid.combine(phi_in.cost, spec_cost)
+    lhs_cost = monoid.combine(phi_cost, spec_cost)
     rhs_outs = []
     for w, out in impl_outs:
         if out is not STOP:
-            mapped = apply_phi_tuple(monoid, case.phi, out.states)
-            rhs_cost = monoid.combine(rhs_cost, mapped.cost if w == 1 else w * mapped.cost)
-            out = Continue(out.obs, mapped.value)
+            mapped_cost, mapped = apply_phi_tuple(monoid, case.phi, out.states)
+            rhs_cost = monoid.combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
+            out = Continue(out.obs, mapped)
         rhs_outs.append((w, out))
     if case.randomized:
-        lhs = ExpectedCharged(lhs_cost, Dist(spec_outs))
+        lhs = ExpectedCharged(lhs_cost, Dist.from_branches(spec_outs))
         rhs = ExpectedCharged(rhs_cost, Dist.from_branches(rhs_outs))
         same = lhs.dist == rhs.dist
     else:
@@ -117,9 +120,10 @@ def reference_explore(case, max_depth, max_states, limit):
                 for arg in m.sig.arg_domain:
                     check = reference_square(case, m.sig.name, inputs, arg)
                     squares += 1
-                    gap = check.lhs_cost - check.rhs_cost
-                    if slack_max is None or gap > slack_max:
-                        slack_max = gap
+                    if case.monoid.numeric:
+                        gap = check.lhs_cost - check.rhs_cost
+                        if slack_max is None or gap > slack_max:
+                            slack_max = gap
                     if check.verdict is not Verdict.PASS:
                         failures += 1
                         if len(kept) < limit:
@@ -152,6 +156,25 @@ def transition(rng, n, sources, outs, potential, may_stop=False):
     return (cost, obs, succ), (spec_cost, obs + 10 * twisted, succ)
 
 
+def word_transition(rng, n, sources, outs, potential, may_stop=False):
+    """`transition` over `TRACE_COST`: costs and potentials are words.
+
+    The spec cost balances the exact square Φ(in)·spec = impl·Φ(out) when
+    Φ(in) is a prefix of the right side and is a drawn word otherwise; a
+    drawn suffix may still unbalance it.
+    """
+    twisted = rng.random() < 0.125
+    if may_stop and rng.random() < 0.5:
+        return None, ((rng.choice(WORDS), 0, (0,) * outs) if twisted else None)
+    cost, obs = rng.choice(WORDS), rng.randint(0, 1)
+    succ = tuple(rng.randrange(n) for _ in range(outs))
+    rhs = cost + "".join(potential[j] for j in succ)
+    lhs = "".join(potential[j] for j in sources)
+    balanced = rhs[len(lhs):] if rhs.startswith(lhs) else rng.choice(WORDS)
+    spec_cost = balanced + rng.choice(["", "", "", "z"])
+    return (cost, obs, succ), (spec_cost, obs + 10 * twisted, succ)
+
+
 def weighted_transition(rng, n, sources, outs, potential, may_stop=False):
     """A randomized entry pair: 1 or 2 weighted branches, each a `transition`.
 
@@ -165,15 +188,20 @@ def weighted_transition(rng, n, sources, outs, potential, may_stop=False):
     return tuple(tuple(zip(weights, side)) for side in zip(*pairs))
 
 
-def random_case(rng, randomized=False):
+def random_case(rng, randomized=False, words=False):
     """A random case over Fin n with its `explore` bounds.
 
     The randomized flavour draws every entry as 1–2 weighted branches over
-    `RATIONAL_COST`, so `explore` compares expected costs and laws.
+    `RATIONAL_COST`, so `explore` compares expected costs and laws. The
+    word flavour checks `step` and `drop` in exact mode over the
+    non-commutative `TRACE_COST`, so the order in which each side of the
+    square combines its costs must match the reference.
     """
-    draw = weighted_transition if randomized else transition
+    draw = weighted_transition if randomized else word_transition if words else transition
+    monoid = TRACE_COST if words else RATIONAL_COST if randomized else INT_COST
+    sigs = (STEP, DROP) if words else (STEP, DROP, MERGE)
     n = rng.randint(1, len(LABELS))
-    potential = [rng.randint(0, 3) for _ in range(n)]
+    potential = [rng.choice(WORDS) if words else rng.randint(0, 3) for _ in range(n)]
     step = {
         (j, a): draw(rng, n, (j,), 1, potential)
         for j in range(n)
@@ -184,6 +212,7 @@ def random_case(rng, randomized=False):
         (j, l): draw(rng, n, (j, l), 2, potential)
         for j in range(n)
         for l in range(n)
+        if MERGE in sigs
     }
     tables = {
         "step": lambda js, a: step[js + (a,)],
@@ -194,7 +223,7 @@ def random_case(rng, randomized=False):
     def methods(side):
         def charged(entry):
             if entry is None:
-                return charge(0, STOP)
+                return charge(monoid.identity, STOP)
             cost, obs, succ = entry
             out = succ if side else tuple(LABELS[j] for j in succ)
             return charge(cost, Continue(obs, out))
@@ -212,18 +241,18 @@ def random_case(rng, randomized=False):
 
             return run
 
-        return tuple(Method(sig, method_for(sig.name)) for sig in (STEP, DROP, MERGE))
+        return tuple(Method(sig, method_for(sig.name)) for sig in sigs)
 
     seeds = tuple(LABELS[rng.randrange(n)] for _ in range(rng.randint(1, 3)))
     excluded = set(rng.sample(range(n), rng.randint(0, min(2, n))))
     case = VerificationCase(
         "random",
-        RATIONAL_COST if randomized else INT_COST,
+        monoid,
         Coalgebra(StateDomain("fin"), seeds, methods(0)),
         Coalgebra(StateDomain("fin-spec"), (0,), methods(1)),
         PotentialMorphism(
             lambda s: charge(potential[INDEX[encode(s)]], INDEX[encode(s)]),
-            rng.choice(list(Mode)),
+            Mode.EXACT if words else rng.choice(list(Mode)),
         ),
         randomized=randomized,
         explore_filter=(lambda s: INDEX[encode(s)] not in excluded) if excluded else None,
@@ -257,4 +286,10 @@ def test_explore_matches_reference_explorer():
 def test_randomized_explore_matches_reference_explorer():
     for seed in range(300, 500):
         case, bounds = random_case(random.Random(seed), randomized=True)
+        assert_explore_matches_reference(case, bounds, seed)
+
+
+def test_word_cost_explore_matches_reference_explorer():
+    for seed in range(500, 800):
+        case, bounds = random_case(random.Random(seed), words=True)
         assert_explore_matches_reference(case, bounds, seed)
