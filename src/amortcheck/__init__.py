@@ -43,7 +43,7 @@ from .compose import (
     pair_cases,
     translate_case,
 )
-from .cost import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST, CostMonoid, combine_all
+from .cost import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST, CostMonoid
 from .errors import (
     AmortError,
     ArityMismatch,

@@ -27,9 +27,8 @@ class Charged:
     value: Any
 
 
-def charge(cost: Any, value: Any) -> Charged:
-    """Instrument `value` with `cost` units of abstract cost."""
-    return Charged(cost, value)
+#: Instrument a value with units of abstract cost: ``charge(cost, value)``.
+charge = Charged
 
 
 def unit(monoid: CostMonoid, value: Any) -> Charged:
@@ -83,10 +82,6 @@ class Dist:
             raise BadWeights("weights must sum exactly to 1")
         ordered = tuple((merged[k], outcomes[k]) for k in sorted(merged))
         return Dist(ordered)
-
-    @staticmethod
-    def point(x: Any) -> "Dist":
-        return Dist(((Fraction(1), x),))
 
     def is_point(self) -> bool:
         return len(self.branches) == 1

@@ -265,6 +265,8 @@ def explore(
         max_states = case.max_states
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     if max_states < len(case.impl.seeds):
         raise ValueError("max_states must cover at least the seeds")
 
@@ -519,13 +521,13 @@ def parse_arg(sig: MethodSig, token: str, line: int, column: int) -> Any:
     )
 
 
-def parse_trace(case: VerificationCase, text: str, seed_index: int = 0) -> Trace:
+def parse_trace(case: VerificationCase, text: str) -> Trace:
     """Parse the plain-text trace format.
 
     One record per line: ``method_name argument_literal``. Lines starting
     with ``#`` and blank lines are ignored. Argument literals are integers,
     double-quoted strings, ``()`` for unit, or the name of a function in
-    the method's domain.
+    the method's domain. The trace runs from the case's first seed.
     """
     table = case.impl.sig_table
     steps = []
@@ -544,4 +546,4 @@ def parse_trace(case: VerificationCase, text: str, seed_index: int = 0) -> Trace
             )
         arg_col = raw.index(rest[0], column + len(name) - 1) + 1
         steps.append((name, parse_arg(table[name], rest, line_no, arg_col)))
-    return Trace(tuple(steps), seed_index=seed_index)
+    return Trace(tuple(steps))

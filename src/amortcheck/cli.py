@@ -2,10 +2,10 @@
 
 Exit status: 0 when every report passes, 1 when any report fails, 2 on
 usage or configuration errors (unknown case, unreadable or malformed trace
-file, a colax override on an unordered cost model). `verify`, `all` and
-`trace` share one writer: a failing report's counterexamples follow it in
-text format and go to stderr in CSV format. Reports print in case-name
-order, whatever order the cases were named in.
+file, unwritable `--out` path, a colax override on an unordered cost
+model). `verify`, `all` and `trace` share one writer: a failing report's
+counterexamples follow it in text format and go to stderr in CSV format.
+Reports print in case-name order, whatever order the cases were named in.
 """
 
 import argparse
@@ -137,8 +137,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path!r}: {exc}")
 
 
 def _output_reports(reports: List[Report], args) -> None:

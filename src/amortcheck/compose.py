@@ -44,7 +44,15 @@ from .errors import (
     StepBudgetExceeded,
     UnsupportedArity,
 )
-from .structures import ALPHABET, cyclic_allocator, stack_case
+from .structures import (
+    ALPHABET,
+    allocator_case,
+    cyclic_allocator,
+    list_spec,
+    pop_front,
+    push_back,
+    stack_case,
+)
 
 
 def compose_phi(
@@ -281,18 +289,11 @@ def alloc16_via_8_case() -> VerificationCase:
     """
     stage2 = PotentialMorphism(lambda d: Charged(7 - d, UNIT))
     composed = compose_phi(NAT_COST, alloc16_to_8_phi(), stage2)
-
-    def spec_step(states, arg):
-        return charge(1, Continue(UNIT, (UNIT,)))
-
-    spec = Coalgebra(
-        StateDomain("unit"), (UNIT,), (Method(MethodSig("alloc"), spec_step),)
-    )
     return VerificationCase(
         name="alloc16-via-8",
         monoid=NAT_COST,
         impl=cyclic_allocator(16),
-        spec=spec,
+        spec=allocator_case().spec,
         phi=composed,
         max_depth=32,
         max_states=64,
@@ -354,34 +355,6 @@ def counter_via_stack_case() -> VerificationCase:
     )
 
 
-def _queue_target_spec() -> Coalgebra:
-    """Queue spec with the costs derived from the stack spec.
-
-    A flush moves each element at pop(2)+push(3)=5, so the potential is 5
-    per inbox element, and an enqueue costs its push (3) plus the
-    potential increase (5).
-    """
-
-    def enqueue(states, e):
-        (l,) = states
-        return charge(8, Continue(UNIT, (l + (e,),)))
-
-    def dequeue(states, arg):
-        (l,) = states
-        if not l:
-            return charge(0, STOP)
-        return charge(2, Continue(l[0], (l[1:],)))
-
-    return Coalgebra(
-        StateDomain("list"),
-        ((),),
-        (
-            Method(MethodSig("enqueue", arg_domain=ALPHABET), enqueue),
-            Method(MethodSig("dequeue", may_stop=True), dequeue),
-        ),
-    )
-
-
 def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
     """A queue as programs over a pair of stacks (inbox left, outbox right).
 
@@ -390,6 +363,8 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
     array-backed stacks and checks the composed potential laxly.
     """
     base = pair_cases(stack_case(), stack_case())
+    enq_sig = MethodSig("enqueue", arg_domain=ALPHABET)
+    deq_sig = MethodSig("dequeue", may_stop=True)
 
     def enqueue(sub: SubstrateRun, e):
         sub.call("left.push", e)
@@ -406,10 +381,11 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
             sub.call("right.push", moved)
         return sub.call("right.pop")
 
-    programs = (
-        ProgramMethod(MethodSig("enqueue", arg_domain=ALPHABET), enqueue),
-        ProgramMethod(MethodSig("dequeue", may_stop=True), dequeue),
-    )
+    programs = (ProgramMethod(enq_sig, enqueue), ProgramMethod(deq_sig, dequeue))
+    # A flush moves each element at pop(2)+push(3)=5, so the potential is
+    # 5 per inbox element, and an enqueue costs its push (3) plus the
+    # potential increase (5).
+    target_spec = list_spec(Method(enq_sig, push_back(8)), Method(deq_sig, pop_front(2)))
 
     def phi(pair):
         inbox, outbox = pair
@@ -419,7 +395,7 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
     return translate_case(
         base,
         programs,
-        _queue_target_spec(),
+        target_spec,
         PotentialMorphism(phi),
         name=name,
         over=over,

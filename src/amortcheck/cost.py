@@ -10,7 +10,7 @@ rationals are `fractions.Fraction` values, normalized by construction.
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,6 @@ class CostMonoid:
 
     def __repr__(self) -> str:
         return f"CostMonoid({self.name})"
-
-
-def combine_all(monoid: CostMonoid, costs: Iterable[Any]) -> Any:
-    """Left-to-right fold of `combine` from the identity.
-
-    Sequence order is significant for non-commutative monoids.
-    """
-    total = monoid.identity
-    for c in costs:
-        total = monoid.combine(total, c)
-    return total
 
 
 def _concat(a: str, b: str) -> str:

@@ -9,6 +9,7 @@ small while still distinguishing order-sensitive mistakes.
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -67,14 +68,10 @@ def cyclic_allocator(period: int) -> Coalgebra:
     )
 
 
-def allocator_case(phi_shift: int = 0) -> VerificationCase:
-    """Eight cells allocated every eight calls, presented as one per call.
-
-    `phi_shift` adds a constant to the potential; any shift keeps the
-    square commuting since both sides gain the same amount.
-    """
+def allocator_case() -> VerificationCase:
+    """Eight cells allocated every eight calls, presented as one per call."""
     spec = _unit_spec([Method(MethodSig("alloc"), lambda s, a: _cont(1, UNIT, UNIT))])
-    phi = PotentialMorphism(lambda d: Charged(7 - d + phi_shift, UNIT))
+    phi = PotentialMorphism(lambda d: Charged(7 - d, UNIT))
     return VerificationCase(
         name="allocator",
         monoid=NAT_COST,
@@ -88,17 +85,8 @@ def allocator_case(phi_shift: int = 0) -> VerificationCase:
 
 def broken_allocator_case() -> VerificationCase:
     """Negative control: the potential d instead of 7-d cannot commute."""
-    spec = _unit_spec([Method(MethodSig("alloc"), lambda s, a: _cont(1, UNIT, UNIT))])
     phi = PotentialMorphism(lambda d: Charged(d, UNIT))
-    return VerificationCase(
-        name="allocator-broken",
-        monoid=NAT_COST,
-        impl=cyclic_allocator(8),
-        spec=spec,
-        phi=phi,
-        max_depth=16,
-        max_states=64,
-    )
+    return replace(allocator_case(), name="allocator-broken", phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +201,42 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
 
 
 # ---------------------------------------------------------------------------
+# The list specification: every list-backed structure is checked against
+# plain lists with a constant cost per operation. Each factory makes one
+# transition at a fixed `cost`: push the argument at an end, or pop an end
+# and observe its element; a pop Stops, free, on the empty list.
+
+
+def push_front(cost):
+    return lambda states, e: _cont(cost, UNIT, (e,) + states[0])
+
+
+def push_back(cost):
+    return lambda states, e: _cont(cost, UNIT, states[0] + (e,))
+
+
+def pop_front(cost):
+    def run(states, arg):
+        (l,) = states
+        return _cont(cost, l[0], l[1:]) if l else charge(0, STOP)
+
+    return run
+
+
+def pop_back(cost):
+    def run(states, arg):
+        (l,) = states
+        return _cont(cost, l[-1], l[:-1]) if l else charge(0, STOP)
+
+    return run
+
+
+def list_spec(*methods: Method) -> Coalgebra:
+    """The list coalgebra, seeded with the empty list, with these methods."""
+    return Coalgebra(StateDomain("list"), ((),), methods)
+
+
+# ---------------------------------------------------------------------------
 # Stack on a bounded array (colax: pops never shrink the array).
 
 
@@ -239,21 +263,7 @@ def stack_case() -> VerificationCase:
         state_invariant=lambda s: len(s[1]) < 2 ** (s[0] + 1) - 1,
     )
 
-    def spec_push(states, e):
-        (l,) = states
-        return _cont(3, UNIT, (e,) + l)
-
-    def spec_pop(states, arg):
-        (l,) = states
-        if not l:
-            return charge(0, STOP)
-        return _cont(2, l[0], l[1:])
-
-    spec = Coalgebra(
-        StateDomain("list"),
-        ((),),
-        (Method(push_sig, spec_push), Method(pop_sig, spec_pop)),
-    )
+    spec = list_spec(Method(push_sig, push_front(3)), Method(pop_sig, pop_front(2)))
 
     phi = PotentialMorphism(
         lambda st: Charged(max(0, array_potential(st)), tuple(reversed(st[1]))),
@@ -306,21 +316,7 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
         (Method(enq_sig, impl_enqueue), Method(deq_sig, impl_dequeue)),
     )
 
-    def spec_enqueue(states, e):
-        (l,) = states
-        return _cont(2, UNIT, l + (e,))
-
-    def spec_dequeue(states, arg):
-        (l,) = states
-        if not l:
-            return charge(0, STOP)
-        return _cont(0, l[0], l[1:])
-
-    spec = Coalgebra(
-        StateDomain("list"),
-        ((),),
-        (Method(enq_sig, spec_enqueue), Method(deq_sig, spec_dequeue)),
-    )
+    spec = list_spec(Method(enq_sig, push_back(2)), Method(deq_sig, pop_front(0)))
 
     phi = PotentialMorphism(
         lambda st: Charged(2 * len(st[0]), st[1] + tuple(reversed(st[0]))),
@@ -398,35 +394,11 @@ def deque_case() -> VerificationCase:
         ),
     )
 
-    def spec_push_front(states, e):
-        (l,) = states
-        return _cont(2, UNIT, (e,) + l)
-
-    def spec_push_back(states, e):
-        (l,) = states
-        return _cont(2, UNIT, l + (e,))
-
-    def spec_pop_front(states, arg):
-        (l,) = states
-        if not l:
-            return charge(0, STOP)
-        return _cont(2, l[0], l[1:])
-
-    def spec_pop_back(states, arg):
-        (l,) = states
-        if not l:
-            return charge(0, STOP)
-        return _cont(2, l[-1], l[:-1])
-
-    spec = Coalgebra(
-        StateDomain("list"),
-        ((),),
-        (
-            Method(pf_sig, spec_push_front),
-            Method(pb_sig, spec_push_back),
-            Method(of_sig, spec_pop_front),
-            Method(ob_sig, spec_pop_back),
-        ),
+    spec = list_spec(
+        Method(pf_sig, push_front(2)),
+        Method(pb_sig, push_back(2)),
+        Method(of_sig, pop_front(2)),
+        Method(ob_sig, pop_back(2)),
     )
 
     phi = PotentialMorphism(

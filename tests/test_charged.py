@@ -82,12 +82,12 @@ def test_tensor_cost_is_symmetric(c1, c2, v1, v2):
 def test_expect_degenerate_and_bernoulli():
     point = expect([(1, charge(Fraction(3), "x"))])
     assert point.expected_cost == 3
-    assert point.dist == Dist.point("x")
+    assert point.dist == Dist.from_branches([(1, "x")])
 
     half = Fraction(1, 2)
     mean = expect([(half, charge(Fraction(1), "x")), (half, charge(Fraction(0), "x"))])
     assert mean.expected_cost == half
-    assert mean.dist == Dist.point("x")
+    assert mean.dist == Dist.from_branches([(1, "x")])
 
 
 def _binomial_expectation_by_enumeration(k: int, p: Fraction) -> Fraction:
@@ -114,7 +114,7 @@ def test_expect_of_binomial_cost_matches_enumeration(k, p):
         branches.append((w, charge(Fraction(sum(flips)), "done")))
     got = expect(branches)
     assert got.expected_cost == oracle
-    assert got.dist == Dist.point("done")
+    assert got.dist == Dist.from_branches([(1, "done")])
 
 
 def test_expect_rejects_bad_weights():
@@ -153,14 +153,14 @@ def test_dist_canonical_form_merges_and_orders():
     assert d1 == d2
     assert [x for _w, x in d1.branches] == ["a", "b"]
     assert not d1.is_point()
-    assert Dist.point(3).is_point()
+    assert Dist.from_branches([(1, 3)]).is_point()
 
 
 @pytest.mark.parametrize(
     "cls, fields",
     [
         (Charged, (1, "x")),
-        (ExpectedCharged, (Fraction(1, 2), Dist.point("x"))),
+        (ExpectedCharged, (Fraction(1, 2), Dist.from_branches([(1, "x")]))),
         (Continue, ("x", ("s",))),
     ],
     ids=["Charged", "ExpectedCharged", "Continue"],

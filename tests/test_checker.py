@@ -102,6 +102,11 @@ def test_check_square_arity_and_order_errors():
         buffer_case(4).with_mode(Mode.COLAX)
 
 
+def test_check_square_rejects_an_unknown_method():
+    with pytest.raises(UnknownMethod, match=r"^free$"):
+        check_square(allocator_case(), "free", (0,))
+
+
 def test_explore_allocator_closed_carrier():
     report = explore(allocator_case(), max_depth=16)
     assert report.passed
@@ -176,6 +181,11 @@ def test_explore_rejects_bad_bounds():
         explore(case, max_states=3)  # fewer than the 8 seeds
 
 
+def test_explore_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match=r"^limit must be >= 0$"):
+        explore(broken_allocator_case(), limit=-1)
+
+
 def test_explore_counterexample_limit_is_configurable():
     report = explore(broken_allocator_case(), limit=2)
     assert report.failures == 8
@@ -245,6 +255,34 @@ def test_trace_steps_get_the_square_shape_guard(outcome):
         explore(case)
     with pytest.raises(ArityMismatch):
         check_trace(case, Trace((("step", UNIT),)))
+
+
+def _counter_stopping_at(impl_stop, spec_stop):
+    """Method `step` counts up from 0; each side Stops at its given count."""
+    sig = MethodSig("step", may_stop=True)
+
+    def side(stop_at):
+        def run(states, arg):
+            (n,) = states
+            return charge(0, STOP if n == stop_at else Continue(UNIT, (n + 1,)))
+
+        return Coalgebra(StateDomain("nat"), (0,), (Method(sig, run),))
+
+    phi = PotentialMorphism(lambda n: charge(0, n))
+    return VerificationCase("count", INT_COST, side(impl_stop), side(spec_stop), phi)
+
+
+@pytest.mark.parametrize("side", ["impl", "spec"])
+def test_trace_stop_on_one_side_only_ends_the_trace_there(side):
+    stops = (2, None) if side == "impl" else (None, 2)
+    report = check_trace(_counter_stopping_at(*stops), Trace((("step", UNIT),) * 5))
+    assert report.counterexamples == (
+        TraceMismatch(2, "stop", f"step: only {side} stopped"),
+    )
+    assert report.failures == 1 and not report.passed
+    # Steps 0 to 2 ran; steps 3 and 4 did not.
+    assert report.squares_checked == 3 and report.states_explored == 4
+    assert report.slack_max is None  # no telescoped total on a mismatch
 
 
 @pytest.mark.parametrize("seed_index", [-1, 8])

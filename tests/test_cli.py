@@ -157,6 +157,27 @@ def test_trace_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "trace"])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, subcommand):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc ()\n")
+    args = {
+        "verify": ("verify", "allocator"),
+        "trace": ("trace", "allocator", "--file", str(trace)),
+    }[subcommand]
+    target = str(tmp_path / "missing" / "f")
+    code, out, err = run(capsys, *args, "--out", target)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target!r}: ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_negative_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "allocator-broken", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: limit must be >= 0\n"
+
+
 @pytest.mark.parametrize(
     "flag", [["--limit", "3"], ["--max-depth", "1"], ["--max-states", "9"]]
 )

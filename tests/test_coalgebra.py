@@ -3,6 +3,7 @@
 import pytest
 
 from amortcheck import (
+    ArityMismatch,
     Charged,
     Coalgebra,
     Method,
@@ -62,6 +63,21 @@ def _tiny_coalgebra(sig=None):
         (0,),
         (Method(sig, lambda s, a: charge(1, Continue(UNIT, (s[0],)))),),
     )
+
+
+def test_coalgebra_needs_a_seed_and_distinct_method_names():
+    step = Method(MethodSig("step"), lambda s, a: charge(0, Continue(UNIT, s)))
+    with pytest.raises(ValueError, match=r"^a coalgebra needs at least one seed state$"):
+        Coalgebra(StateDomain("zero"), (), (step,))
+    with pytest.raises(ValueError, match=r"^duplicate method names: \['step', 'step'\]$"):
+        Coalgebra(StateDomain("zero"), (0,), (step, step))
+
+
+def test_method_sig_rejects_bad_arities():
+    with pytest.raises(ArityMismatch, match=r"^m: in_arity must be positive$"):
+        MethodSig("m", in_arity=0)
+    with pytest.raises(ArityMismatch, match=r"^m: out_arity must be non-negative$"):
+        MethodSig("m", out_arity=-1)
 
 
 def test_case_rejects_mismatched_signature_tables():

@@ -25,6 +25,7 @@ from amortcheck import (
     explore,
     get_case,
     pair_cases,
+    translate_case,
 )
 from amortcheck.compose import (
     STEP_BUDGET,
@@ -35,7 +36,12 @@ from amortcheck.compose import (
     counter_via_stack_case,
     queue_via_stacks_case,
 )
-from amortcheck.structures import allocator_case, broken_allocator_case, buffer_case
+from amortcheck.structures import (
+    allocator_case,
+    broken_allocator_case,
+    buffer_case,
+    randomized_allocator_case,
+)
 
 
 def _identity_phi():
@@ -100,6 +106,23 @@ def test_pairing_requires_commutative_monoid_and_unary_methods():
         pair_cases(get_case("piggy"), get_case("piggy"))
     with pytest.raises(ValueError):
         pair_cases(allocator_case(), get_case("rand-alloc"))
+
+
+def test_pairing_rejects_two_randomized_cases():
+    rand = randomized_allocator_case()
+    with pytest.raises(ValueError, match=r"^pairing of randomized cases is not supported$"):
+        pair_cases(rand, rand)
+
+
+def test_translation_rejects_a_randomized_base_and_an_unknown_side():
+    target = allocator_case()
+    args = ((), target.spec, _identity_phi(), "t")
+    with pytest.raises(
+        ValueError, match=r"^translation over randomized substrates is unsupported$"
+    ):
+        translate_case(randomized_allocator_case(), *args)
+    with pytest.raises(ValueError, match=r"^over must be 'spec' or 'impl'$"):
+        translate_case(target, *args, over="bogus")
 
 
 def test_counter_via_stack_passes_exact(explored):

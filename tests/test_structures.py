@@ -6,11 +6,16 @@ brute-force oracle written alongside the test.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from amortcheck import (
+    STOP,
     Charged,
+    Continue,
     CostMonoid,
     Mode,
     PotentialMorphism,
@@ -24,6 +29,7 @@ from amortcheck import (
     random_trace,
 )
 from amortcheck.structures import (
+    ALPHABET,
     UPDATE_FNS,
     allocator_case,
     array_potential,
@@ -59,8 +65,10 @@ def test_allocator_trace_totals_balance():
 
 
 def test_allocator_potential_is_shift_invariant():
+    case = allocator_case()
     for shift in (1, 3, 10):
-        assert explore(allocator_case(phi_shift=shift)).passed
+        phi = PotentialMorphism(lambda d, shift=shift: Charged(7 - d + shift, UNIT))
+        assert explore(dataclasses.replace(case, phi=phi)).passed
 
 
 # --- varying costs ----------------------------------------------------------
@@ -134,6 +142,101 @@ def test_dynarray_update_squares_charge_length_both_sides(explored):
             # both paths cost potential + |a|
             assert check.lhs_cost == array_potential(state) + len(state[1])
     assert explored("dynarray-update").passed
+
+
+# --- the list specification ------------------------------------------------
+# The hand-written specs the list-backed cases had before they shared
+# `list_spec`, kept as the reference it must reproduce.
+
+
+def _stack_push(states, e):
+    (l,) = states
+    return Charged(3, Continue(UNIT, ((e,) + l,)))
+
+
+def _stack_pop(states, arg):
+    (l,) = states
+    if not l:
+        return Charged(0, STOP)
+    return Charged(2, Continue(l[0], (l[1:],)))
+
+
+def _queue_enqueue(states, e):
+    (l,) = states
+    return Charged(2, Continue(UNIT, (l + (e,),)))
+
+
+def _queue_dequeue(states, arg):
+    (l,) = states
+    if not l:
+        return Charged(0, STOP)
+    return Charged(0, Continue(l[0], (l[1:],)))
+
+
+def _deque_push_front(states, e):
+    (l,) = states
+    return Charged(2, Continue(UNIT, ((e,) + l,)))
+
+
+def _deque_push_back(states, e):
+    (l,) = states
+    return Charged(2, Continue(UNIT, (l + (e,),)))
+
+
+def _deque_pop_front(states, arg):
+    (l,) = states
+    if not l:
+        return Charged(0, STOP)
+    return Charged(2, Continue(l[0], (l[1:],)))
+
+
+def _deque_pop_back(states, arg):
+    (l,) = states
+    if not l:
+        return Charged(0, STOP)
+    return Charged(2, Continue(l[-1], (l[:-1],)))
+
+
+def _translated_enqueue(states, e):
+    (l,) = states
+    return Charged(8, Continue(UNIT, (l + (e,),)))
+
+
+def _translated_dequeue(states, arg):
+    (l,) = states
+    if not l:
+        return Charged(0, STOP)
+    return Charged(2, Continue(l[0], (l[1:],)))
+
+
+LIST_SPEC_REFERENCE = {
+    "stack": {"push": _stack_push, "pop": _stack_pop},
+    "queue-lax": {"enqueue": _queue_enqueue, "dequeue": _queue_dequeue},
+    "queue-exact": {"enqueue": _queue_enqueue, "dequeue": _queue_dequeue},
+    "deque": {
+        "push_front": _deque_push_front,
+        "push_back": _deque_push_back,
+        "pop_front": _deque_pop_front,
+        "pop_back": _deque_pop_back,
+    },
+    "queue-via-stacks": {"enqueue": _translated_enqueue, "dequeue": _translated_dequeue},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_SPEC_REFERENCE))
+def test_list_spec_matches_the_hand_written_specs(name):
+    spec = get_case(name).spec
+    reference = LIST_SPEC_REFERENCE[name]
+    assert spec.state_domain.name == "list" and spec.seeds == ((),)
+    assert sorted(spec.sig_table) == sorted(reference)
+    lists = [l for n in range(5) for l in itertools.product(ALPHABET, repeat=n)]
+    for method in spec.methods:
+        want = reference[method.sig.name]
+        for l in lists:
+            for arg in method.sig.arg_domain:
+                got = method.run((l,), arg)
+                # Equal cost, and the same Stop, or observable and successor.
+                assert got == want((l,), arg), (method.sig.name, l, arg)
 
 
 # --- stack ------------------------------------------------------------------
