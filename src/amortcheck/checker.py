@@ -34,6 +34,7 @@ from .coalgebra import (
     VerificationCase,
     apply_phi_tuple,
     guard_outcome,
+    sum_images,
 )
 from .encoding import state_key
 from .errors import (
@@ -249,13 +250,17 @@ def explore(
     For every reached input tuple (all ordered in_arity-sized combinations
     of reached states, generated once each), every method and every
     argument in its domain, the amortization square is checked by the
-    case's one square engine (`_square_for`), built once per call. Once all
-    squares of a state are checked, its Continue successors are admitted in
-    order by the rule the seeds pass too: the case's `explore_filter`
-    first, then deduplication by typed value identity (`state_key`: equal
-    values of different types, such as ``1`` and ``True``, stay distinct),
-    the state cap and the state invariant; nothing past the depth limit is
-    admitted. Slack is read off the two costs of each square; the sides
+    case's one square engine (`_square_for`), built once per call. Φ runs
+    once on each state as it is expanded and once per successor. When a
+    method takes k >= 2 inputs, the Φ images of the expanded states are
+    kept in `states` order and each k-tuple sums its components' images
+    with `sum_images`, the fold `apply_phi_tuple` uses; unary-only cases
+    keep no images. Once all squares of a state are checked, its Continue
+    successors are admitted in order by the rule the seeds pass too: the
+    case's `explore_filter` first, then deduplication by typed value
+    identity (`state_key`: equal values of different types, such as ``1``
+    and ``True``, stay distinct), the state cap and the state invariant;
+    nothing past the depth limit is admitted. Slack is read off the two costs of each square; the sides
     and state text of a square are built only for the first `limit`
     failures, the counterexamples kept.
     """
@@ -285,6 +290,8 @@ def explore(
     counterexamples: List[SquareCheck] = []
     slack_max: Optional[Any] = None
     methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
+    phi = case.phi.phi
+    images = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
 
     # Candidates wait in `batch` for the one admission rule: first the
     # seeds, then the successors of each state, once its squares are done.
@@ -312,22 +319,19 @@ def explore(
         depth = depths[i] + 1
         can_expand = depth <= max_depth
         batch = []
-        one = (states[i],)
-        phi_one = None  # Φ of `one`, shared by every unary square
+        image = phi(states[i])
+        if images is not None:
+            images.append(image)
+        unary = (((states[i],), sum_images(monoid, (image,))),)  # with its Φ image
         for impl, spec, sig in methods:
             k = sig.in_arity
-            if k == 1:
-                if phi_one is None:
-                    phi_one = apply_phi_tuple(monoid, case.phi, one)
-                tuples = (one,)
-            else:
-                # Every ordered k-tuple over reached states, generated
-                # once: exactly those whose newest component is state i.
-                tuples = (tuple([states[j] for j in t]) for t in _tuples_with_max(i, k))
-            for inputs in tuples:
-                phi_cost, phi_values = (
-                    phi_one if k == 1 else apply_phi_tuple(monoid, case.phi, inputs)
-                )
+            # Every ordered k-tuple over reached states, generated once:
+            # exactly those whose newest component is state i.
+            tuples = unary if k == 1 else (
+                (tuple([states[j] for j in t]), sum_images(monoid, [images[j] for j in t]))
+                for t in _tuples_with_max(i, k)
+            )
+            for inputs, (phi_cost, phi_values) in tuples:
                 for arg in sig.arg_domain:
                     result = square(impl, spec, inputs, arg, phi_cost, phi_values)
                     verdict, lhs_cost, rhs_cost, successors, _, _ = result
@@ -361,18 +365,15 @@ def explore(
 
 
 def _point(case, sig, result):
-    """The one outcome of a trace step as (cost, outcome), shape-checked."""
-    if case.randomized:
-        if not result.dist.is_point():
-            raise UnsupportedArity(
-                f"{case.name}: trace checking needs point outcome "
-                f"distributions, {sig.name} branches"
-            )
-        cost, out = result.expected_cost, result.dist.branches[0][1]
-    else:
-        cost, out = result.cost, result.value
+    """The one outcome of a randomized trace step as (cost, outcome), shape-checked."""
+    if not result.dist.is_point():
+        raise UnsupportedArity(
+            f"{case.name}: trace checking needs point outcome "
+            f"distributions, {sig.name} branches"
+        )
+    out = result.dist.branches[0][1]
     guard_outcome(sig, out)
-    return cost, out
+    return result.expected_cost, out
 
 
 def check_trace(case: VerificationCase, trace: Trace) -> Report:
@@ -393,6 +394,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     t0 = time.perf_counter()
     mode = case.phi.mode
     monoid = case.monoid
+    combine, randomized = monoid.combine, case.randomized
 
     seed = seeds[trace.seed_index]
     phi0 = case.phi.phi(seed)
@@ -405,25 +407,32 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     stopped = False
     mismatches: List[TraceMismatch] = []
     methods = {
-        m.sig.name: (m, case.spec.method(m.sig.name), m.sig.sequential)
+        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.sequential)
         for m in case.impl.methods
     }
 
     for step_no, (method, arg) in enumerate(trace.steps):
         try:
-            impl, spec, sequential = methods[method]
+            impl_run, spec_run, sig, sequential = methods[method]
         except KeyError:
             raise UnknownMethod(method) from None
-        sig = impl.sig
         if not sequential:
             raise UnsupportedArity(
                 f"{method} is {sig.in_arity}-in/{sig.out_arity}-out; "
                 "traces cover sequential methods only"
             )
-        impl_cost, impl_out = _point(case, sig, impl.run((impl_state,), arg))
-        spec_cost, spec_out = _point(case, sig, spec.run((spec_state,), arg))
-        total_impl = monoid.combine(total_impl, impl_cost)
-        total_spec = monoid.combine(total_spec, spec_cost)
+        if randomized:
+            impl_cost, impl_out = _point(case, sig, impl_run((impl_state,), arg))
+            spec_cost, spec_out = _point(case, sig, spec_run((spec_state,), arg))
+        else:
+            res = impl_run((impl_state,), arg)
+            impl_cost, impl_out = res.cost, res.value
+            guard_outcome(sig, impl_out)
+            res = spec_run((spec_state,), arg)
+            spec_cost, spec_out = res.cost, res.value
+            guard_outcome(sig, spec_out)
+        total_impl = combine(total_impl, impl_cost)
+        total_spec = combine(total_spec, spec_cost)
         steps_run += 1
 
         impl_stop = impl_out is STOP

@@ -13,7 +13,7 @@ the potentials of parallel states must be summed order-independently.
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .charged import Charged
 from .cost import CostMonoid
@@ -96,15 +96,25 @@ class Stop:
 STOP = Stop()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Continue:
-    """Productive outcome: an observable plus the successor state slots."""
+    """Productive outcome: an observable plus the successor state slots.
+
+    `init=False` for the reason `Charged` gives.
+    """
 
     obs: Any
     states: Tuple[Any, ...]
 
+    def __init__(self, obs: Any, states: Tuple[Any, ...]):
+        _set_obs(self, obs)
+        _set_states(self, states)
+
     def __encode_parts__(self) -> tuple:
         return ("cont", self.obs, self.states)
+
+
+_set_obs, _set_states = Continue.obs.__set__, Continue.states.__set__
 
 
 Outcome = Any  # Stop | Continue
@@ -191,27 +201,30 @@ class PotentialMorphism:
     mode: Mode = Mode.EXACT
 
 
+def sum_images(monoid: CostMonoid, images: Iterable[Charged]) -> Tuple[Any, Tuple[Any, ...]]:
+    """Sum Φ images in slot order, costs from the identity: (cost, spec states)."""
+    combine, total, values = monoid.combine, monoid.identity, []
+    for ch in images:
+        total = combine(total, ch.cost)
+        values.append(ch.value)
+    return total, tuple(values)
+
+
 def apply_phi_tuple(
     monoid: CostMonoid, phi: PotentialMorphism, states: Tuple[Any, ...]
 ) -> Tuple[Any, Tuple[Any, ...]]:
-    """Apply the potential to a tuple of states: (summed cost, spec states).
+    """Apply the potential to a tuple of states and sum the images.
 
-    Costs combine left to right from the identity; the specification
-    states are collected positionally. More than one slot requires a
-    commutative monoid, since the summed potential of parallel states must
-    not depend on slot order.
+    Φ runs on each state in slot order; `sum_images` folds the images.
+    More than one slot requires a commutative monoid, since the summed
+    potential of parallel states must not depend on slot order.
     """
     if len(states) > 1 and not monoid.is_commutative:
         raise NonCommutativeTensor(
             f"cannot sum potentials of {len(states)} states over "
             f"non-commutative monoid {monoid.name}"
         )
-    combine, total, values = monoid.combine, monoid.identity, []
-    for s in states:
-        ch = phi.phi(s)
-        total = combine(total, ch.cost)
-        values.append(ch.value)
-    return total, tuple(values)
+    return sum_images(monoid, map(phi.phi, states))
 
 
 @dataclass(frozen=True)

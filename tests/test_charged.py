@@ -1,7 +1,9 @@
 """Charged values: sequencing, tensoring, and the expected-cost layer."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,21 @@ def test_slotted_value_classes_keep_their_contract(cls, fields):
     moved = dataclasses.replace(a, **{first: 7})
     assert getattr(moved, first) == 7 and moved != a
     assert Charged(1, "x") != (1, "x")
+    # The hand-written `__init__` keeps the generated one's signature.
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert cls(**dict(zip(names, fields))) == a
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(twin) is cls and twin == a
+    assert cls.__match_args__ == names
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields))
+    assert repr(a) == f"{cls.__name__}({shown})"
+    assert repr(Charged(1, "x")) == "Charged(cost=1, value='x')"
+    with pytest.raises(TypeError):
+        cls(fields[0])
+    with pytest.raises(TypeError):
+        cls(*fields, 7)
+    with pytest.raises(TypeError):
+        cls(*fields, extra=7)
 
 
 def test_outcome_encoding_and_distribution_order_are_unchanged():

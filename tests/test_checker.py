@@ -561,13 +561,15 @@ def _counted(case):
     [
         ("stack", 1749, 1749, 2329),
         ("queue-lax", 1539, 1539, 2051),
-        ("piggy", 1720, 1720, 5000),
+        ("piggy", 1720, 1720, 1800),
         ("rand-alloc", 4, 4, 8),
     ],
 )
 def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi):
-    # One impl and one spec call per square; Φ once per state for unary
-    # squares, once per input of each k-input tuple and once per successor.
+    # One impl and one spec call per square; Φ once per expanded state
+    # and once per successor. k-input tuples sum the expanded states' Φ
+    # images and call Φ no more: piggy's 1800 = 40 expanded states + 1760
+    # successors, where each of its 1600 merge pairs used to cost 2 more.
     case, counts = _counted(get_case(name))
     report = explore(case)
     assert report.squares_checked == impl
@@ -578,3 +580,46 @@ def test_check_square_makes_one_call_per_side_and_per_state():
     case, counts = _counted(get_case("piggy"))
     assert check_square(case, "merge", (2, 5)).verdict is Verdict.PASS
     assert counts == {"impl": 1, "spec": 1, "phi": 3}
+
+
+@pytest.mark.parametrize(
+    "name, steps, phi",
+    [
+        (
+            "deque",
+            (("push_front", "a"), ("push_back", "b"), ("pop_back", UNIT), ("pop_back", UNIT)),
+            2,
+        ),
+        ("stack", (("push", "a"), ("pop", UNIT), ("pop", UNIT)), 1),
+    ],
+    ids=["deque", "stack-pops-empty"],
+)
+def test_check_trace_makes_one_call_per_side_per_step(name, steps, phi):
+    # Φ runs on the seed and on the final state; a trace that ends in Stop
+    # (the stack's second pop) has no final state.
+    case, counts = _counted(get_case(name))
+    report = check_trace(case, Trace(steps))
+    assert report.passed and report.squares_checked == len(steps)
+    assert counts == {"impl": len(steps), "spec": len(steps), "phi": phi}
+
+
+def test_check_trace_guards_the_impl_step_before_its_spec_step():
+    # The impl breaks its shape at step 2, with two successors where one
+    # is declared: the spec transition of that step never runs.
+    sig = MethodSig("step")
+
+    def impl_run(states, arg):
+        (n,) = states
+        return charge(0, Continue(UNIT, (n + 1,) * (2 if n == 2 else 1)))
+
+    def spec_run(states, arg):
+        (n,) = states
+        return charge(0, Continue(UNIT, (n + 1,)))
+
+    impl = Coalgebra(StateDomain("nat"), (0,), (Method(sig, impl_run),))
+    spec = Coalgebra(StateDomain("nat"), (0,), (Method(sig, spec_run),))
+    phi = PotentialMorphism(lambda n: charge(0, n))
+    case, counts = _counted(VerificationCase("bad-shape", INT_COST, impl, spec, phi))
+    with pytest.raises(ArityMismatch, match="step produced 2 successor state"):
+        check_trace(case, Trace((("step", UNIT),) * 5))
+    assert counts == {"impl": 3, "spec": 2, "phi": 1}

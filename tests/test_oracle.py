@@ -21,6 +21,7 @@ from amortcheck import (
     RATIONAL_COST,
     STOP,
     TRACE_COST,
+    UNIT,
     Charged,
     Coalgebra,
     Continue,
@@ -293,3 +294,42 @@ def test_word_cost_explore_matches_reference_explorer():
     for seed in range(500, 800):
         case, bounds = random_case(random.Random(seed), words=True)
         assert_explore_matches_reference(case, bounds, seed)
+
+
+def three_input_case(mode):
+    """Token banks over `INT_COST` with a 3-input `join`; Φ(2) is wrong.
+
+    A bank of t tokens stores potential t, except that Φ(2) claims 3, so
+    every square with the bank 2 among its inputs or successors is off by
+    one. Spec states are the banks themselves and `join` observes its
+    inputs, so its behaviours compare the Φ values of the three slots in
+    slot order.
+    """
+    deposit = MethodSig("deposit")
+    join = MethodSig("join", in_arity=3, out_arity=1)
+    potential = {2: 3}
+
+    def methods(deposit_cost):
+        return (
+            Method(deposit, lambda ts, a: charge(deposit_cost, Continue(UNIT, (ts[0] + 1,)))),
+            Method(join, lambda ts, a: charge(0, Continue(ts, (sum(ts),)))),
+        )
+
+    return VerificationCase(
+        "three-input",
+        INT_COST,
+        Coalgebra(StateDomain("tokens"), (0,), methods(0)),
+        Coalgebra(StateDomain("tokens-spec"), (0,), methods(1)),
+        PotentialMorphism(lambda t: charge(potential.get(t, t), t), mode),
+    )
+
+
+def test_three_input_explore_matches_reference_explorer():
+    for mode in Mode:
+        case = three_input_case(mode)
+        for bounds in (
+            {"max_depth": 3, "max_states": 6, "limit": 10},
+            {"max_depth": 8, "max_states": 9, "limit": 4},
+        ):
+            assert_explore_matches_reference(case, bounds, (mode, bounds))
+            assert not explore(case, **bounds).passed
