@@ -7,7 +7,7 @@ space (exactly, or up to a cost inequality) and the telescoped identity
 over traces.
 """
 
-from .charged import Charged, Dist, ExpectedCharged, bind, charge, expect, tensor, unit
+from .charged import Charged, Dist, bind, charge, expect, tensor, unit
 from .checker import (
     Report,
     SquareCheck,
@@ -34,7 +34,6 @@ from .coalgebra import (
     StateDomain,
     Stop,
     VerificationCase,
-    apply_phi_tuple,
 )
 from .compose import (
     ProgramMethod,

@@ -4,10 +4,11 @@
 steps, combining their costs left to right in the ambient monoid. `tensor`
 combines independent charged values and therefore demands commutativity.
 
-For randomized structures, `expect` collapses a finite weighted family of
-charged outcomes into an `ExpectedCharged`: the exact expected cost next to
-a canonicalized outcome distribution. Weights are exact rationals; there is
-no sampling anywhere, which keeps every verdict reproducible.
+Randomization is one more effect in the same algebra: `expect` collapses a
+finite weighted family of charged outcomes into a `Charged` whose cost is
+the exact expected cost and whose value is the canonical outcome `Dist`.
+Weights are exact rationals; there is no sampling anywhere, which keeps
+every verdict reproducible.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,9 @@ from .errors import BadWeights, NonCommutativeTensor
 @dataclass(frozen=True, slots=True, init=False)
 class Charged:
     """A value of type A together with the cost spent producing it.
+
+    A randomized computation is a `Charged` too: its cost is the expected
+    cost and its value the outcome law, a `Dist` (see `expect`).
 
     `init=False`: every transition builds one, and this `__init__`, which
     stores through the slot descriptors, takes about half the time of the
@@ -99,31 +103,13 @@ class Dist:
         return len(self.branches) == 1
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ExpectedCharged:
-    """The expected-cost view of a randomized charged computation.
-
-    `init=False` for the reason `Charged` gives.
-    """
-
-    expected_cost: Fraction
-    dist: Dist
-
-    def __init__(self, expected_cost: Fraction, dist: Dist):
-        _set_expected_cost(self, expected_cost)
-        _set_dist(self, dist)
-
-
-_set_expected_cost, _set_dist = ExpectedCharged.expected_cost.__set__, ExpectedCharged.dist.__set__
-
-
-def expect(branches: Sequence[Tuple[Any, Charged]]) -> ExpectedCharged:
+def expect(branches: Sequence[Tuple[Any, Charged]]) -> Charged:
     """Collapse weighted charged branches to expected cost and outcome law.
 
-    This realizes the pass from a distribution of (cost, outcome) pairs to
-    an expected cost alongside a distribution of outcomes. Costs must live
-    in the rational cost model so the expectation is exact.
+    This realizes the map from a distribution of (cost, outcome) pairs to
+    a `Charged` of the expected cost and the `Dist` of outcomes. Costs must
+    live in the rational cost model so the expectation is exact.
     """
     dist = Dist.from_branches((w, ch.value) for w, ch in branches)
     expected = sum((Fraction(w) * Fraction(ch.cost) for w, ch in branches), Fraction(0))
-    return ExpectedCharged(expected, dist)
+    return Charged(expected, dist)

@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import product
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .charged import Charged, Dist, ExpectedCharged
+from .charged import Charged, Dist
 from .coalgebra import (
     STOP,
     UNIT,
@@ -32,7 +32,6 @@ from .coalgebra import (
     Mode,
     NamedFn,
     VerificationCase,
-    apply_phi_tuple,
     guard_outcome,
     sum_images,
 )
@@ -62,19 +61,19 @@ class SquareCheck:
     method: str
     inputs: Tuple[Any, ...]
     arg: Any
-    lhs: Union[Charged, ExpectedCharged]
-    rhs: Union[Charged, ExpectedCharged]
+    lhs: Charged
+    rhs: Charged
     verdict: Verdict
     inputs_serialized: Tuple[str, ...]
     arg_literal: str
 
     @property
     def lhs_cost(self) -> Any:
-        return _cost(self.lhs)
+        return self.lhs.cost
 
     @property
     def rhs_cost(self) -> Any:
-        return _cost(self.rhs)
+        return self.rhs.cost
 
 
 @dataclass(frozen=True)
@@ -114,31 +113,24 @@ class Trace:
     seed_index: int = 0
 
 
-def _cost(result: Union[Charged, ExpectedCharged]) -> Any:
-    if isinstance(result, ExpectedCharged):
-        return result.expected_cost
-    return result.cost
-
-
 def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
-    """The `SquareCheck` of a reported square: its sides and state text."""
+    """The `SquareCheck` of a reported square: its sides and state text.
+
+    A deterministic (observable, states) behaviour becomes a `Continue`;
+    `STOP` and a randomized `Dist` are the side's value as they are.
+    """
     verdict, lhs_cost, rhs_cost, _successors, lhs_beh, rhs_beh = square
-    if case.randomized:
-        lhs = ExpectedCharged(lhs_cost, lhs_beh)
-        rhs = ExpectedCharged(rhs_cost, rhs_beh)
-    else:
-        lhs = Charged(lhs_cost, lhs_beh if lhs_beh is STOP else Continue(*lhs_beh))
-        rhs = Charged(rhs_cost, rhs_beh if rhs_beh is STOP else Continue(*rhs_beh))
+    lhs = Charged(lhs_cost, Continue(*lhs_beh) if type(lhs_beh) is tuple else lhs_beh)
+    rhs = Charged(rhs_cost, Continue(*rhs_beh) if type(rhs_beh) is tuple else rhs_beh)
     ser = tuple(case.impl.state_domain.serialize(s) for s in inputs)
     return SquareCheck(method, tuple(inputs), arg, lhs, rhs, verdict, ser, arg_literal(arg))
 
 
 def _square_for(case: VerificationCase):
     """The one square engine, `_square`, with the case's constants bound."""
-    monoid, phi_morphism = case.monoid, case.phi
+    monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
-    phi = phi_morphism.phi
-    exact = phi_morphism.mode is Mode.EXACT
+    phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
     randomized = case.randomized
 
     def _square(impl, spec, inputs, arg, phi_cost, phi_values):
@@ -154,18 +146,18 @@ def _square_for(case: VerificationCase):
         """
         sig = impl.sig
         spec_res = spec.run(phi_values, arg)
+        lhs_cost = combine(phi_cost, spec_res.cost)
+        impl_res = impl.run(inputs, arg)
         if randomized:
-            spec_outs = spec_res.dist.branches
+            spec_outs = spec_res.value.branches
             for _w, out in spec_outs:
                 guard_outcome(sig, out)
             lhs_beh = Dist.from_branches(spec_outs)
-            lhs_cost = combine(phi_cost, spec_res.expected_cost)
-            impl_res = impl.run(inputs, arg)
-            rhs_cost, rhs_outs, successors = impl_res.expected_cost, [], []
-            for w, out in impl_res.dist.branches:
+            rhs_cost, rhs_outs, successors = impl_res.cost, [], []
+            for w, out in impl_res.value.branches:
                 guard_outcome(sig, out)
                 if out is not STOP:
-                    mapped_cost, mapped = apply_phi_tuple(monoid, phi_morphism, out.states)
+                    mapped_cost, mapped = sum_images(monoid, map(phi, out.states))
                     rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
                     successors.extend(out.states)
                     out = Continue(out.obs, mapped)
@@ -175,8 +167,6 @@ def _square_for(case: VerificationCase):
             spec_out = spec_res.value
             guard_outcome(sig, spec_out)
             lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
-            lhs_cost = combine(phi_cost, spec_res.cost)
-            impl_res = impl.run(inputs, arg)
             out = impl_res.value
             guard_outcome(sig, out)
             if out is STOP:
@@ -187,7 +177,7 @@ def _square_for(case: VerificationCase):
                     ch = phi(successors[0])
                     mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
                 else:
-                    mapped_cost, mapped = apply_phi_tuple(monoid, phi_morphism, successors)
+                    mapped_cost, mapped = sum_images(monoid, map(phi, successors))
                 rhs_cost = combine(impl_res.cost, mapped_cost)
                 rhs_beh = (out.obs, mapped)
 
@@ -218,7 +208,7 @@ def check_square(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
     spec = case.spec.method(method)
-    phi_cost, phi_values = apply_phi_tuple(case.monoid, case.phi, inputs)
+    phi_cost, phi_values = sum_images(case.monoid, map(case.phi.phi, inputs))
     square = _square_for(case)(impl, spec, inputs, arg, phi_cost, phi_values)
     return _mk_check(case, method, inputs, arg, square)
 
@@ -254,15 +244,15 @@ def explore(
     once on each state as it is expanded and once per successor. When a
     method takes k >= 2 inputs, the Φ images of the expanded states are
     kept in `states` order and each k-tuple sums its components' images
-    with `sum_images`, the fold `apply_phi_tuple` uses; unary-only cases
-    keep no images. Once all squares of a state are checked, its Continue
-    successors are admitted in order by the rule the seeds pass too: the
-    case's `explore_filter` first, then deduplication by typed value
-    identity (`state_key`: equal values of different types, such as ``1``
-    and ``True``, stay distinct), the state cap and the state invariant;
-    nothing past the depth limit is admitted. Slack is read off the two costs of each square; the sides
-    and state text of a square are built only for the first `limit`
-    failures, the counterexamples kept.
+    with `sum_images`, the one Φ fold; unary-only cases keep no images.
+    Once all squares of a state are checked, its Continue successors are
+    admitted in order by the rule the seeds pass too: the case's
+    `explore_filter` first, then deduplication by typed value identity
+    (`state_key`: equal values of different types, such as ``1`` and
+    ``True``, stay distinct), the state cap and the state invariant;
+    nothing past the depth limit is admitted. Slack is read off the two
+    costs of each square; the sides and state text of a square are built
+    only for the first `limit` failures, the counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -364,16 +354,14 @@ def explore(
     )
 
 
-def _point(case, sig, result):
-    """The one outcome of a randomized trace step as (cost, outcome), shape-checked."""
-    if not result.dist.is_point():
+def _point(case, sig, dist):
+    """The one outcome of a randomized trace step's `Dist`."""
+    if not dist.is_point():
         raise UnsupportedArity(
             f"{case.name}: trace checking needs point outcome "
             f"distributions, {sig.name} branches"
         )
-    out = result.dist.branches[0][1]
-    guard_outcome(sig, out)
-    return result.expected_cost, out
+    return dist.branches[0][1]
 
 
 def check_trace(case: VerificationCase, trace: Trace) -> Report:
@@ -421,16 +409,16 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                 f"{method} is {sig.in_arity}-in/{sig.out_arity}-out; "
                 "traces cover sequential methods only"
             )
+        res = impl_run((impl_state,), arg)
+        impl_cost, impl_out = res.cost, res.value
         if randomized:
-            impl_cost, impl_out = _point(case, sig, impl_run((impl_state,), arg))
-            spec_cost, spec_out = _point(case, sig, spec_run((spec_state,), arg))
-        else:
-            res = impl_run((impl_state,), arg)
-            impl_cost, impl_out = res.cost, res.value
-            guard_outcome(sig, impl_out)
-            res = spec_run((spec_state,), arg)
-            spec_cost, spec_out = res.cost, res.value
-            guard_outcome(sig, spec_out)
+            impl_out = _point(case, sig, impl_out)
+        guard_outcome(sig, impl_out)
+        res = spec_run((spec_state,), arg)
+        spec_cost, spec_out = res.cost, res.value
+        if randomized:
+            spec_out = _point(case, sig, spec_out)
+        guard_outcome(sig, spec_out)
         total_impl = combine(total_impl, impl_cost)
         total_spec = combine(total_spec, spec_cost)
         steps_run += 1

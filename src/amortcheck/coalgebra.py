@@ -150,8 +150,9 @@ class Method:
     """A signature together with its transition function.
 
     The transition takes (input state tuple, argument) and returns a
-    `Charged` outcome, or an `ExpectedCharged` outcome in randomized mode.
-    Transitions must be pure: equal inputs give equal charged outcomes.
+    `Charged` outcome; in randomized mode its cost is the expected cost and
+    its value a `Dist` of outcomes (see `charged.expect`). Transitions must
+    be pure: equal inputs give equal charged outcomes.
     """
 
     sig: MethodSig
@@ -202,29 +203,16 @@ class PotentialMorphism:
 
 
 def sum_images(monoid: CostMonoid, images: Iterable[Charged]) -> Tuple[Any, Tuple[Any, ...]]:
-    """Sum Φ images in slot order, costs from the identity: (cost, spec states)."""
+    """The one Φ fold: sum images in slot order, costs from the identity.
+
+    Returns (cost, spec states). Images of several slots are summed only in
+    cases whose monoid is commutative, which `VerificationCase` enforces.
+    """
     combine, total, values = monoid.combine, monoid.identity, []
     for ch in images:
         total = combine(total, ch.cost)
         values.append(ch.value)
     return total, tuple(values)
-
-
-def apply_phi_tuple(
-    monoid: CostMonoid, phi: PotentialMorphism, states: Tuple[Any, ...]
-) -> Tuple[Any, Tuple[Any, ...]]:
-    """Apply the potential to a tuple of states and sum the images.
-
-    Φ runs on each state in slot order; `sum_images` folds the images.
-    More than one slot requires a commutative monoid, since the summed
-    potential of parallel states must not depend on slot order.
-    """
-    if len(states) > 1 and not monoid.is_commutative:
-        raise NonCommutativeTensor(
-            f"cannot sum potentials of {len(states)} states over "
-            f"non-commutative monoid {monoid.name}"
-        )
-    return sum_images(monoid, map(phi.phi, states))
 
 
 @dataclass(frozen=True)

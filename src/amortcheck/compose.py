@@ -20,7 +20,7 @@ is unchanged, and the Stop's cost (zero in every structure here) still
 accumulates. Programs need this to probe emptiness and keep going.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Tuple
 
 from .charged import Charged, charge, tensor
@@ -76,13 +76,7 @@ def compose_phi(
 
 
 def _lift_method(method: Method, side: int, tag: str) -> Method:
-    sig = MethodSig(
-        name=f"{tag}.{method.sig.name}",
-        in_arity=1,
-        out_arity=1,
-        arg_domain=method.sig.arg_domain,
-        may_stop=method.sig.may_stop,
-    )
+    sig = replace(method.sig, name=f"{tag}.{method.sig.name}")
 
     def run(states, arg):
         (pair,) = states

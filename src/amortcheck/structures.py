@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .charged import Charged, ExpectedCharged, charge, expect
+from .charged import Charged, charge, expect
 from .coalgebra import (
     STOP,
     UNIT,
@@ -496,7 +496,7 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
     if not 0 <= p < 1:
         raise ValueError("p must be an exact rational in [0, 1)")
 
-    def impl_alloc(states, arg) -> ExpectedCharged:
+    def impl_alloc(states, arg) -> Charged:
         (d,) = states
         if d == 0:
             return expect(

@@ -15,7 +15,6 @@ from amortcheck import (
     Charged,
     Continue,
     Dist,
-    ExpectedCharged,
     NAT_COST,
     NonCommutativeTensor,
     TRACE_COST,
@@ -83,13 +82,15 @@ def test_tensor_cost_is_symmetric(c1, c2, v1, v2):
 
 def test_expect_degenerate_and_bernoulli():
     point = expect([(1, charge(Fraction(3), "x"))])
-    assert point.expected_cost == 3
-    assert point.dist == Dist.from_branches([(1, "x")])
+    assert point == Charged(Fraction(3), Dist.from_branches([(1, "x")]))
 
     half = Fraction(1, 2)
     mean = expect([(half, charge(Fraction(1), "x")), (half, charge(Fraction(0), "x"))])
-    assert mean.expected_cost == half
-    assert mean.dist == Dist.from_branches([(1, "x")])
+    assert type(mean) is Charged
+    assert mean.cost == half
+    assert mean.value == Dist.from_branches([(1, "x")])
+    split = expect([(half, charge(Fraction(1), "x")), (half, charge(Fraction(0), "y"))])
+    assert split == Charged(half, Dist.from_branches([(half, "x"), (half, "y")]))
 
 
 def _binomial_expectation_by_enumeration(k: int, p: Fraction) -> Fraction:
@@ -115,8 +116,7 @@ def test_expect_of_binomial_cost_matches_enumeration(k, p):
             w *= p if f else (1 - p)
         branches.append((w, charge(Fraction(sum(flips)), "done")))
     got = expect(branches)
-    assert got.expected_cost == oracle
-    assert got.dist == Dist.from_branches([(1, "done")])
+    assert got == Charged(oracle, Dist.from_branches([(1, "done")]))
 
 
 def test_expect_rejects_bad_weights():
@@ -141,12 +141,12 @@ def test_expect_is_linear_on_two_branch_mixtures(w, c1, c2, c3):
         [(w * wa, ch) for wa, ch in a] + [((1 - w) * wb, ch) for wb, ch in b]
     )
     ea, eb = expect(a), expect(b)
-    assert mixture.expected_cost == w * ea.expected_cost + (1 - w) * eb.expected_cost
+    assert mixture.cost == w * ea.cost + (1 - w) * eb.cost
     merged = Dist.from_branches(
-        [(w * wa, x) for wa, x in ea.dist.branches]
-        + [((1 - w) * wb, x) for wb, x in eb.dist.branches]
+        [(w * wa, x) for wa, x in ea.value.branches]
+        + [((1 - w) * wb, x) for wb, x in eb.value.branches]
     )
-    assert mixture.dist == merged
+    assert mixture.value == merged
 
 
 def test_dist_canonical_form_merges_and_orders():
@@ -162,10 +162,10 @@ def test_dist_canonical_form_merges_and_orders():
     "cls, fields",
     [
         (Charged, (1, "x")),
-        (ExpectedCharged, (Fraction(1, 2), Dist.from_branches([(1, "x")]))),
+        (Charged, (Fraction(1, 2), Dist.from_branches([(1, "x")]))),
         (Continue, ("x", ("s",))),
     ],
-    ids=["Charged", "ExpectedCharged", "Continue"],
+    ids=["Charged", "ChargedDist", "Continue"],
 )
 def test_slotted_value_classes_keep_their_contract(cls, fields):
     a, b = cls(*fields), cls(*fields)

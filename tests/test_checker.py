@@ -18,10 +18,10 @@ from amortcheck import (
     STOP,
     UNIT,
     ArityMismatch,
+    Charged,
     Coalgebra,
     Continue,
     Dist,
-    ExpectedCharged,
     Method,
     MethodSig,
     Mode,
@@ -157,7 +157,7 @@ def test_behavior_mismatch_takes_precedence_and_never_passes():
 def test_behavior_mismatch_when_phi_forgets_to_reverse():
     import dataclasses
 
-    from amortcheck import Charged, PotentialMorphism
+    from amortcheck import PotentialMorphism
 
     case = batched_queue_case(2)
     wrong = dataclasses.replace(
@@ -319,6 +319,19 @@ def test_expected_square_randomized_allocator_values():
     assert at2.lhs_cost == 1 and at2.rhs_cost == 1
 
 
+def test_rand_alloc_square_sides_are_charged_outcome_laws():
+    # rand-alloc is k = 4, p = 1/2: Φ(0) = 3/2 and the spec's coin costs 1/2.
+    check = check_square(get_case("rand-alloc"), "alloc", (0,))
+    assert check.verdict is Verdict.PASS
+    for side in (check.lhs, check.rhs):
+        assert type(side) is Charged and type(side.value) is Dist
+    assert check.lhs_cost == check.lhs.cost == Fraction(2)
+    assert check.rhs_cost == check.rhs.cost == Fraction(2)
+    assert check.lhs.value == check.rhs.value == Dist.from_branches(
+        [(1, Continue(UNIT, (UNIT,)))]
+    )
+
+
 def test_expected_point_distribution_matches_deterministic_verdict():
     rand = randomized_allocator_case(1, Fraction(0))
     expected = check_square(rand, "alloc", (0,))
@@ -396,7 +409,7 @@ def _fair_flip_case():
 
     def spec_flip(states, arg):
         law = Dist(((half, Continue(1, (UNIT,))), (half, Continue(0, (UNIT,)))))
-        return ExpectedCharged(Fraction(1), law)
+        return Charged(Fraction(1), law)
 
     impl = Coalgebra(StateDomain("bit"), (0,), (Method(sig, impl_flip),))
     spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_flip),))
@@ -408,8 +421,8 @@ def test_spec_law_is_canonicalized_like_the_impl_law():
     case = _fair_flip_case()
     check = check_square(case, "flip", (0,))
     assert check.verdict is Verdict.PASS
-    assert check.lhs.dist == check.rhs.dist
-    assert check.lhs.dist == Dist.from_branches(check.lhs.dist.branches)
+    assert check.lhs.value == check.rhs.value
+    assert check.lhs.value == Dist.from_branches(check.lhs.value.branches)
     report = explore(case)
     assert report.passed
     assert (report.states_explored, report.squares_checked) == (2, 2)

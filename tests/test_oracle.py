@@ -3,13 +3,17 @@
 `reference_explore` keys states on their serialization, recomputes Φ for
 every square, filters the full product of state indices for k-input tuples
 and checks each square with `reference_square`, which builds both sides as
-`Charged`/`ExpectedCharged` values and compares them whole, apart from the
-checker's own square engine. Both explorers run on random small coalgebras
+`Charged` values and compares them whole, apart from the checker's own
+square engine. Both explorers run on random small coalgebras
 over Fin n, whose states are labelled with values that Python compares
 equal in pairs (``1``, ``True``, ``Fraction(1)``, ...) but that serialize
 apart, in a deterministic, a randomized and a word-cost flavour (string
 costs over the non-commutative `TRACE_COST`). The reports must agree
 on every count, on the slack and on the kept counterexamples, in order.
+
+The same generator also checks the telescoping theorem: along a trace
+whose squares all pass, `check_trace` passes, and in exact mode a trace
+whose last square alone fails on cost, observable or Stop fails.
 """
 
 import random
@@ -26,21 +30,24 @@ from amortcheck import (
     Coalgebra,
     Continue,
     Dist,
-    ExpectedCharged,
     Method,
     MethodSig,
     Mode,
     PotentialMorphism,
     SquareCheck,
     StateDomain,
+    Trace,
     VerificationCase,
     Verdict,
-    apply_phi_tuple,
     charge,
+    check_square,
+    check_trace,
     expect,
     explore,
+    random_trace,
 )
 from amortcheck.checker import arg_literal
+from amortcheck.coalgebra import sum_images
 from amortcheck.encoding import encode
 
 LABELS = (0, 1, True, Fraction(1), (1,), (True,), "1", None)
@@ -56,33 +63,29 @@ def reference_square(case, method, inputs, arg):
     """The square at `inputs` with both sides built and compared whole."""
     monoid = case.monoid
     impl = case.impl.method(method)
-    phi_cost, phi_values = apply_phi_tuple(monoid, case.phi, inputs)
+    phi_cost, phi_values = sum_images(monoid, map(case.phi.phi, inputs))
     spec_res = case.spec.method(method).run(phi_values, arg)
     impl_res = impl.run(inputs, arg)
     if case.randomized:
-        spec_cost, spec_outs = spec_res.expected_cost, spec_res.dist.branches
-        rhs_cost, impl_outs = impl_res.expected_cost, impl_res.dist.branches
+        spec_outs, impl_outs = spec_res.value.branches, impl_res.value.branches
     else:
-        spec_cost, spec_outs = spec_res.cost, ((1, spec_res.value),)
-        rhs_cost, impl_outs = impl_res.cost, ((1, impl_res.value),)
-    lhs_cost = monoid.combine(phi_cost, spec_cost)
-    rhs_outs = []
+        spec_outs, impl_outs = ((1, spec_res.value),), ((1, impl_res.value),)
+    lhs_cost = monoid.combine(phi_cost, spec_res.cost)
+    rhs_cost, rhs_outs = impl_res.cost, []
     for w, out in impl_outs:
         if out is not STOP:
-            mapped_cost, mapped = apply_phi_tuple(monoid, case.phi, out.states)
+            mapped_cost, mapped = sum_images(monoid, map(case.phi.phi, out.states))
             rhs_cost = monoid.combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
             out = Continue(out.obs, mapped)
         rhs_outs.append((w, out))
     if case.randomized:
-        lhs = ExpectedCharged(lhs_cost, Dist.from_branches(spec_outs))
-        rhs = ExpectedCharged(rhs_cost, Dist.from_branches(rhs_outs))
-        same = lhs.dist == rhs.dist
+        lhs = Charged(lhs_cost, Dist.from_branches(spec_outs))
+        rhs = Charged(rhs_cost, Dist.from_branches(rhs_outs))
     else:
         lhs = Charged(lhs_cost, spec_outs[0][1])
         rhs = Charged(rhs_cost, rhs_outs[0][1])
-        same = lhs.value == rhs.value
     exact = case.phi.mode is Mode.EXACT
-    if not same:
+    if lhs.value != rhs.value:
         verdict = Verdict.BEHAVIOR_MISMATCH
     elif lhs_cost == rhs_cost if exact else monoid.leq(rhs_cost, lhs_cost):
         verdict = Verdict.PASS
@@ -130,7 +133,7 @@ def reference_explore(case, max_depth, max_states, limit):
                         if len(kept) < limit:
                             kept.append(check)
                     res = m.run(inputs, arg)
-                    outs = res.dist.branches if case.randomized else ((1, res.value),)
+                    outs = res.value.branches if case.randomized else ((1, res.value),)
                     for _w, out in outs:
                         if succ_depth <= max_depth and out is not STOP:
                             for s in out.states:
@@ -294,6 +297,65 @@ def test_word_cost_explore_matches_reference_explorer():
     for seed in range(500, 800):
         case, bounds = random_case(random.Random(seed), words=True)
         assert_explore_matches_reference(case, bounds, seed)
+
+
+def square_walk(case, trace):
+    """The squares along `trace`, up to its first failing square or Stop.
+
+    Returns the steps walked and each step's square; `check_square` checks
+    each from the current impl state, whose successor the impl gives.
+    """
+    state = case.impl.seeds[trace.seed_index]
+    checks = []
+    for method, arg in trace.steps:
+        checks.append(check_square(case, method, (state,), arg))
+        out = case.impl.method(method).run((state,), arg).value
+        if checks[-1].verdict is not Verdict.PASS or out is STOP:
+            break
+        state = out.states[0]
+    return trace.steps[: len(checks)], checks
+
+
+def telescope_outcomes(case, rng, traces=4, max_steps=8):
+    """Walk random traces and check each against its squares.
+
+    Yields "pass" for a trace whose squares all pass, which `check_trace`
+    must pass. In exact mode, yields the kind of a trace whose last square
+    alone fails, on cost or on its observable or Stop tag, which
+    `check_trace` must fail.
+    """
+    for _ in range(traces):
+        trace = random_trace(case, max_steps, rng)
+        steps, checks = square_walk(case, trace)
+        report = check_trace(case, Trace(steps, trace.seed_index))
+        if not checks or checks[-1].verdict is Verdict.PASS:
+            assert report.passed, (steps, report.counterexamples)
+            yield "pass"
+        elif case.phi.mode is Mode.EXACT:
+            last = checks[-1]
+            lhs, rhs = last.lhs.value, last.rhs.value
+            if (lhs is STOP) != (rhs is STOP) or lhs is not STOP and lhs.obs != rhs.obs:
+                kind = "behaviour"
+            elif last.lhs_cost != last.rhs_cost:
+                kind = "cost"
+            else:
+                continue  # only the spec successor differs, which traces do not see
+            assert not report.passed, (steps, kind)
+            yield kind
+
+
+def test_square_passes_telescope_along_random_traces():
+    seen = {}  # (word flavour, mode) -> kinds of trace met
+    for seed in range(800, 1100):
+        for words in (False, True):
+            rng = random.Random(seed)
+            case, _bounds = random_case(rng, words=words)
+            # `TRACE_COST` is unordered, so words are checked exactly only.
+            for mode in (Mode.EXACT,) if words else tuple(Mode):
+                kinds = seen.setdefault((words, mode), set())
+                kinds.update(telescope_outcomes(case.with_mode(mode), rng))
+    assert all("pass" in kinds for kinds in seen.values()), seen
+    assert all({"cost", "behaviour"} <= seen[words, Mode.EXACT] for words in (False, True))
 
 
 def three_input_case(mode):

@@ -1,0 +1,40 @@
+"""Smoke test of the benchmark harness against the current sources.
+
+`perfbench/worker.py` runs one pass in a fresh process and prints one JSON
+object as its last line. A traced `merge` pass and the negative controls
+must still run and come out right, so a change to any API `perfbench/`
+reads fails here too. No `--spans` path is passed and no bytecode is
+written, so nothing lands under `perfbench/`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_worker(*flags):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", "merge", "--seed", "1", *flags],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("flag", ["--traced", "--controls"])
+def test_worker_pass_is_correct(flag):
+    out = run_worker(flag)
+    assert out["wrong"] == []
+    if flag == "--traced":
+        assert out["layers"]["explored"]["piggy"][0] == 200
