@@ -20,7 +20,6 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .charged import Charged, Dist
@@ -213,20 +212,24 @@ def check_square(
     return _mk_check(case, method, inputs, arg, square)
 
 
-def _tuples_with_max(i: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """The k-tuples over range(i + 1) whose largest entry is i.
+def _tuples_with_max(entries, i: int, k: int, monoid) -> Iterator[tuple]:
+    """(inputs, Φ cost, Φ spec states) of each k-tuple over entries[:i + 1] containing i.
 
-    Yields them in lexicographic order: the order of
-    ``product(range(i + 1), repeat=k)`` restricted to those tuples.
+    `entries` holds (state, Φ cost, Φ spec state) per state. Tuples come in
+    ``product(range(i + 1), repeat=k)`` order, each a shared (k-1)-prefix,
+    built once, plus one component; costs fold as `sum_images` does.
     """
-    if k == 1:
-        yield (i,)
-        return
-    for head in range(i):
-        for rest in _tuples_with_max(i, k - 1):
-            yield (head,) + rest
-    for rest in product(range(i + 1), repeat=k - 1):
-        yield (i,) + rest
+    combine, head, last = monoid.combine, entries[: i + 1], entries[i]
+    prefixes = [((), monoid.identity, (), False)]  # + whether index i occurs
+    for _ in range(k - 1):
+        prefixes = [
+            (inputs + (s,), combine(cost, c), values + (v,), has or j == i)
+            for inputs, cost, values, has in prefixes
+            for j, (s, c, v) in enumerate(head)
+        ]
+    for inputs, cost, values, has in prefixes:
+        for s, c, v in head if has else (last,):
+            yield inputs + (s,), combine(cost, c), values + (v,)
 
 
 def explore(
@@ -241,18 +244,16 @@ def explore(
     of reached states, generated once each), every method and every
     argument in its domain, the amortization square is checked by the
     case's one square engine (`_square_for`), built once per call. Φ runs
-    once on each state as it is expanded and once per successor. When a
-    method takes k >= 2 inputs, the Φ images of the expanded states are
-    kept in `states` order and each k-tuple sums its components' images
-    with `sum_images`, the one Φ fold; unary-only cases keep no images.
-    Once all squares of a state are checked, its Continue successors are
-    admitted in order by the rule the seeds pass too: the case's
-    `explore_filter` first, then deduplication by typed value identity
-    (`state_key`: equal values of different types, such as ``1`` and
-    ``True``, stay distinct), the state cap and the state invariant;
-    nothing past the depth limit is admitted. Slack is read off the two
-    costs of each square; the sides and state text of a square are built
-    only for the first `limit` failures, the counterexamples kept.
+    once on each state as it is expanded and once per successor. For k >= 2
+    inputs each expanded state keeps a (state, Φ cost, Φ spec state) entry
+    and `_tuples_with_max` extends shared prefixes of them; unary-only
+    cases keep none. Once a state's squares are checked, its successors
+    are admitted in order by the rule the seeds pass too: `explore_filter`,
+    dedup by typed value (`state_key`: ``1`` and ``True`` stay distinct),
+    the state cap and the state invariant, none past the depth limit. Once
+    the cap refuses an unseen state no more successors are collected (a
+    cap merely reached stops nothing). Sides and state text are built only
+    for the first `limit` failures, the counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -275,13 +276,13 @@ def explore(
     states: List[Any] = []
     depths: List[int] = []
     seen = set()
-    squares = 0
-    failures = 0
+    squares = failures = 0
     counterexamples: List[SquareCheck] = []
     slack_max: Optional[Any] = None
     methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
-    phi = case.phi.phi
-    images = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
+    phi, combine, identity = case.phi.phi, monoid.combine, monoid.identity
+    entries = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
+    full = False  # the cap has refused an unseen state: nothing more gets in
 
     # Candidates wait in `batch` for the one admission rule: first the
     # seeds, then the successors of each state, once its squares are done.
@@ -292,8 +293,10 @@ def explore(
             if keep is not None and not keep(s):
                 continue
             key = state_key(s)
-            if key in seen or len(states) >= max_states:
+            if key in seen:
                 continue
+            if full := len(states) >= max_states:
+                break
             if invariant is not None and not invariant(s):
                 raise StateInvariantViolation(
                     f"{case.name}: state {case.impl.state_domain.serialize(s)} "
@@ -307,21 +310,18 @@ def explore(
         # Breadth-first admission keeps depths sorted, so state i is the
         # deepest component of every tuple it closes.
         depth = depths[i] + 1
-        can_expand = depth <= max_depth
+        can_expand = not full and depth <= max_depth
         batch = []
         image = phi(states[i])
-        if images is not None:
-            images.append(image)
-        unary = (((states[i],), sum_images(monoid, (image,))),)  # with its Φ image
+        if entries is not None:
+            entries.append((states[i], image.cost, image.value))
+        unary = (((states[i],), combine(identity, image.cost), (image.value,)),)
         for impl, spec, sig in methods:
             k = sig.in_arity
             # Every ordered k-tuple over reached states, generated once:
             # exactly those whose newest component is state i.
-            tuples = unary if k == 1 else (
-                (tuple([states[j] for j in t]), sum_images(monoid, [images[j] for j in t]))
-                for t in _tuples_with_max(i, k)
-            )
-            for inputs, (phi_cost, phi_values) in tuples:
+            tuples = unary if k == 1 else _tuples_with_max(entries, i, k, monoid)
+            for inputs, phi_cost, phi_values in tuples:
                 for arg in sig.arg_domain:
                     result = square(impl, spec, inputs, arg, phi_cost, phi_values)
                     verdict, lhs_cost, rhs_cost, successors, _, _ = result

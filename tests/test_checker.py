@@ -21,6 +21,7 @@ from amortcheck import (
     Charged,
     Coalgebra,
     Continue,
+    CostMonoid,
     Dist,
     Method,
     MethodSig,
@@ -46,12 +47,14 @@ from amortcheck import (
     random_trace,
 )
 from amortcheck.checker import _tuples_with_max
+from amortcheck.coalgebra import sum_images
 from amortcheck.encoding import encode
 from amortcheck.structures import (
     allocator_case,
     batched_queue_case,
     broken_allocator_case,
     buffer_case,
+    piggy_bank_case,
     randomized_allocator_case,
 )
 
@@ -133,8 +136,9 @@ def test_counterexamples_round_trip_through_check_square():
         get_case("queue-lax").with_mode(Mode.EXACT),
         _one_method_case(Continue(1.5, (0,)), Continue(2.5, (0,))),
         _coin_stop_case(Fraction(1, 4)),
+        _piggy_with_wrong_phi_at_two(),
     ]
-    verdicts = set()
+    verdicts, arities = set(), set()
     for case in cases:
         report = explore(case)
         assert report.counterexamples, case.name
@@ -143,7 +147,17 @@ def test_counterexamples_round_trip_through_check_square():
             for field in ("lhs", "rhs", "verdict", "inputs_serialized", "arg_literal"):
                 assert getattr(again, field) == getattr(c, field), (case.name, field)
             verdicts.add(c.verdict)
+            arities.add(len(c.inputs))
     assert verdicts == {Verdict.COST_MISMATCH, Verdict.BEHAVIOR_MISMATCH}
+    # merge pairs take their Φ cost from a shared prefix in `explore` and
+    # from `sum_images` in `check_square`
+    assert arities == {1, 2}
+
+
+def _piggy_with_wrong_phi_at_two():
+    case = piggy_bank_case()
+    phi = PotentialMorphism(lambda t: Charged(t + (t == 2), UNIT), case.phi.mode)
+    return replace(case, phi=phi)
 
 
 def test_behavior_mismatch_takes_precedence_and_never_passes():
@@ -505,11 +519,53 @@ def test_explore_keeps_equal_values_of_different_types_apart():
     assert [encode(s) for s in seen] == ["i1", "b1", "q1/1", "t(i1)", "t(b1)"]
 
 
+# Commutative by declaration only: its sums are terms that record the fold.
+TERM_COST = CostMonoid("terms", "0", lambda a, b: ("+", a, b), True)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("i", range(7))
 def test_tuples_with_max_matches_filtered_product(i, k):
+    # State j has Φ image Charged(f"c{j}", f"v{j}"); entries past i must
+    # not be used. A term cost pins the left fold from the identity.
+    entries = [(f"s{j}", f"c{j}", f"v{j}") for j in range(9)]
     expected = [t for t in product(range(i + 1), repeat=k) if max(t) == i]
-    assert list(_tuples_with_max(i, k)) == expected
+    got = list(_tuples_with_max(entries, i, k, TERM_COST))
+    assert [inputs for inputs, _, _ in got] == [tuple(f"s{j}" for j in t) for t in expected]
+    for t, (_, cost, values) in zip(expected, got):
+        images = [Charged(f"c{j}", f"v{j}") for j in t]
+        assert (cost, values) == sum_images(TERM_COST, images), t
+    if (i, k) == (1, 2):
+        assert got[0][1] == ("+", ("+", "0", "c0"), "c1")
+
+
+def _filter_counted(case):
+    calls = [0]
+
+    def keep(state):
+        calls[0] += 1
+        return True
+
+    return replace(case, explore_filter=keep), calls
+
+
+def test_state_cap_stops_collecting_once_it_refuses_an_unseen_state():
+    # At the merge benchmark's bounds the cap binds at state 200; after
+    # that no successor is filtered, keyed or looked up (filtering every
+    # candidate would take 40,801 calls).
+    case, calls = _filter_counted(piggy_bank_case())
+    report = explore(case, max_depth=64, max_states=200)
+    got = (report.verdict, report.states_explored, report.squares_checked, report.slack_max)
+    assert got == ("pass", 200, 40_600, 0)
+    assert calls[0] == 10_604
+    # allocator's space is closed at its 8 seeds: a cap that is reached
+    # but never refuses a state stops nothing.
+    runs = []
+    for max_states in (None, 8):
+        case, calls = _filter_counted(allocator_case())
+        report = replace(explore(case, max_states=max_states), wall_time=0)
+        runs.append((calls[0], report))
+    assert runs[0] == runs[1] and runs[0][0] == 16 and runs[0][1].states_explored == 8
 
 
 def test_check_square_fills_serialized_inputs():
