@@ -6,9 +6,9 @@ combines independent charged values and therefore demands commutativity.
 
 Randomization is one more effect in the same algebra: `expect` collapses a
 finite weighted family of charged outcomes into a `Charged` whose cost is
-the exact expected cost and whose value is the canonical outcome `Dist`.
-Weights are exact rationals; there is no sampling anywhere, which keeps
-every verdict reproducible.
+the exact expected cost and whose value is the outcome `Dist`, validated
+and made canonical as it is built. Weights are exact rationals and nothing
+is sampled, so every verdict is reproducible.
 """
 
 from dataclasses import dataclass
@@ -71,33 +71,31 @@ def tensor(monoid: CostMonoid, a: Charged, b: Charged) -> Charged:
     return Charged(monoid.combine(a.cost, b.cost), (a.value, b.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dist:
-    """A finitely-supported distribution in canonical form.
+    """A finitely-supported distribution, canonical by construction.
 
-    Branches are (weight, outcome) pairs with exact positive weights that
-    sum to 1. Equal outcomes are merged and branches are sorted by the
-    deterministic serialization of their outcome, so distribution equality
-    is structural equality.
+    `Dist(branches)` takes (weight, outcome) pairs. Weights must be exact,
+    positive and sum to 1, else `BadWeights`. Equal outcomes (by typed
+    encoding) are merged and branches sorted by that encoding, so every
+    `Dist` is a valid law in canonical form and equality is structural.
     """
 
     branches: Tuple[Tuple[Fraction, Any], ...]
 
-    @staticmethod
-    def from_branches(branches: Iterable[Tuple[Any, Any]]) -> "Dist":
-        merged = {}
-        outcomes = {}
+    def __init__(self, branches: Iterable[Tuple[Any, Any]]):
+        merged, outcomes = {}, {}
         for w, x in branches:
             w = Fraction(w)
             if w <= 0:
                 raise BadWeights(f"non-positive weight {w}")
             key = encode(x)
-            merged[key] = merged.get(key, Fraction(0)) + w
+            merged[key] = merged.get(key, 0) + w
             outcomes[key] = x
-        if sum(merged.values(), Fraction(0)) != 1:
+        if sum(merged.values()) != 1:
             raise BadWeights("weights must sum exactly to 1")
         ordered = tuple((merged[k], outcomes[k]) for k in sorted(merged))
-        return Dist(ordered)
+        object.__setattr__(self, "branches", ordered)
 
     def is_point(self) -> bool:
         return len(self.branches) == 1
@@ -110,6 +108,6 @@ def expect(branches: Sequence[Tuple[Any, Charged]]) -> Charged:
     a `Charged` of the expected cost and the `Dist` of outcomes. Costs must
     live in the rational cost model so the expectation is exact.
     """
-    dist = Dist.from_branches((w, ch.value) for w, ch in branches)
+    dist = Dist((w, ch.value) for w, ch in branches)
     expected = sum((Fraction(w) * Fraction(ch.cost) for w, ch in branches), Fraction(0))
     return Charged(expected, dist)

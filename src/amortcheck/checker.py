@@ -93,11 +93,14 @@ class Report:
     mode: Mode
     states_explored: int
     squares_checked: int
-    passed: bool
     failures: int
     counterexamples: Tuple[Counterexample, ...]
     wall_time: float
     slack_max: Optional[Any] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     @property
     def verdict(self) -> str:
@@ -140,20 +143,19 @@ def _square_for(case: VerificationCase):
         and builds no sides: `_mk_check` does, for reported squares only.
         A deterministic behaviour is `STOP` or (observable, states), the
         impl's states taken through Φ (summed from the identity, left to
-        right, after the impl's cost); a randomized one is a canonical
-        `Dist` on both sides.
+        right, after the impl's cost); a randomized one is a `Dist` on both
+        sides, the spec's law as the spec returned it.
         """
         sig = impl.sig
         spec_res = spec.run(phi_values, arg)
         lhs_cost = combine(phi_cost, spec_res.cost)
         impl_res = impl.run(inputs, arg)
         if randomized:
-            spec_outs = spec_res.value.branches
-            for _w, out in spec_outs:
+            lhs_beh = _law(sig, spec_res.value)
+            for _w, out in lhs_beh.branches:
                 guard_outcome(sig, out)
-            lhs_beh = Dist.from_branches(spec_outs)
             rhs_cost, rhs_outs, successors = impl_res.cost, [], []
-            for w, out in impl_res.value.branches:
+            for w, out in _law(sig, impl_res.value).branches:
                 guard_outcome(sig, out)
                 if out is not STOP:
                     mapped_cost, mapped = sum_images(monoid, map(phi, out.states))
@@ -161,7 +163,7 @@ def _square_for(case: VerificationCase):
                     successors.extend(out.states)
                     out = Continue(out.obs, mapped)
                 rhs_outs.append((w, out))
-            rhs_beh = Dist.from_branches(rhs_outs)
+            rhs_beh = Dist(rhs_outs)
         else:
             spec_out = spec_res.value
             guard_outcome(sig, spec_out)
@@ -346,7 +348,6 @@ def explore(
         mode=case.phi.mode,
         states_explored=len(states),
         squares_checked=squares,
-        passed=failures == 0,
         failures=failures,
         counterexamples=tuple(counterexamples),
         wall_time=time.perf_counter() - t0,
@@ -354,9 +355,16 @@ def explore(
     )
 
 
+def _law(sig, value) -> Dist:
+    """A randomized transition's outcome law: a `Dist`, else `ArityMismatch`."""
+    if type(value) is Dist:
+        return value
+    raise ArityMismatch(f"{sig.name} returned {type(value).__name__} in a randomized case")
+
+
 def _point(case, sig, dist):
     """The one outcome of a randomized trace step's `Dist`."""
-    if not dist.is_point():
+    if not _law(sig, dist).is_point():
         raise UnsupportedArity(
             f"{case.name}: trace checking needs point outcome "
             f"distributions, {sig.name} branches"
@@ -471,7 +479,6 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         mode=mode,
         states_explored=steps_run + 1,
         squares_checked=steps_run,
-        passed=not mismatches,
         failures=len(mismatches),
         counterexamples=tuple(mismatches),
         wall_time=time.perf_counter() - t0,

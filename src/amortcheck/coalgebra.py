@@ -121,15 +121,20 @@ Outcome = Any  # Stop | Continue
 
 
 def guard_outcome(sig: MethodSig, outcome: Outcome) -> None:
-    """Transitions must honor their declared shape (else `ArityMismatch`)."""
-    if outcome is STOP:
-        if not sig.may_stop:
-            raise ArityMismatch(f"{sig.name} returned Stop but is not may_stop")
-    elif len(outcome.states) != sig.out_arity:
-        raise ArityMismatch(
-            f"{sig.name} produced {len(outcome.states)} successor state(s), "
-            f"declared out_arity is {sig.out_arity}"
-        )
+    """Transitions must honor their declared shape (else `ArityMismatch`):
+    `STOP` or a `Continue`, so a `Dist` outside a randomized case is refused."""
+    try:
+        if outcome is STOP:
+            if not sig.may_stop:
+                raise ArityMismatch(f"{sig.name} returned Stop but is not may_stop")
+        elif len(outcome.states) != sig.out_arity:
+            raise ArityMismatch(
+                f"{sig.name} produced {len(outcome.states)} successor state(s), "
+                f"declared out_arity is {sig.out_arity}"
+            )
+    except AttributeError:
+        kind = type(outcome).__name__
+        raise ArityMismatch(f"{sig.name} returned {kind}, not Stop or Continue") from None
 
 
 @dataclass(frozen=True)
@@ -219,10 +224,10 @@ def sum_images(monoid: CostMonoid, images: Iterable[Charged]) -> Tuple[Any, Tupl
 class VerificationCase:
     """Everything the checker needs: impl, spec, potential and bounds.
 
-    `max_depth`/`max_states` are the case's documented exploration bounds;
-    the CLI uses them when no explicit flags are given. `explore_filter`,
-    when present, restricts the explored state space: successors falling
-    outside it are not admitted to the frontier.
+    `max_depth`/`max_states` bound exploration when no explicit bounds are
+    given; a case states its own only where the default would not bind.
+    `explore_filter`, when present, restricts the explored state space:
+    successors falling outside it are not admitted to the frontier.
     """
 
     name: str

@@ -2,7 +2,7 @@
 
 Each constructor returns a `VerificationCase` bundling an implementation
 coalgebra, a specification coalgebra over the same signature table, the
-potential morphism relating them, and documented exploration bounds.
+potential morphism relating them, and any exploration bound that binds.
 Element alphabets are fixed two-symbol sets so exhaustive exploration stays
 small while still distinguishing order-sensitive mistakes.
 """
@@ -78,8 +78,6 @@ def allocator_case() -> VerificationCase:
         impl=cyclic_allocator(8),
         spec=spec,
         phi=phi,
-        max_depth=16,
-        max_states=64,
     )
 
 
@@ -128,7 +126,6 @@ def varying_cost_case(defect_at: Optional[int] = None) -> VerificationCase:
         spec=spec,
         phi=phi,
         max_depth=_VARY_N,
-        max_states=_VARY_N + 8,
     )
 
 
@@ -276,7 +273,6 @@ def stack_case() -> VerificationCase:
         spec=spec,
         phi=phi,
         max_depth=8,
-        max_states=5000,
     )
 
 
@@ -329,7 +325,6 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
         spec=spec,
         phi=phi,
         max_depth=7,
-        max_states=5000,
     )
 
 
@@ -411,7 +406,6 @@ def deque_case() -> VerificationCase:
         impl=impl,
         spec=spec,
         phi=phi,
-        max_depth=12,
         max_states=17000,
         explore_filter=lambda st: len(st[0]) <= 6 and len(st[1]) <= 6,
     )
@@ -528,8 +522,6 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
         spec=spec,
         phi=phi,
         randomized=True,
-        max_depth=2 * k,
-        max_states=k + 4,
     )
 
 

@@ -82,15 +82,15 @@ def test_tensor_cost_is_symmetric(c1, c2, v1, v2):
 
 def test_expect_degenerate_and_bernoulli():
     point = expect([(1, charge(Fraction(3), "x"))])
-    assert point == Charged(Fraction(3), Dist.from_branches([(1, "x")]))
+    assert point == Charged(Fraction(3), Dist([(1, "x")]))
 
     half = Fraction(1, 2)
     mean = expect([(half, charge(Fraction(1), "x")), (half, charge(Fraction(0), "x"))])
     assert type(mean) is Charged
     assert mean.cost == half
-    assert mean.value == Dist.from_branches([(1, "x")])
+    assert mean.value == Dist([(1, "x")])
     split = expect([(half, charge(Fraction(1), "x")), (half, charge(Fraction(0), "y"))])
-    assert split == Charged(half, Dist.from_branches([(half, "x"), (half, "y")]))
+    assert split == Charged(half, Dist([(half, "x"), (half, "y")]))
 
 
 def _binomial_expectation_by_enumeration(k: int, p: Fraction) -> Fraction:
@@ -116,7 +116,7 @@ def test_expect_of_binomial_cost_matches_enumeration(k, p):
             w *= p if f else (1 - p)
         branches.append((w, charge(Fraction(sum(flips)), "done")))
     got = expect(branches)
-    assert got == Charged(oracle, Dist.from_branches([(1, "done")]))
+    assert got == Charged(oracle, Dist([(1, "done")]))
 
 
 def test_expect_rejects_bad_weights():
@@ -126,6 +126,10 @@ def test_expect_rejects_bad_weights():
         expect([(Fraction(1, 2), charge(Fraction(0), "x"))])
     with pytest.raises(BadWeights):
         expect([(Fraction(0), charge(Fraction(0), "x")), (1, charge(Fraction(0), "y"))])
+    # The constructor itself validates: no invalid law can exist.
+    for branches in ([], [(Fraction(1, 2), "x")], [(0, "x"), (1, "y")], [(2, "x"), (-1, "y")]):
+        with pytest.raises(BadWeights):
+            Dist(branches)
 
 
 @given(
@@ -142,7 +146,7 @@ def test_expect_is_linear_on_two_branch_mixtures(w, c1, c2, c3):
     )
     ea, eb = expect(a), expect(b)
     assert mixture.cost == w * ea.cost + (1 - w) * eb.cost
-    merged = Dist.from_branches(
+    merged = Dist(
         [(w * wa, x) for wa, x in ea.value.branches]
         + [((1 - w) * wb, x) for wb, x in eb.value.branches]
     )
@@ -150,19 +154,21 @@ def test_expect_is_linear_on_two_branch_mixtures(w, c1, c2, c3):
 
 
 def test_dist_canonical_form_merges_and_orders():
-    d1 = Dist.from_branches([(Fraction(1, 4), "b"), (Fraction(1, 2), "a"), (Fraction(1, 4), "b")])
-    d2 = Dist.from_branches([(Fraction(1, 2), "b"), (Fraction(1, 2), "a")])
+    d1 = Dist([(Fraction(1, 4), "b"), (Fraction(1, 2), "a"), (Fraction(1, 4), "b")])
+    d2 = Dist([(Fraction(1, 2), "b"), (Fraction(1, 2), "a")])
     assert d1 == d2
-    assert [x for _w, x in d1.branches] == ["a", "b"]
+    assert d1.branches == ((Fraction(1, 2), "a"), (Fraction(1, 2), "b"))
+    assert Dist(d1.branches) == d1
+    assert dataclasses.replace(d1, branches=[(Fraction(1, 2), "b"), (Fraction(1, 2), "a")]) == d1
     assert not d1.is_point()
-    assert Dist.from_branches([(1, 3)]).is_point()
+    assert Dist([(1, 3)]).is_point()
 
 
 @pytest.mark.parametrize(
     "cls, fields",
     [
         (Charged, (1, "x")),
-        (Charged, (Fraction(1, 2), Dist.from_branches([(1, "x")]))),
+        (Charged, (Fraction(1, 2), Dist([(1, "x")]))),
         (Continue, ("x", ("s",))),
     ],
     ids=["Charged", "ChargedDist", "Continue"],
@@ -198,7 +204,7 @@ def test_slotted_value_classes_keep_their_contract(cls, fields):
 
 def test_outcome_encoding_and_distribution_order_are_unchanged():
     assert encode(Continue(1, ("a",))) == 't(s"cont",i1,t(s"a"))'
-    dist = Dist.from_branches(
+    dist = Dist(
         [
             (Fraction(1, 2), Continue(2, ("b",))),
             (Fraction(1, 4), STOP),
@@ -210,3 +216,15 @@ def test_outcome_encoding_and_distribution_order_are_unchanged():
         (Fraction(1, 2), Continue(2, ("b",))),
         (Fraction(1, 4), STOP),
     )
+    # Hand-ordered, duplicated branches build the same canonical law.
+    eighth = Fraction(1, 8)
+    shuffled = Dist(
+        [
+            (eighth, STOP),
+            (eighth, Continue(1, ("a",))),
+            (Fraction(1, 2), Continue(2, ("b",))),
+            (eighth, STOP),
+            (eighth, Continue(1, ("a",))),
+        ]
+    )
+    assert shuffled == dist and shuffled.branches == dist.branches

@@ -18,6 +18,7 @@ from amortcheck import (
     STOP,
     UNIT,
     ArityMismatch,
+    BadWeights,
     Charged,
     Coalgebra,
     Continue,
@@ -261,13 +262,22 @@ def test_non_plain_observable_mismatch_is_a_verdict():
 
 
 @pytest.mark.parametrize(
-    "outcome", [STOP, Continue(UNIT, (0, 0))], ids=["stop-not-may-stop", "two-states"]
+    "outcome, randomized",
+    [
+        (STOP, False),
+        (Continue(UNIT, (0, 0)), False),
+        (Dist([(1, Continue(UNIT, (0,)))]), False),
+        (Continue(UNIT, (0,)), True),
+    ],
+    ids=["stop-not-may-stop", "two-states", "dist-not-randomized", "continue-randomized"],
 )
-def test_trace_steps_get_the_square_shape_guard(outcome):
-    case = _one_method_case(outcome, outcome)
-    with pytest.raises(ArityMismatch):
+def test_trace_steps_get_the_square_shape_guard(outcome, randomized):
+    # An outcome type that disagrees with the randomized flag is a shape
+    # error naming the method too, not an AttributeError.
+    case = replace(_one_method_case(outcome, outcome), randomized=randomized)
+    with pytest.raises(ArityMismatch, match="^step "):
         explore(case)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match="^step "):
         check_trace(case, Trace((("step", UNIT),)))
 
 
@@ -341,7 +351,7 @@ def test_rand_alloc_square_sides_are_charged_outcome_laws():
         assert type(side) is Charged and type(side.value) is Dist
     assert check.lhs_cost == check.lhs.cost == Fraction(2)
     assert check.rhs_cost == check.rhs.cost == Fraction(2)
-    assert check.lhs.value == check.rhs.value == Dist.from_branches(
+    assert check.lhs.value == check.rhs.value == Dist(
         [(1, Continue(UNIT, (UNIT,)))]
     )
 
@@ -409,7 +419,7 @@ def test_square_weighs_stop_and_continue_branches():
 
 def _fair_flip_case():
     """A fair coin whose spec law is built with the public `Dist` constructor
-    in non-canonical order: the obs-1 branch before the obs-0 branch."""
+    from branches in non-canonical order: obs 1 before obs 0."""
     half = Fraction(1, 2)
     sig = MethodSig("flip")
 
@@ -436,10 +446,20 @@ def test_spec_law_is_canonicalized_like_the_impl_law():
     check = check_square(case, "flip", (0,))
     assert check.verdict is Verdict.PASS
     assert check.lhs.value == check.rhs.value
-    assert check.lhs.value == Dist.from_branches(check.lhs.value.branches)
+    assert [out.obs for _w, out in check.lhs.value.branches] == [0, 1]  # canonical order
     report = explore(case)
     assert report.passed
     assert (report.states_explored, report.squares_checked) == (2, 2)
+
+
+def test_a_law_whose_weights_do_not_sum_to_one_is_refused_by_explore_and_trace():
+    half_law = lambda s, a: Charged(Fraction(1), Dist(((Fraction(1, 2), Continue((), ((),))),)))
+    case = get_case("rand-alloc")
+    case = replace(case, spec=replace(case.spec, methods=(Method(MethodSig("alloc"), half_law),)))
+    with pytest.raises(BadWeights, match="sum exactly to 1"):
+        explore(case)
+    with pytest.raises(BadWeights, match="sum exactly to 1"):
+        check_trace(case, Trace((("alloc", UNIT),) * 3))
 
 
 def test_explore_admits_only_continue_successors():

@@ -18,6 +18,7 @@ from amortcheck import (
     UNIT,
     VerificationCase,
     charge,
+    compose_phi,
     explore,
     get_case,
 )
@@ -98,14 +99,12 @@ def test_case_rejects_colax_over_unordered_monoid():
         ("",),
         (Method(MethodSig("w"), lambda s, a: charge("", Continue(UNIT, (s[0],)))),),
     )
-    with pytest.raises(OrderUnavailable):
-        VerificationCase(
-            "bad",
-            TRACE_COST,
-            coalg,
-            coalg,
-            PotentialMorphism(lambda s: Charged("", s), Mode.COLAX),
-        )
+    colax = PotentialMorphism(lambda s: Charged("", s), Mode.COLAX)
+    exact = PotentialMorphism(lambda s: Charged("", s))
+    # A colax composite is refused where the case is built, naming the case.
+    for phi in (colax, compose_phi(TRACE_COST, exact, colax)):
+        with pytest.raises(OrderUnavailable, match="^bad: colax mode needs an ordered"):
+            VerificationCase("bad", TRACE_COST, coalg, coalg, phi)
 
 
 @pytest.mark.parametrize("name", ["allocator", "stack", "queue-lax", "buffer", "piggy"])

@@ -1,5 +1,7 @@
 """Composition: chained potentials, paired cases, signature translations."""
 
+from dataclasses import replace
+
 import pytest
 
 from amortcheck import (
@@ -97,6 +99,17 @@ def test_pair_potential_adds_component_potentials():
 def test_pairing_with_a_failing_case_fails():
     paired = pair_cases(allocator_case(), broken_allocator_case())
     assert not explore(paired).passed
+
+
+def test_pairing_guards_each_component_outcome():
+    # `alloc` declares one successor but returns two; paired, it must be
+    # refused as it is unpaired, not cut to its first successor.
+    base = allocator_case()
+    two = Method(MethodSig("alloc"), lambda s, a: charge(1, Continue(UNIT, (0, 1))))
+    bad = replace(base, impl=replace(base.impl, methods=(two,)))
+    for case in (bad, pair_cases(bad, allocator_case())):
+        with pytest.raises(ArityMismatch, match=r"^alloc produced 2 successor state"):
+            explore(case)
 
 
 def test_pairing_requires_commutative_monoid_and_unary_methods():

@@ -79,8 +79,8 @@ def reference_square(case, method, inputs, arg):
             out = Continue(out.obs, mapped)
         rhs_outs.append((w, out))
     if case.randomized:
-        lhs = Charged(lhs_cost, Dist.from_branches(spec_outs))
-        rhs = Charged(rhs_cost, Dist.from_branches(rhs_outs))
+        lhs = Charged(lhs_cost, Dist(spec_outs))
+        rhs = Charged(rhs_cost, Dist(rhs_outs))
     else:
         lhs = Charged(lhs_cost, spec_outs[0][1])
         rhs = Charged(rhs_cost, rhs_outs[0][1])
