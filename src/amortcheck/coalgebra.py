@@ -157,7 +157,9 @@ class Method:
     The transition takes (input state tuple, argument) and returns a
     `Charged` outcome; in randomized mode its cost is the expected cost and
     its value a `Dist` of outcomes (see `charged.expect`). Transitions must
-    be pure: equal inputs give equal charged outcomes.
+    be pure: equal inputs give equal charged outcomes. Outcomes are
+    immutable, so a transition whose outcome does not depend on its inputs
+    may return one shared object.
     """
 
     sig: MethodSig

@@ -191,7 +191,6 @@ def translate_case(
     name: str,
     over: str = "spec",
     max_depth: int = 8,
-    max_states: int = 2000,
 ) -> VerificationCase:
     """Build the case whose implementation runs `programs` over `base`.
 
@@ -234,7 +233,6 @@ def translate_case(
         spec=target_spec,
         phi=phi,
         max_depth=max_depth,
-        max_states=max_states,
     )
 
 
@@ -329,7 +327,6 @@ def counter_via_stack_case() -> VerificationCase:
         phi,
         name="counter-via-stack",
         max_depth=8,
-        max_states=64,
     )
 
 

@@ -38,9 +38,23 @@ UPDATE_FNS: Tuple[NamedFn, ...] = (
 )
 
 
-def _unit_spec(methods) -> Coalgebra:
+def _one_point(*methods: Method) -> Coalgebra:
     """Specification coalgebra over the trivial one-point carrier."""
-    return Coalgebra(StateDomain("unit"), (UNIT,), tuple(methods))
+    return Coalgebra(StateDomain("unit"), (UNIT,), methods)
+
+
+def _returning(outcome):
+    """The transition that returns `outcome`, whatever its inputs."""
+    return lambda states, arg: outcome
+
+
+def _unit_spec(*costs) -> Coalgebra:
+    """One-point specification from (MethodSig, cost) pairs, each outcome built once."""
+    methods = []
+    for sig, cost in costs:
+        outcome = Charged(cost, Continue(UNIT, (UNIT,) * sig.out_arity))
+        methods.append(Method(sig, _returning(outcome)))
+    return _one_point(*methods)
 
 
 def _cont(cost, obs, *succs) -> Charged:
@@ -70,7 +84,7 @@ def cyclic_allocator(period: int) -> Coalgebra:
 
 def allocator_case() -> VerificationCase:
     """Eight cells allocated every eight calls, presented as one per call."""
-    spec = _unit_spec([Method(MethodSig("alloc"), lambda s, a: _cont(1, UNIT, UNIT))])
+    spec = _unit_spec((MethodSig("alloc"), 1))
     phi = PotentialMorphism(lambda d: Charged(7 - d, UNIT))
     return VerificationCase(
         name="allocator",
@@ -183,7 +197,7 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
             lambda st: Charged(array_potential(st), len(st[1]))
         )
     else:
-        spec = _unit_spec([Method(push_sig, lambda s, e: _cont(3, UNIT, UNIT))])
+        spec = _unit_spec((push_sig, 3))
         phi = PotentialMorphism(lambda st: Charged(array_potential(st), UNIT))
 
     return VerificationCase(
@@ -193,7 +207,6 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
         spec=spec,
         phi=phi,
         max_depth=8,
-        max_states=600,
     )
 
 
@@ -449,7 +462,7 @@ def buffer_case(n: int = 4) -> VerificationCase:
         (Method(write_sig, impl_write),),
         state_invariant=lambda s: len(s) < n,
     )
-    spec = _unit_spec([Method(write_sig, lambda st, s: _cont(s, UNIT, UNIT))])
+    spec = _one_point(Method(write_sig, lambda st, s: _cont(s, UNIT, UNIT)))
     phi = PotentialMorphism(lambda residue: Charged(residue, UNIT))
     return VerificationCase(
         name="buffer",
@@ -457,8 +470,6 @@ def buffer_case(n: int = 4) -> VerificationCase:
         impl=impl,
         spec=spec,
         phi=phi,
-        max_depth=6,
-        max_states=64,
     )
 
 
@@ -501,11 +512,7 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
             )
         return expect([(1, charge(Fraction(0), Continue(UNIT, (d - 1,))))])
 
-    bernoulli = [
-        (w, charge(Fraction(c), Continue(UNIT, (UNIT,))))
-        for w, c in ((p, 1), (1 - p, 0))
-        if w > 0
-    ]
+    law = expect([(w, _cont(Fraction(c), UNIT, UNIT)) for w, c in binomial_branches(1, p)])
 
     impl = Coalgebra(
         StateDomain(f"fin{k}"),
@@ -513,7 +520,7 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
         (Method(MethodSig("alloc"), impl_alloc),),
         state_invariant=lambda d: 0 <= d < k,
     )
-    spec = _unit_spec([Method(MethodSig("alloc"), lambda s, a: expect(bernoulli))])
+    spec = _one_point(Method(MethodSig("alloc"), _returning(law)))
     phi = PotentialMorphism(lambda d: Charged(Fraction(k - d - 1) * p, UNIT))
     return VerificationCase(
         name="rand-alloc",
@@ -572,14 +579,7 @@ def piggy_bank_case() -> VerificationCase:
         state_invariant=lambda t: t >= 0,
     )
 
-    spec = _unit_spec(
-        [
-            Method(dep_sig, lambda s, a: _cont(1, UNIT, UNIT)),
-            Method(spend_sig, lambda s, a: _cont(0, UNIT, UNIT)),
-            Method(merge_sig, lambda s, a: _cont(0, UNIT, UNIT)),
-            Method(split_sig, lambda s, a: _cont(0, UNIT, UNIT, UNIT)),
-        ]
-    )
+    spec = _unit_spec((dep_sig, 1), (spend_sig, 0), (merge_sig, 0), (split_sig, 0))
     phi = PotentialMorphism(lambda t: Charged(t, UNIT))
     return VerificationCase(
         name="piggy",
@@ -587,6 +587,5 @@ def piggy_bank_case() -> VerificationCase:
         impl=impl,
         spec=spec,
         phi=phi,
-        max_depth=8,
         max_states=40,
     )

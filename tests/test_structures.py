@@ -22,11 +22,14 @@ from amortcheck import (
     Trace,
     UNIT,
     Verdict,
+    VerificationCase,
     check_square,
     check_trace,
+    expect,
     explore,
     get_case,
     random_trace,
+    registered_names,
 )
 from amortcheck.structures import (
     ALPHABET,
@@ -434,3 +437,108 @@ def test_piggy_merge_of_empty_banks():
 
 def test_piggy_passes_documented_bounds(explored):
     assert explored("piggy").passed
+
+
+# --- one-point specifications -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, method, cost, out_arity",
+    [
+        ("allocator", "alloc", 1, 1),
+        ("allocator-broken", "alloc", 1, 1),
+        ("alloc16-via-8", "alloc", 1, 1),
+        ("dynarray", "push", 3, 1),
+        ("piggy", "deposit", 1, 1),
+        ("piggy", "spend", 0, 1),
+        ("piggy", "merge", 0, 1),
+        ("piggy", "split", 0, 2),
+    ],
+)
+def test_constant_cost_spec_returns_one_outcome(name, method, cost, out_arity):
+    # The outcome is built with the case; every call, from any input
+    # state and with any argument, returns that same object.
+    spec = get_case(name).spec.method(method)
+    sig = spec.sig
+    outcomes = [
+        spec.run(inputs, arg)
+        for inputs in ((UNIT,) * sig.in_arity, ("elsewhere",) * sig.in_arity)
+        for arg in sig.arg_domain
+        for _ in range(2)
+    ]
+    assert all(out is outcomes[0] for out in outcomes)
+    assert outcomes[0] == Charged(cost, Continue(UNIT, (UNIT,) * out_arity))
+    assert type(outcomes[0].cost) is int
+
+
+@pytest.mark.parametrize(
+    "k, p", [(4, Fraction(1, 2)), (3, Fraction(0)), (1, Fraction(1, 3)), (2, Fraction(2, 3))]
+)
+def test_randomized_allocator_spec_is_one_bernoulli_law(k, p):
+    # One Bernoulli(p) coin per call, zero weights dropped; the law is
+    # built with the case and every call returns it.
+    flip = [(p, 1), (1 - p, 0)]
+    coin = [(w, Charged(Fraction(c), Continue(UNIT, (UNIT,)))) for w, c in flip if w > 0]
+    spec = randomized_allocator_case(k, p).spec.method("alloc")
+    assert spec.run((UNIT,), UNIT) == expect(coin)
+    assert spec.run((UNIT,), UNIT) is spec.run(("elsewhere",), UNIT)
+
+
+def test_buffer_spec_charges_each_written_string():
+    spec = buffer_case().spec.method("write")
+    for s in spec.sig.arg_domain:
+        assert spec.run((UNIT,), s) == Charged(s, Continue(UNIT, (UNIT,)))
+
+
+# --- declared bounds --------------------------------------------------------
+
+_BOUND_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(VerificationCase)
+    if f.name in ("max_depth", "max_states")
+}
+
+
+class _MoreSquares(BaseException):
+    """Stops a run once it has checked more squares than a given count.
+
+    A `BaseException`, so that no handler for user-code errors absorbs it.
+    """
+
+
+def _coverage_or_more(case, squares):
+    """`explore(case)`'s (states, squares), or None once it passes `squares`."""
+    calls = 0
+
+    def counted(run):
+        def step(states, arg):
+            nonlocal calls
+            calls += 1  # one impl call per square
+            if calls > squares:
+                raise _MoreSquares
+            return run(states, arg)
+
+        return step
+
+    methods = tuple(dataclasses.replace(m, run=counted(m.run)) for m in case.impl.methods)
+    try:
+        report = explore(
+            dataclasses.replace(case, impl=dataclasses.replace(case.impl, methods=methods))
+        )
+    except _MoreSquares:
+        return None
+    return report.states_explored, report.squares_checked
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_every_declared_bound_binds(name, explored):
+    # A case states its own max_depth/max_states only where the default
+    # would not bind: putting one back to its default must change what
+    # `explore` covers. A relaxed run is cut as soon as it checks more
+    # squares than the declared run, which already proves the change.
+    case, declared = get_case(name), explored(name)
+    want = (declared.states_explored, declared.squares_checked)
+    for field, default in _BOUND_DEFAULTS.items():
+        if getattr(case, field) != default:
+            relaxed = dataclasses.replace(case, **{field: default})
+            assert _coverage_or_more(relaxed, declared.squares_checked) != want, field
