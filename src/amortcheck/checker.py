@@ -129,11 +129,35 @@ def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
 
 
 def _square_for(case: VerificationCase):
-    """The one square engine, `_square`, with the case's constants bound."""
+    """The one square engine, `_square`, and its Φ, with the case's constants bound.
+
+    Returns (`_square`, `image`); `image(s)` is s's Φ image as a `Charged`.
+    A case with a k-input method (k >= 2) checks every k-tuple of states,
+    so there the engine keeps one table from `state_key(s)` to the
+    normalised image (identity ⊕ Φ(s).cost, Φ(s).value) and every Φ
+    application goes through it: Φ runs once per distinct typed state
+    (``1``, ``True`` and ``Fraction(1)`` keep their own images). It also
+    remembers the last (signature, spec outcome) that passed
+    `guard_outcome`, and a deterministic spec that returns that very
+    object again (a shared constant outcome) is not shape-checked again.
+    Unary-only cases keep neither: `image` is Φ itself.
+    """
     monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
     phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
     randomized = case.randomized
+    table = {} if any(m.sig.in_arity > 1 for m in case.impl.methods) else None
+    last_sig = last_out = last_beh = None  # the last spec outcome guarded
+
+    def lookup(s):
+        key = state_key(s)
+        ch = table.get(key)
+        if ch is None:
+            ch = phi(s)
+            ch = table[key] = Charged(combine(identity, ch.cost), ch.value)
+        return ch
+
+    image = phi if table is None else lookup
 
     def _square(impl, spec, inputs, arg, phi_cost, phi_values):
         """Check the square at `inputs`, whose Φ image is (`phi_cost`, `phi_values`).
@@ -146,6 +170,7 @@ def _square_for(case: VerificationCase):
         right, after the impl's cost); a randomized one is a `Dist` on both
         sides, the spec's law as the spec returned it.
         """
+        nonlocal last_sig, last_out, last_beh
         sig = impl.sig
         spec_res = spec.run(phi_values, arg)
         lhs_cost = combine(phi_cost, spec_res.cost)
@@ -158,7 +183,7 @@ def _square_for(case: VerificationCase):
             for w, out in _law(sig, impl_res.value).branches:
                 guard_outcome(sig, out)
                 if out is not STOP:
-                    mapped_cost, mapped = sum_images(monoid, map(phi, out.states))
+                    mapped_cost, mapped = sum_images(monoid, map(image, out.states))
                     rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
                     successors.extend(out.states)
                     out = Continue(out.obs, mapped)
@@ -166,19 +191,29 @@ def _square_for(case: VerificationCase):
             rhs_beh = Dist(rhs_outs)
         else:
             spec_out = spec_res.value
-            guard_outcome(sig, spec_out)
-            lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+            if spec_out is last_out and sig is last_sig:
+                lhs_beh = last_beh
+            else:
+                guard_outcome(sig, spec_out)
+                lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+                if table is not None:
+                    last_sig, last_out, last_beh = sig, spec_out, lhs_beh
             out = impl_res.value
             guard_outcome(sig, out)
             if out is STOP:
                 rhs_cost, rhs_beh, successors = impl_res.cost, STOP, ()
             else:
                 successors = out.states
-                if len(successors) == 1:
+                if len(successors) != 1:
+                    mapped_cost, mapped = sum_images(monoid, map(image, successors))
+                elif table is None:
                     ch = phi(successors[0])
                     mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
-                else:
-                    mapped_cost, mapped = sum_images(monoid, map(phi, successors))
+                else:  # `lookup` inlined: no frame per square
+                    ch = table.get(state_key(successors[0]))
+                    if ch is None:
+                        ch = lookup(successors[0])
+                    mapped_cost, mapped = ch.cost, (ch.value,)
                 rhs_cost = combine(impl_res.cost, mapped_cost)
                 rhs_beh = (out.obs, mapped)
 
@@ -190,7 +225,7 @@ def _square_for(case: VerificationCase):
             verdict = Verdict.COST_MISMATCH
         return verdict, lhs_cost, rhs_cost, successors, lhs_beh, rhs_beh
 
-    return _square
+    return _square, image
 
 
 def check_square(
@@ -209,8 +244,9 @@ def check_square(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
     spec = case.spec.method(method)
-    phi_cost, phi_values = sum_images(case.monoid, map(case.phi.phi, inputs))
-    square = _square_for(case)(impl, spec, inputs, arg, phi_cost, phi_values)
+    engine, image = _square_for(case)
+    phi_cost, phi_values = sum_images(case.monoid, map(image, inputs))
+    square = engine(impl, spec, inputs, arg, phi_cost, phi_values)
     return _mk_check(case, method, inputs, arg, square)
 
 
@@ -245,17 +281,19 @@ def explore(
     For every reached input tuple (all ordered in_arity-sized combinations
     of reached states, generated once each), every method and every
     argument in its domain, the amortization square is checked by the
-    case's one square engine (`_square_for`), built once per call. Φ runs
-    once on each state as it is expanded and once per successor. For k >= 2
-    inputs each expanded state keeps a (state, Φ cost, Φ spec state) entry
-    and `_tuples_with_max` extends shared prefixes of them; unary-only
-    cases keep none. Once a state's squares are checked, its successors
-    are admitted in order by the rule the seeds pass too: `explore_filter`,
-    dedup by typed value (`state_key`: ``1`` and ``True`` stay distinct),
-    the state cap and the state invariant, none past the depth limit. Once
-    the cap refuses an unseen state no more successors are collected (a
-    cap merely reached stops nothing). Sides and state text are built only
-    for the first `limit` failures, the counterexamples kept.
+    case's one square engine (`_square_for`), built once per call. In a
+    unary-only case Φ runs once on each state as it is expanded and once
+    per successor; a case with a k-input method (k >= 2) applies Φ through
+    the engine's table, once per distinct typed state. There each expanded
+    state also keeps a (state, Φ cost, Φ spec state) entry and
+    `_tuples_with_max` extends shared prefixes of them. Once a state's
+    squares are checked, its successors are admitted in order by the rule
+    the seeds pass too: `explore_filter`, dedup by typed value
+    (`state_key`: ``1`` and ``True`` stay distinct), the state cap and the
+    state invariant, none past the depth limit. Once the cap refuses an
+    unseen state no more successors are collected (a cap merely reached
+    stops nothing). Sides and state text are built only for the first
+    `limit` failures, the counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -273,7 +311,7 @@ def explore(
     numeric = monoid.numeric
     keep = case.explore_filter
     invariant = case.impl.state_invariant
-    square = _square_for(case)
+    square, image = _square_for(case)
 
     states: List[Any] = []
     depths: List[int] = []
@@ -282,7 +320,7 @@ def explore(
     counterexamples: List[SquareCheck] = []
     slack_max: Optional[Any] = None
     methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
-    phi, combine, identity = case.phi.phi, monoid.combine, monoid.identity
+    combine, identity = monoid.combine, monoid.identity
     entries = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
     full = False  # the cap has refused an unseen state: nothing more gets in
 
@@ -314,10 +352,10 @@ def explore(
         depth = depths[i] + 1
         can_expand = not full and depth <= max_depth
         batch = []
-        image = phi(states[i])
+        ch = image(states[i])
         if entries is not None:
-            entries.append((states[i], image.cost, image.value))
-        unary = (((states[i],), combine(identity, image.cost), (image.value,)),)
+            entries.append((states[i], ch.cost, ch.value))
+        unary = (((states[i],), combine(identity, ch.cost), (ch.value,)),)
         for impl, spec, sig in methods:
             k = sig.in_arity
             # Every ordered k-tuple over reached states, generated once:

@@ -133,7 +133,7 @@ def pair_cases(
         spec=_pair_coalgebra(left.spec, right.spec),
         phi=PotentialMorphism(phi, mode),
         max_depth=min(left.max_depth, right.max_depth),
-        max_states=min(5000, left.max_states * right.max_states),
+        max_states=min(VerificationCase.max_states, left.max_states * right.max_states),
     )
 
 
@@ -190,7 +190,7 @@ def translate_case(
     phi_extra: PotentialMorphism,
     name: str,
     over: str = "spec",
-    max_depth: int = 8,
+    max_depth: int = VerificationCase.max_depth,
 ) -> VerificationCase:
     """Build the case whose implementation runs `programs` over `base`.
 
@@ -364,7 +364,7 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
 
     def phi(pair):
         inbox, outbox = pair
-        return Charged(5 * len(inbox), outbox + tuple(reversed(inbox)))
+        return Charged(5 * len(inbox), outbox + inbox[::-1])
 
     name = "queue-via-stacks" if over == "spec" else "queue-via-stacks-full"
     return translate_case(

@@ -276,7 +276,7 @@ def stack_case() -> VerificationCase:
     spec = list_spec(Method(push_sig, push_front(3)), Method(pop_sig, pop_front(2)))
 
     phi = PotentialMorphism(
-        lambda st: Charged(max(0, array_potential(st)), tuple(reversed(st[1]))),
+        lambda st: Charged(max(0, array_potential(st)), st[1][::-1]),
         Mode.COLAX,
     )
     return VerificationCase(
@@ -314,7 +314,7 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
         ((inbox, outbox),) = states
         if outbox:
             return _cont(0, outbox[0], (inbox, outbox[1:]))
-        flushed = tuple(reversed(inbox))
+        flushed = inbox[::-1]
         if not flushed:
             return charge(0, STOP)
         return _cont(per * len(inbox), flushed[0], ((), flushed[1:]))
@@ -328,7 +328,7 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
     spec = list_spec(Method(enq_sig, push_back(2)), Method(deq_sig, pop_front(0)))
 
     phi = PotentialMorphism(
-        lambda st: Charged(2 * len(st[0]), st[1] + tuple(reversed(st[0]))),
+        lambda st: Charged(2 * len(st[0]), st[1] + st[0][::-1]),
         Mode.COLAX if per == 1 else Mode.EXACT,
     )
     return VerificationCase(
@@ -376,7 +376,7 @@ def deque_case() -> VerificationCase:
         if b:
             k = len(b)
             m = k // 2
-            new_f = tuple(reversed(b[m:]))
+            new_f = b[m:][::-1]
             return _cont(k + 1, new_f[0], (new_f[1:], b[:m]))
         return charge(0, STOP)
 
@@ -387,7 +387,7 @@ def deque_case() -> VerificationCase:
         if f:
             k = len(f)
             m = k // 2
-            new_b = tuple(reversed(f[m:]))
+            new_b = f[m:][::-1]
             return _cont(k + 1, new_b[0], (f[:m], new_b[1:]))
         return charge(0, STOP)
 
@@ -410,7 +410,7 @@ def deque_case() -> VerificationCase:
     )
 
     phi = PotentialMorphism(
-        lambda st: Charged(abs(len(st[0]) - len(st[1])), st[0] + tuple(reversed(st[1]))),
+        lambda st: Charged(abs(len(st[0]) - len(st[1])), st[0] + st[1][::-1]),
         Mode.COLAX,
     )
     return VerificationCase(

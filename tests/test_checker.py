@@ -650,19 +650,46 @@ def _counted(case):
     [
         ("stack", 1749, 1749, 2329),
         ("queue-lax", 1539, 1539, 2051),
-        ("piggy", 1720, 1720, 1800),
+        ("piggy", 1720, 1720, 79),
         ("rand-alloc", 4, 4, 8),
     ],
 )
 def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi):
-    # One impl and one spec call per square; Φ once per expanded state
-    # and once per successor. k-input tuples sum the expanded states' Φ
-    # images and call Φ no more: piggy's 1800 = 40 expanded states + 1760
-    # successors, where each of its 1600 merge pairs used to cost 2 more.
+    # One impl and one spec call per square. Unary-only cases call Φ once
+    # per expanded state and once per successor. A case with a k-input
+    # method keeps one Φ table per run, so Φ runs once per distinct typed
+    # state: piggy's 79 are its 40 states and the 39 successors past the
+    # cap (1800 applications, one per expanded state and per successor).
     case, counts = _counted(get_case(name))
     report = explore(case)
     assert report.squares_checked == impl
     assert counts == {"impl": impl, "spec": spec, "phi": phi}
+
+
+def test_shared_spec_outcome_is_guarded_under_each_signature():
+    # A 2-input case remembers the last spec outcome that passed its shape
+    # guard. `grow` returns that very object, but declares two successors,
+    # so it must still be refused, not compared as a behaviour.
+    one = Continue(UNIT, (UNIT,))
+    join = MethodSig("join", in_arity=2, out_arity=1)
+    grow = MethodSig("grow", out_arity=2)
+    impl = Coalgebra(
+        StateDomain("nat"),
+        (0,),
+        (
+            Method(join, lambda ns, a: charge(0, Continue(UNIT, (ns[0] + ns[1],)))),
+            Method(grow, lambda ns, a: charge(0, Continue(UNIT, (ns[0], ns[0])))),
+        ),
+    )
+    spec = Coalgebra(
+        StateDomain("unit"),
+        (UNIT,),
+        (Method(join, lambda s, a: charge(0, one)), Method(grow, lambda s, a: charge(0, one))),
+    )
+    phi = PotentialMorphism(lambda n: charge(0, UNIT))
+    case = VerificationCase("shared", INT_COST, impl, spec, phi)
+    with pytest.raises(ArityMismatch, match="^grow produced 1 successor state"):
+        explore(case)
 
 
 def test_check_square_makes_one_call_per_side_and_per_state():

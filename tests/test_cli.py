@@ -246,6 +246,13 @@ def test_negative_control_counterexample_lines(capsys):
     ]
 
 
+def test_all_command_prints_the_recorded_csv(capsys):
+    # The whole command, as a user runs it; the recorded file is only read.
+    code, out, err = run(capsys, "all", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.encode() == EXPECTED_ALL_CSV.read_bytes()
+
+
 def test_all_csv_matches_the_recorded_bytes(explored):
     reports = [explored(name) for name in registered_names(include_negative=False)]
     reports.sort(key=lambda r: r.case_name)

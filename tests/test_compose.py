@@ -1,6 +1,6 @@
 """Composition: chained potentials, paired cases, signature translations."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,6 +20,7 @@ from amortcheck import (
     StepBudgetExceeded,
     UNIT,
     UnsupportedArity,
+    VerificationCase,
     Verdict,
     charge,
     check_square,
@@ -94,6 +95,20 @@ def test_pair_potential_adds_component_potentials():
     for a in range(8):
         for b in range(8):
             assert paired.phi.phi((a, b)).cost == (7 - a) + (7 - b)
+
+
+def test_composite_bounds_follow_the_case_defaults():
+    # A pair caps its state product at `VerificationCase`'s default cap,
+    # and a translation that states no depth gets the default depth.
+    defaults = {f.name: f.default for f in fields(VerificationCase)}
+    paired = pair_cases(allocator_case(), allocator_case())
+    assert paired.max_states == defaults["max_states"]
+    small = replace(allocator_case(), max_states=8)
+    assert pair_cases(small, small).max_states == 64
+    base = allocator_case()
+    programs = (ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc")),)
+    translated = translate_case(base, programs, base.spec, _identity_phi(), "alloc-via-alloc")
+    assert translated.max_depth == defaults["max_depth"]
 
 
 def test_pairing_with_a_failing_case_fails():

@@ -13,7 +13,8 @@ on every count, on the slack and on the kept counterexamples, in order.
 
 The same generator also checks the telescoping theorem: along a trace
 whose squares all pass, `check_trace` passes, and in exact mode a trace
-whose last square alone fails on cost, observable or Stop fails.
+whose last square alone fails on cost, observable or Stop fails. A fixed
+2-input case checks that `explore`'s Φ table keeps typed states apart.
 """
 
 import random
@@ -395,3 +396,51 @@ def test_three_input_explore_matches_reference_explorer():
         ):
             assert_explore_matches_reference(case, bounds, (mode, bounds))
             assert not explore(case, **bounds).passed
+
+
+def test_phi_table_keeps_equal_states_of_different_types_apart():
+    """A 2-input case whose successors are ``1``, ``True`` and ``Fraction(1)``.
+
+    The three compare equal but are distinct states, each with its own
+    potential. A case with a k-input method applies Φ through one table
+    per run; keyed by ``==`` it would hand all three the first one's
+    image, so Φ would run twice, not four times, and the costs of every
+    square reaching ``True`` or ``Fraction(1)`` would change.
+    """
+    labels = (0, 1, True, Fraction(1))
+    step = MethodSig("step")
+    join = MethodSig("join", in_arity=2, out_arity=1)
+    applied = []
+
+    def potential(s):
+        applied.append(encode(s))
+        return charge(INDEX[encode(s)], UNIT)
+
+    def impl_step(states, arg):
+        return charge(0, Continue(UNIT, (labels[(INDEX[encode(states[0])] + 1) % 4],)))
+
+    def impl_join(states, arg):
+        total = sum(INDEX[encode(s)] for s in states)
+        return charge(1, Continue(UNIT, (labels[total % 4],)))
+
+    one = Continue(UNIT, (UNIT,))
+    spec = (
+        Method(step, lambda states, arg: charge(1, one)),
+        Method(join, lambda states, arg: charge(0, one)),
+    )
+    impl = (Method(step, impl_step), Method(join, impl_join))
+    for mode, failures in ((Mode.EXACT, 17), (Mode.COLAX, 10)):
+        case = VerificationCase(
+            "typed-join",
+            INT_COST,
+            Coalgebra(StateDomain("labels"), (0,), impl),
+            Coalgebra(StateDomain("unit"), (UNIT,), spec),
+            PotentialMorphism(potential, mode),
+        )
+        applied.clear()
+        report = explore(case, limit=20)
+        assert sorted(applied) == sorted(encode(s) for s in labels), mode
+        got = (report.states_explored, report.squares_checked, report.failures)
+        assert got == (4, 20, failures), mode
+        bounds = {"max_depth": 12, "max_states": 5000, "limit": 20}
+        assert_explore_matches_reference(case, bounds, mode)
