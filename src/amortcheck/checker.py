@@ -20,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .charged import Charged, Dist
@@ -97,6 +98,7 @@ class Report:
     counterexamples: Tuple[Counterexample, ...]
     wall_time: float
     slack_max: Optional[Any] = None
+    slack_min: Optional[Any] = None
 
     @property
     def passed(self) -> bool:
@@ -121,33 +123,42 @@ def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
     A deterministic (observable, states) behaviour becomes a `Continue`;
     `STOP` and a randomized `Dist` are the side's value as they are.
     """
-    verdict, lhs_cost, rhs_cost, _successors, lhs_beh, rhs_beh = square
+    verdict, lhs_cost, rhs_cost, lhs_beh, rhs_beh = square
     lhs = Charged(lhs_cost, Continue(*lhs_beh) if type(lhs_beh) is tuple else lhs_beh)
     rhs = Charged(rhs_cost, Continue(*rhs_beh) if type(rhs_beh) is tuple else rhs_beh)
     ser = tuple(case.impl.state_domain.serialize(s) for s in inputs)
     return SquareCheck(method, tuple(inputs), arg, lhs, rhs, verdict, ser, arg_literal(arg))
 
 
-def _square_for(case: VerificationCase):
-    """The one square engine, `_square`, and its Φ, with the case's constants bound.
+def _square_for(case: VerificationCase, failed=None):
+    """The case's one square engine and its Φ, with the case's constants bound.
 
-    Returns (`_square`, `image`); `image(s)` is s's Φ image as a `Charged`.
-    A case with a k-input method (k >= 2) checks every k-tuple of states,
-    so there the engine keeps one table from `state_key(s)` to the
-    normalised image (identity ⊕ Φ(s).cost, Φ(s).value) and every Φ
-    application goes through it: Φ runs once per distinct typed state
-    (``1``, ``True`` and ``Fraction(1)`` keep their own images). It also
-    remembers the last (signature, spec outcome) that passed
-    `guard_outcome`, and a deterministic spec that returns that very
-    object again (a shared constant outcome) is not shape-checked again.
-    Unary-only cases keep neither: `image` is Φ itself.
+    Returns (`engine`, `image`); `image(s)` is s's Φ image as a `Charged`.
+    `engine(impl, spec, tuples, args, batch, slack)` checks the square of
+    one method pair at each argument in `args` of each (inputs, Φ cost,
+    Φ spec states) in `tuples`, appends the impl successors to `batch`
+    unless it is None, and calls back only for a failing square:
+    `failed(signature, inputs, arg, square)`, whose sides `_mk_check`
+    builds. A square is (verdict, lhs cost, rhs cost, lhs behaviour, rhs
+    behaviour). It returns (squares, slack, last square or None), `slack`
+    extending the (min, max) of lhs − rhs cost passed in; it stays (None,
+    None) unless the monoid is numeric. A deterministic behaviour is `STOP`
+    or (observable, states), the impl's states taken through Φ (summed
+    from the identity, left to right, after the impl's cost); within a
+    call the spec outcome last guarded (a shared constant) is not
+    shape-checked again. A randomized one is a `Dist` on both sides, the
+    spec's law as the spec returned it.
+
+    With a k-input method (k >= 2) every Φ application goes through one
+    table from `state_key(s)` to the normalised image (identity ⊕
+    Φ(s).cost, Φ(s).value), so Φ runs once per distinct typed state (``1``,
+    ``True`` and ``Fraction(1)`` keep their own); else `image` is Φ itself.
     """
     monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
     phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
-    randomized = case.randomized
+    randomized, numeric, PASS = case.randomized, monoid.numeric, Verdict.PASS
     table = {} if any(m.sig.in_arity > 1 for m in case.impl.methods) else None
-    last_sig = last_out = last_beh = None  # the last spec outcome guarded
 
     def lookup(s):
         key = state_key(s)
@@ -159,73 +170,77 @@ def _square_for(case: VerificationCase):
 
     image = phi if table is None else lookup
 
-    def _square(impl, spec, inputs, arg, phi_cost, phi_values):
-        """Check the square at `inputs`, whose Φ image is (`phi_cost`, `phi_values`).
-
-        `impl` and `spec` are the method on each side. Returns (verdict,
-        lhs cost, rhs cost, impl successors, lhs behaviour, rhs behaviour)
-        and builds no sides: `_mk_check` does, for reported squares only.
-        A deterministic behaviour is `STOP` or (observable, states), the
-        impl's states taken through Φ (summed from the identity, left to
-        right, after the impl's cost); a randomized one is a `Dist` on both
-        sides, the spec's law as the spec returned it.
-        """
-        nonlocal last_sig, last_out, last_beh
-        sig = impl.sig
-        spec_res = spec.run(phi_values, arg)
-        lhs_cost = combine(phi_cost, spec_res.cost)
-        impl_res = impl.run(inputs, arg)
-        if randomized:
-            lhs_beh = _law(sig, spec_res.value)
-            for _w, out in lhs_beh.branches:
-                guard_outcome(sig, out)
-            rhs_cost, rhs_outs, successors = impl_res.cost, [], []
-            for w, out in _law(sig, impl_res.value).branches:
-                guard_outcome(sig, out)
-                if out is not STOP:
-                    mapped_cost, mapped = sum_images(monoid, map(image, out.states))
-                    rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
-                    successors.extend(out.states)
-                    out = Continue(out.obs, mapped)
-                rhs_outs.append((w, out))
-            rhs_beh = Dist(rhs_outs)
-        else:
-            spec_out = spec_res.value
-            if spec_out is last_out and sig is last_sig:
-                lhs_beh = last_beh
+    def engine(impl, spec, tuples, args, batch, slack):
+        sig, impl_run, spec_run = impl.sig, impl.run, spec.run
+        slack_min, slack_max = slack
+        count = 0
+        last_out = object()  # the last spec outcome guarded: none yet
+        for (inputs, phi_cost, phi_values), arg in product(tuples, args):
+            spec_res = spec_run(phi_values, arg)
+            lhs_cost = combine(phi_cost, spec_res.cost)
+            impl_res = impl_run(inputs, arg)
+            if randomized:
+                lhs_beh = _law(sig, spec_res.value)
+                for _w, out in lhs_beh.branches:
+                    guard_outcome(sig, out)
+                rhs_cost, rhs_outs = impl_res.cost, []
+                for w, out in _law(sig, impl_res.value).branches:
+                    guard_outcome(sig, out)
+                    if out is not STOP:
+                        mapped_cost, mapped = sum_images(monoid, map(image, out.states))
+                        rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
+                        if batch is not None:
+                            batch += out.states
+                        out = Continue(out.obs, mapped)
+                    rhs_outs.append((w, out))
+                rhs_beh = Dist(rhs_outs)
             else:
-                guard_outcome(sig, spec_out)
-                lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
-                if table is not None:
-                    last_sig, last_out, last_beh = sig, spec_out, lhs_beh
-            out = impl_res.value
-            guard_outcome(sig, out)
-            if out is STOP:
-                rhs_cost, rhs_beh, successors = impl_res.cost, STOP, ()
+                spec_out = spec_res.value
+                if spec_out is not last_out:  # else lhs_beh is still last_out's
+                    guard_outcome(sig, spec_out)
+                    last_out = spec_out
+                    lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+                out = impl_res.value
+                guard_outcome(sig, out)
+                if out is STOP:
+                    rhs_cost, rhs_beh = impl_res.cost, STOP
+                else:
+                    successors = out.states
+                    if len(successors) != 1:
+                        mapped_cost, mapped = sum_images(monoid, map(image, successors))
+                    elif table is None:
+                        ch = phi(successors[0])
+                        mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
+                    else:  # `lookup` inlined: no frame per square
+                        ch = table.get(state_key(successors[0]))
+                        if ch is None:
+                            ch = lookup(successors[0])
+                        mapped_cost, mapped = ch.cost, (ch.value,)
+                    rhs_cost = combine(impl_res.cost, mapped_cost)
+                    rhs_beh = (out.obs, mapped)
+                    if batch is not None:
+                        batch += successors
+            count += 1
+            if numeric:
+                gap = lhs_cost - rhs_cost
+                if slack_max is None:
+                    slack_min = slack_max = gap
+                elif gap > slack_max:
+                    slack_max = gap
+                elif gap < slack_min:
+                    slack_min = gap
+            if lhs_beh != rhs_beh:
+                verdict = Verdict.BEHAVIOR_MISMATCH
+            elif lhs_cost == rhs_cost if exact else leq(rhs_cost, lhs_cost):
+                verdict = PASS
             else:
-                successors = out.states
-                if len(successors) != 1:
-                    mapped_cost, mapped = sum_images(monoid, map(image, successors))
-                elif table is None:
-                    ch = phi(successors[0])
-                    mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
-                else:  # `lookup` inlined: no frame per square
-                    ch = table.get(state_key(successors[0]))
-                    if ch is None:
-                        ch = lookup(successors[0])
-                    mapped_cost, mapped = ch.cost, (ch.value,)
-                rhs_cost = combine(impl_res.cost, mapped_cost)
-                rhs_beh = (out.obs, mapped)
+                verdict = Verdict.COST_MISMATCH
+            if verdict is not PASS and failed is not None:
+                failed(sig, inputs, arg, (verdict, lhs_cost, rhs_cost, lhs_beh, rhs_beh))
+        last = (verdict, lhs_cost, rhs_cost, lhs_beh, rhs_beh) if count else None
+        return count, (slack_min, slack_max), last
 
-        if lhs_beh != rhs_beh:
-            verdict = Verdict.BEHAVIOR_MISMATCH
-        elif lhs_cost == rhs_cost if exact else leq(rhs_cost, lhs_cost):
-            verdict = Verdict.PASS
-        else:
-            verdict = Verdict.COST_MISMATCH
-        return verdict, lhs_cost, rhs_cost, successors, lhs_beh, rhs_beh
-
-    return _square, image
+    return engine, image
 
 
 def check_square(
@@ -233,8 +248,9 @@ def check_square(
 ) -> SquareCheck:
     """Check the generalized amortization square at one input tuple.
 
-    Randomized cases are checked on expected costs and canonical outcome
-    distributions.
+    The engine (`_square_for`) runs on this tuple and `arg` alone, with no
+    batch or callback; the square it returns gets its sides. Randomized
+    cases are checked on expected costs and canonical outcome distributions.
     """
     impl = case.impl.method(method)
     sig = impl.sig
@@ -245,8 +261,8 @@ def check_square(
         )
     spec = case.spec.method(method)
     engine, image = _square_for(case)
-    phi_cost, phi_values = sum_images(case.monoid, map(image, inputs))
-    square = engine(impl, spec, inputs, arg, phi_cost, phi_values)
+    tuples = ((inputs, *sum_images(case.monoid, map(image, inputs))),)
+    square = engine(impl, spec, tuples, (arg,), None, (None, None))[2]
     return _mk_check(case, method, inputs, arg, square)
 
 
@@ -281,19 +297,19 @@ def explore(
     For every reached input tuple (all ordered in_arity-sized combinations
     of reached states, generated once each), every method and every
     argument in its domain, the amortization square is checked by the
-    case's one square engine (`_square_for`), built once per call. In a
-    unary-only case Φ runs once on each state as it is expanded and once
-    per successor; a case with a k-input method (k >= 2) applies Φ through
-    the engine's table, once per distinct typed state. There each expanded
-    state also keeps a (state, Φ cost, Φ spec state) entry and
-    `_tuples_with_max` extends shared prefixes of them. Once a state's
-    squares are checked, its successors are admitted in order by the rule
-    the seeds pass too: `explore_filter`, dedup by typed value
-    (`state_key`: ``1`` and ``True`` stay distinct), the state cap and the
-    state invariant, none past the depth limit. Once the cap refuses an
-    unseen state no more successors are collected (a cap merely reached
-    stops nothing). Sides and state text are built only for the first
-    `limit` failures, the counterexamples kept.
+    case's one square engine (`_square_for`), built once per call and
+    called once per expanded state and method with the tuples that state
+    closes: itself, or `_tuples_with_max`'s k-tuples, which extend shared
+    prefixes of kept (state, Φ cost, Φ spec state) entries. Φ runs once on
+    each state as it is expanded and once per successor, or, with a k-input
+    method (k >= 2), once per distinct typed state. The engine collects a
+    state's successors into one batch, admitted in order once its squares
+    are checked, by the rule the seeds pass too: `explore_filter`, dedup by
+    typed value (`state_key`: ``1`` and ``True`` stay distinct), the state
+    cap and the state invariant. None is collected past the depth limit or
+    once the cap has refused an unseen state (a cap merely reached stops
+    nothing). Sides and state text are built only for the first `limit`
+    failures the engine calls back, the counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -308,17 +324,22 @@ def explore(
 
     t0 = time.perf_counter()
     monoid = case.monoid
-    numeric = monoid.numeric
     keep = case.explore_filter
     invariant = case.impl.state_invariant
-    square, image = _square_for(case)
-
     states: List[Any] = []
     depths: List[int] = []
     seen = set()
     squares = failures = 0
     counterexamples: List[SquareCheck] = []
-    slack_max: Optional[Any] = None
+    slack = (None, None)  # (min, max)
+
+    def failed(sig, inputs, arg, square):
+        nonlocal failures
+        failures += 1
+        if len(counterexamples) < limit:
+            counterexamples.append(_mk_check(case, sig.name, inputs, arg, square))
+
+    engine, image = _square_for(case, failed)
     methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
     combine, identity = monoid.combine, monoid.identity
     entries = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
@@ -329,7 +350,7 @@ def explore(
     batch, depth = case.impl.seeds, 0
     i = 0
     while True:
-        for s in batch:
+        for s in batch or ():
             if keep is not None and not keep(s):
                 continue
             key = state_key(s)
@@ -350,8 +371,7 @@ def explore(
         # Breadth-first admission keeps depths sorted, so state i is the
         # deepest component of every tuple it closes.
         depth = depths[i] + 1
-        can_expand = not full and depth <= max_depth
-        batch = []
+        batch = [] if not full and depth <= max_depth else None
         ch = image(states[i])
         if entries is not None:
             entries.append((states[i], ch.cost, ch.value))
@@ -361,23 +381,8 @@ def explore(
             # Every ordered k-tuple over reached states, generated once:
             # exactly those whose newest component is state i.
             tuples = unary if k == 1 else _tuples_with_max(entries, i, k, monoid)
-            for inputs, phi_cost, phi_values in tuples:
-                for arg in sig.arg_domain:
-                    result = square(impl, spec, inputs, arg, phi_cost, phi_values)
-                    verdict, lhs_cost, rhs_cost, successors, _, _ = result
-                    squares += 1
-                    if numeric:
-                        gap = lhs_cost - rhs_cost
-                        if slack_max is None or gap > slack_max:
-                            slack_max = gap
-                    if verdict is not Verdict.PASS:
-                        failures += 1
-                        if len(counterexamples) < limit:
-                            counterexamples.append(
-                                _mk_check(case, sig.name, inputs, arg, result)
-                            )
-                    if can_expand:
-                        batch += successors
+            n, slack, _ = engine(impl, spec, tuples, sig.arg_domain, batch, slack)
+            squares += n
         i += 1
 
     counterexamples.sort(key=lambda c: (c.method, c.inputs_serialized, c.arg_literal))
@@ -389,7 +394,8 @@ def explore(
         failures=failures,
         counterexamples=tuple(counterexamples),
         wall_time=time.perf_counter() - t0,
-        slack_max=slack_max,
+        slack_max=slack[1],
+        slack_min=slack[0],
     )
 
 
@@ -521,6 +527,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         counterexamples=tuple(mismatches),
         wall_time=time.perf_counter() - t0,
         slack_max=slack,
+        slack_min=slack,
     )
 
 

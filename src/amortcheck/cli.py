@@ -43,13 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-depth",
                 type=int,
                 default=None,
-                help="exploration depth (default: the case's documented bound, else 12)",
+                help="exploration depth (default: the case's documented bound, "
+                f"else {VerificationCase.max_depth})",
             )
             p.add_argument(
                 "--max-states",
                 type=int,
                 default=None,
-                help="state cap (default: the case's documented bound, else 5000)",
+                help="state cap (default: the case's documented bound, "
+                f"else {VerificationCase.max_states})",
             )
             p.add_argument(
                 "--limit", type=int, default=10, help="max counterexamples to keep"
@@ -89,8 +91,8 @@ def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
     return cases
 
 
-def _slack_str(report: Report) -> str:
-    return "" if report.slack_max is None else str(report.slack_max)
+def _slack_str(slack) -> str:
+    return "" if slack is None else str(slack)
 
 
 def _csv_rows(reports: Sequence[Report]) -> str:
@@ -98,7 +100,7 @@ def _csv_rows(reports: Sequence[Report]) -> str:
     for r in reports:
         lines.append(
             f"{r.case_name},{r.mode.value},{r.states_explored},"
-            f"{r.squares_checked},{r.verdict},{_slack_str(r)}"
+            f"{r.squares_checked},{r.verdict},{_slack_str(r.slack_max)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -120,7 +122,8 @@ def _text_report(report: Report) -> str:
         f"{report.case_name:<22} {report.mode.value:<6} "
         f"states={report.states_explored:<6} squares={report.squares_checked:<7} "
         f"{'PASS' if report.passed else 'FAIL':<4} "
-        f"slack_max={_slack_str(report) or '-':<8} {report.wall_time:.3f}s"
+        f"slack_max={_slack_str(report.slack_max) or '-':<8} "
+        f"slack_min={_slack_str(report.slack_min) or '-':<8} {report.wall_time:.3f}s"
     )
     if report.passed:
         return head

@@ -129,6 +129,8 @@ def test_explore_broken_allocator_counterexample_at_zero():
     assert not report.passed
     zero = [c for c in report.counterexamples if c.inputs == (0,)]
     assert zero and zero[0].lhs_cost == 1 and zero[0].rhs_cost == 15
+    # The slack range spans every square: 1 - 15 at 0, 2 - 0 from 1 to 7.
+    assert (report.slack_min, report.slack_max) == (-14, 2)
 
 
 def test_counterexamples_round_trip_through_check_square():
@@ -213,7 +215,7 @@ def test_trace_allocator_eight_steps_telescopes():
     report = check_trace(case, trace)
     assert report.passed
     assert report.squares_checked == 8
-    assert report.slack_max == 0  # total impl 8 equals total spec 8
+    assert report.slack_min == report.slack_max == 0  # total impl 8 equals total spec 8
 
 
 def test_trace_empty_is_trivially_exact():
@@ -667,9 +669,10 @@ def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi):
 
 
 def test_shared_spec_outcome_is_guarded_under_each_signature():
-    # A 2-input case remembers the last spec outcome that passed its shape
-    # guard. `grow` returns that very object, but declares two successors,
-    # so it must still be refused, not compared as a behaviour.
+    # Within one call the square engine remembers the last spec outcome
+    # that passed its shape guard. `grow` returns that very object, but
+    # declares two successors, so it must still be refused, not compared as
+    # a behaviour.
     one = Continue(UNIT, (UNIT,))
     join = MethodSig("join", in_arity=2, out_arity=1)
     grow = MethodSig("grow", out_arity=2)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from amortcheck import registered_names
+from amortcheck import VerificationCase, registered_names
 from amortcheck.cli import CSV_HEADER, _csv_rows, main
 
 EXPECTED_ALL_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "all.csv"
@@ -27,6 +27,14 @@ def test_list_names_and_negative_marker(capsys):
     ]:
         assert name in out
     assert "negative-control" in out
+
+
+def test_verify_help_states_the_bound_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse wraps help text
+    assert f"bound, else {VerificationCase.max_depth})" in text
+    assert f"bound, else {VerificationCase.max_states})" in text
 
 
 def test_verify_passing_case_exits_zero(capsys):

@@ -11,6 +11,10 @@ apart, in a deterministic, a randomized and a word-cost flavour (string
 costs over the non-commutative `TRACE_COST`). The reports must agree
 on every count, on the slack and on the kept counterexamples, in order.
 
+Every registered case, `allocator-broken` and a planted `varying` defect
+run through both explorers too: list-valued states, an explore filter, a
+binding state cap, 2-in/2-out methods and composite cases.
+
 The same generator also checks the telescoping theorem: along a trace
 whose squares all pass, `check_trace` passes, and in exact mode a trace
 whose last square alone fails on cost, observable or Stop fails. A fixed
@@ -50,6 +54,8 @@ from amortcheck import (
 from amortcheck.checker import arg_literal
 from amortcheck.coalgebra import sum_images
 from amortcheck.encoding import encode
+from amortcheck.registry import get_case, registered_names
+from amortcheck.structures import varying_cost_case
 
 LABELS = (0, 1, True, Fraction(1), (1,), (True,), "1", None)
 WORDS = ("", "a", "b", "ab")
@@ -113,7 +119,7 @@ def reference_explore(case, max_depth, max_states, limit):
     for seed in case.impl.seeds:
         admit(seed, 0)
     squares = failures = 0
-    kept, slack_max = [], None
+    kept, slack_min, slack_max = [], None, None
     i = 0
     while i < len(states):
         for m in case.impl.methods:
@@ -129,6 +135,8 @@ def reference_explore(case, max_depth, max_states, limit):
                         gap = check.lhs_cost - check.rhs_cost
                         if slack_max is None or gap > slack_max:
                             slack_max = gap
+                        if slack_min is None or gap < slack_min:
+                            slack_min = gap
                     if check.verdict is not Verdict.PASS:
                         failures += 1
                         if len(kept) < limit:
@@ -141,7 +149,7 @@ def reference_explore(case, max_depth, max_states, limit):
                                 admit(s, succ_depth)
         i += 1
     kept.sort(key=lambda c: (c.method, c.inputs_serialized, c.arg_literal))
-    return len(states), squares, failures, slack_max, kept
+    return len(states), squares, failures, slack_min, slack_max, kept
 
 
 def transition(rng, n, sources, outs, potential, may_stop=False):
@@ -272,9 +280,10 @@ def random_case(rng, randomized=False, words=False):
 
 def assert_explore_matches_reference(case, bounds, seed):
     report = explore(case, **bounds)
-    states, squares, failures, slack_max, kept = reference_explore(case, **bounds)
-    got = (report.states_explored, report.squares_checked, report.failures, report.slack_max)
-    assert got == (states, squares, failures, slack_max), seed
+    states, squares, failures, slack_min, slack_max, kept = reference_explore(case, **bounds)
+    got = (report.states_explored, report.squares_checked, report.failures)
+    assert got == (states, squares, failures), seed
+    assert (report.slack_min, report.slack_max) == (slack_min, slack_max), seed
     assert report.passed == (failures == 0), seed
     assert [c.inputs_serialized for c in report.counterexamples] == [
         c.inputs_serialized for c in kept
@@ -444,3 +453,17 @@ def test_phi_table_keeps_equal_states_of_different_types_apart():
         assert got == (4, 20, failures), mode
         bounds = {"max_depth": 12, "max_states": 5000, "limit": 20}
         assert_explore_matches_reference(case, bounds, mode)
+
+
+def test_registered_cases_match_reference_explorer():
+    # Each case at its own bounds; deque's 16,129 states are cut to 600,
+    # which its cap then binds, to keep the reference's quadratic work small.
+    cases = [get_case(name) for name in registered_names()]
+    cases.append(varying_cost_case(defect_at=5))
+    for case in cases:
+        bounds = {
+            "max_depth": case.max_depth,
+            "max_states": 600 if case.name == "deque" else case.max_states,
+            "limit": 10,
+        }
+        assert_explore_matches_reference(case, bounds, case.name)
