@@ -142,12 +142,14 @@ def _square_for(case: VerificationCase, failed=None):
     builds. A square is (verdict, lhs cost, rhs cost, lhs behaviour, rhs
     behaviour). It returns (squares, slack, last square or None), `slack`
     extending the (min, max) of lhs − rhs cost passed in; it stays (None,
-    None) unless the monoid is numeric. A deterministic behaviour is `STOP`
-    or (observable, states), the impl's states taken through Φ (summed
-    from the identity, left to right, after the impl's cost); within a
-    call the spec outcome last guarded (a shared constant) is not
-    shape-checked again. A randomized one is a `Dist` on both sides, the
-    spec's law as the spec returned it.
+    None) unless the monoid is numeric. The outcomes pick each square's
+    law. When neither side's value is a `Dist`, a behaviour is `STOP` or
+    (observable, states), the impl's states taken through Φ (summed from
+    the identity, left to right, after the impl's cost); within a call the
+    spec outcome last guarded (a shared constant) is not shape-checked
+    again. When either is, both behaviours are `Dist`s, compared on
+    expected cost: the spec's law as the spec returned it, and a side
+    that is not a `Dist` is its point law ``Dist(((1, outcome),))``.
 
     With a k-input method (k >= 2) every Φ application goes through one
     table from `state_key(s)` to the normalised image (identity ⊕
@@ -157,7 +159,7 @@ def _square_for(case: VerificationCase, failed=None):
     monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
     phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
-    randomized, numeric, PASS = case.randomized, monoid.numeric, Verdict.PASS
+    numeric, PASS = monoid.numeric, Verdict.PASS
     table = {} if any(m.sig.in_arity > 1 for m in case.impl.methods) else None
 
     def lookup(s):
@@ -174,17 +176,20 @@ def _square_for(case: VerificationCase, failed=None):
         sig, impl_run, spec_run = impl.sig, impl.run, spec.run
         slack_min, slack_max = slack
         count = 0
-        last_out = object()  # the last spec outcome guarded: none yet
+        unset = last_out = object()  # the last spec outcome guarded: none yet
         for (inputs, phi_cost, phi_values), arg in product(tuples, args):
             spec_res = spec_run(phi_values, arg)
             lhs_cost = combine(phi_cost, spec_res.cost)
             impl_res = impl_run(inputs, arg)
-            if randomized:
-                lhs_beh = _law(sig, spec_res.value)
-                for _w, out in lhs_beh.branches:
-                    guard_outcome(sig, out)
+            spec_out, out = spec_res.value, impl_res.value
+            if type(out) is Dist or type(spec_out) is Dist:
+                spec_outs = spec_out.branches if type(spec_out) is Dist else ((1, spec_out),)
+                for _w, branch in spec_outs:
+                    guard_outcome(sig, branch)
+                lhs_beh = spec_out if type(spec_out) is Dist else Dist(spec_outs)
+                last_out = unset  # lhs_beh is this square's law now
                 rhs_cost, rhs_outs = impl_res.cost, []
-                for w, out in _law(sig, impl_res.value).branches:
+                for w, out in out.branches if type(out) is Dist else ((1, out),):
                     guard_outcome(sig, out)
                     if out is not STOP:
                         mapped_cost, mapped = sum_images(monoid, map(image, out.states))
@@ -195,12 +200,10 @@ def _square_for(case: VerificationCase, failed=None):
                     rhs_outs.append((w, out))
                 rhs_beh = Dist(rhs_outs)
             else:
-                spec_out = spec_res.value
                 if spec_out is not last_out:  # else lhs_beh is still last_out's
                     guard_outcome(sig, spec_out)
                     last_out = spec_out
                     lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
-                out = impl_res.value
                 guard_outcome(sig, out)
                 if out is STOP:
                     rhs_cost, rhs_beh = impl_res.cost, STOP
@@ -249,8 +252,11 @@ def check_square(
     """Check the generalized amortization square at one input tuple.
 
     The engine (`_square_for`) runs on this tuple and `arg` alone, with no
-    batch or callback; the square it returns gets its sides. Randomized
-    cases are checked on expected costs and canonical outcome distributions.
+    batch or callback; the square it returns gets its sides. Where either
+    side's value is a `Dist`, both sides are laws compared on expected
+    cost (a deterministic side is its point law). A wrong number of inputs,
+    or an argument outside the method's domain by typed equality (``True``
+    is not ``1``), raises `ArityMismatch`.
     """
     impl = case.impl.method(method)
     sig = impl.sig
@@ -259,6 +265,8 @@ def check_square(
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
+    if not any(type(a) is type(arg) and a == arg for a in sig.arg_domain):
+        raise ArityMismatch(f"{method}: argument {arg!r} is not in its domain")
     spec = case.spec.method(method)
     engine, image = _square_for(case)
     tuples = ((inputs, *sum_images(case.monoid, map(image, inputs))),)
@@ -399,16 +407,9 @@ def explore(
     )
 
 
-def _law(sig, value) -> Dist:
-    """A randomized transition's outcome law: a `Dist`, else `ArityMismatch`."""
-    if type(value) is Dist:
-        return value
-    raise ArityMismatch(f"{sig.name} returned {type(value).__name__} in a randomized case")
-
-
 def _point(case, sig, dist):
-    """The one outcome of a randomized trace step's `Dist`."""
-    if not _law(sig, dist).is_point():
+    """The one outcome of a trace step whose value is a `Dist`."""
+    if not dist.is_point():
         raise UnsupportedArity(
             f"{case.name}: trace checking needs point outcome "
             f"distributions, {sig.name} branches"
@@ -424,9 +425,11 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     agree, Stop must happen on both sides together, and the totals must
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
     under the case's mode (the final potential term vanishes if the trace
-    ends in Stop). Steps get the same shape guard as squares: Stop only
-    from a ``may_stop`` method, else exactly one successor state. The
-    trace's `seed_index` must index the case's seeds (else `ValueError`).
+    ends in Stop). A step whose value is a `Dist` stands for its one
+    outcome; a law that branches raises `UnsupportedArity`. Steps get the
+    same shape guard as squares: Stop only from a ``may_stop`` method, else
+    exactly one successor state. The trace's `seed_index` must index the
+    case's seeds (else `ValueError`).
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -434,7 +437,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     t0 = time.perf_counter()
     mode = case.phi.mode
     monoid = case.monoid
-    combine, randomized = monoid.combine, case.randomized
+    combine = monoid.combine
 
     seed = seeds[trace.seed_index]
     phi0 = case.phi.phi(seed)
@@ -463,12 +466,12 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
             )
         res = impl_run((impl_state,), arg)
         impl_cost, impl_out = res.cost, res.value
-        if randomized:
+        if type(impl_out) is Dist:
             impl_out = _point(case, sig, impl_out)
         guard_outcome(sig, impl_out)
         res = spec_run((spec_state,), arg)
         spec_cost, spec_out = res.cost, res.value
-        if randomized:
+        if type(spec_out) is Dist:
             spec_out = _point(case, sig, spec_out)
         guard_outcome(sig, spec_out)
         total_impl = combine(total_impl, impl_cost)

@@ -165,8 +165,6 @@ def _cmd_list() -> int:
         entry = REGISTRY[name]
         case = entry.factory()
         tags = [case.phi.mode.value, case.monoid.name]
-        if case.randomized:
-            tags.append("expected-cost")
         if entry.negative:
             tags.append("negative-control")
         rows.append(f"{name:<22} {' '.join(tags)}")

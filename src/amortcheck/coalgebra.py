@@ -66,6 +66,8 @@ class MethodSig:
             raise ArityMismatch(f"{self.name}: in_arity must be positive")
         if self.out_arity < 0:
             raise ArityMismatch(f"{self.name}: out_arity must be non-negative")
+        if not self.arg_domain:
+            raise ArityMismatch(f"{self.name}: arg_domain must not be empty")
 
     @property
     def multi_slot(self) -> bool:
@@ -121,8 +123,10 @@ Outcome = Any  # Stop | Continue
 
 
 def guard_outcome(sig: MethodSig, outcome: Outcome) -> None:
-    """Transitions must honor their declared shape (else `ArityMismatch`):
-    `STOP` or a `Continue`, so a `Dist` outside a randomized case is refused."""
+    """An outcome must honor its method's declared shape (else
+    `ArityMismatch`): `STOP` or a `Continue`. A law's branches are guarded
+    one by one; a `Dist` where one outcome is due (a paired method, a
+    substrate call) is refused."""
     try:
         if outcome is STOP:
             if not sig.may_stop:
@@ -155,8 +159,9 @@ class Method:
     """A signature together with its transition function.
 
     The transition takes (input state tuple, argument) and returns a
-    `Charged` outcome; in randomized mode its cost is the expected cost and
-    its value a `Dist` of outcomes (see `charged.expect`). Transitions must
+    `Charged` outcome. A randomized transition's cost is the expected cost
+    and its value a `Dist` of outcomes (see `charged.expect`); a
+    deterministic one is the point law of its outcome. Transitions must
     be pure: equal inputs give equal charged outcomes. Outcomes are
     immutable, so a transition whose outcome does not depend on its inputs
     may return one shared object.
@@ -237,7 +242,6 @@ class VerificationCase:
     impl: Coalgebra
     spec: Coalgebra
     phi: PotentialMorphism
-    randomized: bool = False
     max_depth: int = 12
     max_states: int = 5000
     explore_filter: Optional[Callable[[Any], bool]] = None

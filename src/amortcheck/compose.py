@@ -96,9 +96,7 @@ def _pair_coalgebra(left: Coalgebra, right: Coalgebra) -> Coalgebra:
     return Coalgebra(StateDomain(name), seeds, methods, invariant)
 
 
-def pair_cases(
-    left: VerificationCase, right: VerificationCase, name: str = ""
-) -> VerificationCase:
+def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationCase:
     """Run two cases side by side; the paired potential adds the parts.
 
     Methods are tagged ``left.<name>`` / ``right.<name>`` and act on their
@@ -110,8 +108,6 @@ def pair_cases(
         raise ValueError("paired cases must share one cost model")
     if not left.monoid.is_commutative:
         raise NonCommutativeTensor("pairing needs a commutative cost monoid")
-    if left.randomized or right.randomized:
-        raise ValueError("pairing of randomized cases is not supported")
     for case in (left, right):
         for m in case.impl.methods:
             if not m.sig.sequential:
@@ -127,7 +123,7 @@ def pair_cases(
 
     mode = Mode.COLAX if Mode.COLAX in (lphi.mode, rphi.mode) else Mode.EXACT
     return VerificationCase(
-        name=name or f"pair({left.name},{right.name})",
+        name=f"pair({left.name},{right.name})",
         monoid=monoid,
         impl=_pair_coalgebra(left.impl, right.impl),
         spec=_pair_coalgebra(left.spec, right.spec),
@@ -202,8 +198,6 @@ def translate_case(
     substrate is the base implementation and the checked potential is
     `compose_phi(base.phi, phi_extra)`: the full pipeline.
     """
-    if base.randomized:
-        raise ValueError("translation over randomized substrates is unsupported")
     if over not in ("spec", "impl"):
         raise ValueError("over must be 'spec' or 'impl'")
     substrate = base.spec if over == "spec" else base.impl

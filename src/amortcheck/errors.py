@@ -14,7 +14,7 @@ class BadWeights(AmortError):
 
 
 class ArityMismatch(AmortError):
-    """Input states or a transition's outcome do not fit the method signature."""
+    """Input states, an argument or an outcome do not fit the method signature."""
 
 
 class UnknownMethod(AmortError):

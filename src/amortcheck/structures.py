@@ -528,7 +528,6 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
         impl=impl,
         spec=spec,
         phi=phi,
-        randomized=True,
     )
 
 

@@ -111,6 +111,22 @@ def test_check_square_rejects_an_unknown_method():
         check_square(allocator_case(), "free", (0,))
 
 
+def test_check_square_rejects_an_argument_outside_the_domain():
+    with pytest.raises(ArityMismatch, match=r"^alloc: argument 'zzz' is not in its domain$"):
+        check_square(allocator_case(), "alloc", (0,), "zzz")
+    # Membership is typed: `True == 1`, but `True` is not in (0, 1).
+    step = Method(
+        MethodSig("step", arg_domain=(0, 1)),
+        lambda states, arg: charge(arg, Continue(UNIT, states)),
+    )
+    side = Coalgebra(StateDomain("zero"), (0,), (step,))
+    phi = PotentialMorphism(lambda s: charge(0, s))
+    case = VerificationCase("typed-arg", INT_COST, side, side, phi)
+    assert check_square(case, "step", (0,), 1).verdict is Verdict.PASS
+    with pytest.raises(ArityMismatch, match=r"^step: argument True is not in its domain$"):
+        check_square(case, "step", (0,), True)
+
+
 def test_explore_allocator_closed_carrier():
     report = explore(allocator_case(), max_depth=16)
     assert report.passed
@@ -264,19 +280,12 @@ def test_non_plain_observable_mismatch_is_a_verdict():
 
 
 @pytest.mark.parametrize(
-    "outcome, randomized",
-    [
-        (STOP, False),
-        (Continue(UNIT, (0, 0)), False),
-        (Dist([(1, Continue(UNIT, (0,)))]), False),
-        (Continue(UNIT, (0,)), True),
-    ],
-    ids=["stop-not-may-stop", "two-states", "dist-not-randomized", "continue-randomized"],
+    "outcome",
+    [STOP, Continue(UNIT, (0, 0))],
+    ids=["stop-not-may-stop", "two-states"],
 )
-def test_trace_steps_get_the_square_shape_guard(outcome, randomized):
-    # An outcome type that disagrees with the randomized flag is a shape
-    # error naming the method too, not an AttributeError.
-    case = replace(_one_method_case(outcome, outcome), randomized=randomized)
+def test_trace_steps_get_the_square_shape_guard(outcome):
+    case = _one_method_case(outcome, outcome)
     with pytest.raises(ArityMismatch, match="^step "):
         explore(case)
     with pytest.raises(ArityMismatch, match="^step "):
@@ -366,6 +375,64 @@ def test_expected_point_distribution_matches_deterministic_verdict():
     assert report.passed and report.states_explored == 1
 
 
+def _rand_alloc_with_spec(alloc):
+    """`rand-alloc` (k = 4, p = 1/2) with its spec's `alloc` replaced."""
+    case = get_case("rand-alloc")
+    spec = replace(case.spec, methods=(Method(MethodSig("alloc"), alloc),))
+    return replace(case, spec=spec)
+
+
+HALF_PER_ALLOC = charge(Fraction(1, 2), Continue(UNIT, (UNIT,)))
+
+
+def test_a_deterministic_spec_is_checked_against_a_randomized_impl():
+    # The Bernoulli spec's law is a point (every coin gives the same
+    # outcome), so a spec charging 1/2 per call with no `Dist` is the same
+    # claim: the square takes the spec's outcome as its point law.
+    def summary(case):
+        r = explore(case)
+        return r.verdict, r.states_explored, r.squares_checked, r.slack_min, r.slack_max
+
+    got = summary(_rand_alloc_with_spec(lambda states, arg: HALF_PER_ALLOC))
+    assert got == summary(get_case("rand-alloc"))
+    assert got[:3] == ("pass", 4, 4)
+
+
+def test_check_square_lhs_of_a_deterministic_spec_is_its_point_law():
+    case = _rand_alloc_with_spec(lambda states, arg: HALF_PER_ALLOC)
+    check = check_square(case, "alloc", (0,))
+    point = Dist([(1, Continue(UNIT, (UNIT,)))])
+    # lhs = Φ(0) + 1/2 = 3/2 + 1/2 ; rhs = E[Bin(4, 1/2)] + Φ(3) = 2 + 0
+    assert check.verdict is Verdict.PASS
+    assert check.lhs == Charged(Fraction(2), point)
+    assert check.rhs == Charged(Fraction(2), point)
+    assert check.lhs == check_square(get_case("rand-alloc"), "alloc", (0,)).lhs
+
+
+def test_each_square_of_a_batch_takes_its_own_law():
+    # One engine call checks args 0, 1, 2 against one shared spec outcome;
+    # only arg 1's impl returns a `Dist`. The squares on either side of it
+    # compare plain outcomes again, so all three pass.
+    sig = MethodSig("step", arg_domain=(0, 1, 2))
+    done = Continue(UNIT, (0,))
+    shared = charge(0, done)
+    point = Charged(0, Dist([(1, done)]))
+    impl = Method(sig, lambda states, arg: point if arg == 1 else charge(0, done))
+    spec = Method(sig, lambda states, arg: shared)
+    case = VerificationCase(
+        "mixed",
+        INT_COST,
+        Coalgebra(StateDomain("zero"), (0,), (impl,)),
+        Coalgebra(StateDomain("zero"), (0,), (spec,)),
+        PotentialMorphism(lambda s: charge(0, s)),
+    )
+    report = explore(case)
+    assert report.passed, report.counterexamples
+    assert (report.states_explored, report.squares_checked) == (1, 3)
+    for arg in sig.arg_domain:
+        assert check_square(case, "step", (0,), arg).verdict is Verdict.PASS
+
+
 def _coin_stop_case(spec_stop_weight):
     """Impl `alloc` stops on a fair coin; the spec stops with the given weight.
 
@@ -397,9 +464,7 @@ def _coin_stop_case(spec_stop_weight):
     impl = Coalgebra(StateDomain("bit"), (0,), (Method(sig, impl_alloc),))
     spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_alloc),))
     phi = PotentialMorphism(lambda d: charge(Fraction(2 * d), UNIT))
-    return VerificationCase(
-        "coin-stop", RATIONAL_COST, impl, spec, phi, randomized=True
-    )
+    return VerificationCase("coin-stop", RATIONAL_COST, impl, spec, phi)
 
 
 def test_square_weighs_stop_and_continue_branches():
@@ -440,7 +505,7 @@ def _fair_flip_case():
     impl = Coalgebra(StateDomain("bit"), (0,), (Method(sig, impl_flip),))
     spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, spec_flip),))
     phi = PotentialMorphism(lambda d: charge(Fraction(0), UNIT))
-    return VerificationCase("fair-flip", RATIONAL_COST, impl, spec, phi, randomized=True)
+    return VerificationCase("fair-flip", RATIONAL_COST, impl, spec, phi)
 
 
 def test_spec_law_is_canonicalized_like_the_impl_law():

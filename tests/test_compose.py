@@ -136,19 +136,29 @@ def test_pairing_requires_commutative_monoid_and_unary_methods():
         pair_cases(allocator_case(), get_case("rand-alloc"))
 
 
+RETURNED_DIST = r"^alloc returned Dist, not Stop or Continue$"
+
+
 def test_pairing_rejects_two_randomized_cases():
+    # A paired method lifts its component's one outcome, so the shape guard
+    # refuses a law when the pair is explored, naming the method.
     rand = randomized_allocator_case()
-    with pytest.raises(ValueError, match=r"^pairing of randomized cases is not supported$"):
-        pair_cases(rand, rand)
+    with pytest.raises(ArityMismatch, match=RETURNED_DIST):
+        explore(pair_cases(rand, rand))
 
 
 def test_translation_rejects_a_randomized_base_and_an_unknown_side():
+    # A substrate call threads one successor state, so its shape guard
+    # refuses a law on either side, naming the substrate method.
     target = allocator_case()
+    alloc = ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc"))
+    for over in ("spec", "impl"):
+        case = translate_case(
+            randomized_allocator_case(), (alloc,), target.spec, _identity_phi(), "t", over
+        )
+        with pytest.raises(ArityMismatch, match=RETURNED_DIST):
+            explore(case)
     args = ((), target.spec, _identity_phi(), "t")
-    with pytest.raises(
-        ValueError, match=r"^translation over randomized substrates is unsupported$"
-    ):
-        translate_case(randomized_allocator_case(), *args)
     with pytest.raises(ValueError, match=r"^over must be 'spec' or 'impl'$"):
         translate_case(target, *args, over="bogus")
 

@@ -19,9 +19,16 @@ The same generator also checks the telescoping theorem: along a trace
 whose squares all pass, `check_trace` passes, and in exact mode a trace
 whose last square alone fails on cost, observable or Stop fails. A fixed
 2-input case checks that `explore`'s Φ table keeps typed states apart.
+
+Random chains A →Φ B →Ψ C over Fin n check that potentials compose: when
+leg A→B passes and leg B→C passes explored from Φ's image of A's reached
+states, the composite `compose_phi(Φ, Ψ)` passes. Legs that pass from
+their own seeds certify nothing: a cost defect of leg B→C at a B-state
+that only Φ's image reaches fails the composite.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -47,6 +54,7 @@ from amortcheck import (
     charge,
     check_square,
     check_trace,
+    compose_phi,
     expect,
     explore,
     random_trace,
@@ -66,17 +74,23 @@ DROP = MethodSig("drop", may_stop=True)
 MERGE = MethodSig("merge", in_arity=2, out_arity=2)
 
 
+def branches(value):
+    """A transition's (weight, outcome) pairs: a `Dist`'s, or the point's."""
+    return value.branches if type(value) is Dist else ((1, value),)
+
+
 def reference_square(case, method, inputs, arg):
-    """The square at `inputs` with both sides built and compared whole."""
+    """The square at `inputs` with both sides built and compared whole.
+
+    The sides are laws when either transition returns a `Dist`, else
+    outcomes.
+    """
     monoid = case.monoid
     impl = case.impl.method(method)
     phi_cost, phi_values = sum_images(monoid, map(case.phi.phi, inputs))
     spec_res = case.spec.method(method).run(phi_values, arg)
     impl_res = impl.run(inputs, arg)
-    if case.randomized:
-        spec_outs, impl_outs = spec_res.value.branches, impl_res.value.branches
-    else:
-        spec_outs, impl_outs = ((1, spec_res.value),), ((1, impl_res.value),)
+    spec_outs, impl_outs = branches(spec_res.value), branches(impl_res.value)
     lhs_cost = monoid.combine(phi_cost, spec_res.cost)
     rhs_cost, rhs_outs = impl_res.cost, []
     for w, out in impl_outs:
@@ -85,7 +99,7 @@ def reference_square(case, method, inputs, arg):
             rhs_cost = monoid.combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
             out = Continue(out.obs, mapped)
         rhs_outs.append((w, out))
-    if case.randomized:
+    if Dist in (type(spec_res.value), type(impl_res.value)):
         lhs = Charged(lhs_cost, Dist(spec_outs))
         rhs = Charged(rhs_cost, Dist(rhs_outs))
     else:
@@ -141,9 +155,7 @@ def reference_explore(case, max_depth, max_states, limit):
                         failures += 1
                         if len(kept) < limit:
                             kept.append(check)
-                    res = m.run(inputs, arg)
-                    outs = res.value.branches if case.randomized else ((1, res.value),)
-                    for _w, out in outs:
+                    for _w, out in branches(m.run(inputs, arg).value):
                         if succ_depth <= max_depth and out is not STOP:
                             for s in out.states:
                                 admit(s, succ_depth)
@@ -205,7 +217,8 @@ def random_case(rng, randomized=False, words=False):
     """A random case over Fin n with its `explore` bounds.
 
     The randomized flavour draws every entry as 1–2 weighted branches over
-    `RATIONAL_COST`, so `explore` compares expected costs and laws. The
+    `RATIONAL_COST`, so `explore` compares expected costs and laws, a
+    one-branch entry on one side being a plain outcome, its point law. The
     word flavour checks `step` and `drop` in exact mode over the
     non-commutative `TRACE_COST`, so the order in which each side of the
     square combines its costs must match the reference.
@@ -248,9 +261,14 @@ def random_case(rng, randomized=False, words=False):
                 else:
                     js = states  # spec states are the Fin n indices themselves
                 entry = tables[name](js, arg)[side]
-                if randomized:
-                    return expect([(w, charged(e)) for w, e in entry])
-                return charged(entry)
+                if not randomized:
+                    return charged(entry)
+                # A one-branch entry comes back as its outcome, no `Dist`:
+                # on the spec side for `step`, on the impl side for `drop`
+                # and `merge`, so squares mix a law with a point either way.
+                if len(entry) == 1 and (name == "step") == bool(side):
+                    return charged(entry[0][1])
+                return expect([(w, charged(e)) for w, e in entry])
 
             return run
 
@@ -267,7 +285,6 @@ def random_case(rng, randomized=False, words=False):
             lambda s: charge(potential[INDEX[encode(s)]], INDEX[encode(s)]),
             Mode.EXACT if words else rng.choice(list(Mode)),
         ),
-        randomized=randomized,
         explore_filter=(lambda s: INDEX[encode(s)] not in excluded) if excluded else None,
     )
     bounds = {
@@ -467,3 +484,135 @@ def test_registered_cases_match_reference_explorer():
             "limit": 10,
         }
         assert_explore_matches_reference(case, bounds, case.name)
+
+
+# --- composition ------------------------------------------------------------
+
+
+def chain_table(rng, upper, n_upper, n, potential, colax):
+    """Transitions over Fin n that refine `upper`'s over Fin n_upper.
+
+    State i stands for the upper state i % n_upper (n is a multiple of
+    n_upper). An entry is (cost, observable, successor), the observable and
+    successor None for Stop. Each entry copies its upper entry's behaviour,
+    with a successor drawn among the states standing for the upper one,
+    and costs what balances the square under the potential i ↦
+    (potential[i], i % n_upper), less a drawn slack in colax mode, plus a
+    defect of 1 in one entry of twenty.
+    """
+    table = {}
+    for (name, j, arg), (cost, obs, succ) in upper.items():
+        for i in range(j, n, n_upper):
+            to = None if succ is None else succ + n_upper * rng.randrange(n // n_upper)
+            balanced = potential[i] + cost - (0 if to is None else potential[to])
+            drawn = rng.randint(0, 1) if colax else 0
+            table[name, i, arg] = (balanced - drawn + (rng.random() < 0.05), obs, to)
+    return table
+
+
+def chain_coalgebra(table, seeds):
+    def method(sig):
+        def run(states, arg):
+            cost, obs, succ = table[sig.name, states[0], arg]
+            return charge(cost, STOP if succ is None else Continue(obs, (succ,)))
+
+        return Method(sig, run)
+
+    return Coalgebra(StateDomain("fin"), seeds, (method(STEP), method(DROP)))
+
+
+def reached(coalgebra):
+    """Every state reachable from the seeds (deterministic, 1-in/1-out)."""
+    seen, frontier = set(coalgebra.seeds), list(coalgebra.seeds)
+    while frontier:
+        s = frontier.pop()
+        for m in coalgebra.methods:
+            for arg in m.sig.arg_domain:
+                out = m.run((s,), arg).value
+                if out is not STOP and out.states[0] not in seen:
+                    seen.add(out.states[0])
+                    frontier.append(out.states[0])
+    return seen
+
+
+def random_chain(rng, mode, plant=False):
+    """Legs A→B and B→C of a random chain over Fin n, and the composite A→C.
+
+    C is drawn over Fin n_C (`step` always continues, `drop` may Stop, at
+    cost 0); B refines C and A refines B (`chain_table`). Returns (A→B, B→C,
+    A→C, Φ's image of A's reached states). With `plant`, B's entries at
+    one B-state in that image, but out of B's own reach, cost 3 more, and
+    so do the A entries refining them, so leg A→B still balances; if there
+    is no such state, the result is None.
+    """
+    colax = mode is Mode.COLAX
+    n_c = rng.randint(1, 3)
+    n_b = n_c * rng.randint(1, 2)
+    n_a = n_b * rng.randint(1, 2)
+    top = {}
+    for j in range(n_c):
+        for arg in STEP.arg_domain:
+            top["step", j, arg] = (rng.randint(0, 3), rng.randint(0, 1), rng.randrange(n_c))
+        stop = rng.random() < 0.5
+        top["drop", j, UNIT] = (0, None, None) if stop else (
+            rng.randint(0, 3), rng.randint(0, 1), rng.randrange(n_c)
+        )
+    psi = [rng.randint(0, 3) for _ in range(n_b)]
+    phi = [rng.randint(0, 3) for _ in range(n_a)]
+    b_table = chain_table(rng, top, n_c, n_b, psi, colax)
+    a_table = chain_table(rng, b_table, n_b, n_a, phi, colax)
+    a = chain_coalgebra(a_table, tuple(rng.sample(range(n_a), rng.randint(1, min(2, n_a)))))
+    b = chain_coalgebra(b_table, (rng.randrange(n_b),))
+    c = chain_coalgebra(top, (0,))
+    images = tuple(sorted({i % n_b for i in reached(a)}))
+    if plant:
+        spare = sorted(set(images) - reached(b))
+        if not spare:
+            return None
+        j = rng.choice(spare)
+        for table in (a_table, b_table):
+            for key, (cost, obs, to) in table.items():
+                if key[1] % n_b == j:
+                    table[key] = (cost + 3, obs, to)
+    first = PotentialMorphism(lambda i: charge(phi[i], i % n_b), mode)
+    second = PotentialMorphism(lambda j: charge(psi[j], j % n_c), mode)
+    return (
+        VerificationCase("a-b", INT_COST, a, b, first),
+        VerificationCase("b-c", INT_COST, b, c, second),
+        VerificationCase("a-c", INT_COST, a, c, compose_phi(INT_COST, first, second)),
+        images,
+    )
+
+
+def seeded(case, seeds):
+    return replace(case, impl=replace(case.impl, seeds=seeds))
+
+
+def test_legs_passing_on_the_first_legs_image_compose():
+    legs = {(mode, passed): 0 for mode in Mode for passed in (False, True)}
+    for seed in range(400):
+        rng = random.Random(seed)
+        mode = rng.choice(list(Mode))
+        ab, bc, ac, images = random_chain(rng, mode)
+        passed = explore(ab).passed and explore(seeded(bc, images)).passed
+        if passed:
+            assert explore(ac).passed, seed
+        legs[mode, passed] += 1
+    # In each mode, enough chains pass both legs, and defects fail enough.
+    assert all(n >= 40 for n in legs.values()), legs
+
+
+def test_legs_passing_from_their_own_seeds_do_not_certify_the_composite():
+    planted = {mode: 0 for mode in Mode}
+    for seed in range(1000):
+        rng = random.Random(seed)
+        mode = rng.choice(list(Mode))
+        chain = random_chain(rng, mode, plant=True)
+        if chain is None:
+            continue
+        ab, bc, ac, images = chain
+        if explore(ab).passed and explore(bc).passed:
+            assert not explore(ac).passed, seed
+            assert not explore(seeded(bc, images)).passed, seed
+            planted[mode] += 1
+    assert all(n >= 20 for n in planted.values()), planted
