@@ -11,7 +11,7 @@ and made canonical as it is built. Weights are exact rationals and nothing
 is sampled, so every verdict is reproducible.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
@@ -76,12 +76,15 @@ class Dist:
     """A finitely-supported distribution, canonical by construction.
 
     `Dist(branches)` takes (weight, outcome) pairs. Weights must be exact,
-    positive and sum to 1, else `BadWeights`. Equal outcomes (by typed
-    encoding) are merged and branches sorted by that encoding, so every
-    `Dist` is a valid law in canonical form and equality is structural.
+    positive and sum to 1, else `BadWeights`. Outcomes with equal typed
+    encodings are merged and branches sorted by that encoding, so every
+    `Dist` is a valid law in canonical form. Equality and hash read the
+    (encoding, weight) pairs, not the outcomes by ``==``: a law observing
+    ``True`` is not one observing ``1``.
     """
 
-    branches: Tuple[Tuple[Fraction, Any], ...]
+    branches: Tuple[Tuple[Fraction, Any], ...] = field(compare=False)
+    _key: Tuple[Tuple[str, Fraction], ...] = field(init=False, repr=False)
 
     def __init__(self, branches: Iterable[Tuple[Any, Any]]):
         merged, outcomes = {}, {}
@@ -94,8 +97,8 @@ class Dist:
             outcomes[key] = x
         if sum(merged.values()) != 1:
             raise BadWeights("weights must sum exactly to 1")
-        ordered = tuple((merged[k], outcomes[k]) for k in sorted(merged))
-        object.__setattr__(self, "branches", ordered)
+        object.__setattr__(self, "_key", tuple(sorted(merged.items())))
+        object.__setattr__(self, "branches", tuple((w, outcomes[k]) for k, w in self._key))
 
     def is_point(self) -> bool:
         return len(self.branches) == 1

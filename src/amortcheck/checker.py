@@ -30,12 +30,12 @@ from .coalgebra import (
     Continue,
     MethodSig,
     Mode,
-    NamedFn,
     VerificationCase,
+    arg_literal,
     guard_outcome,
     sum_images,
 )
-from .encoding import state_key
+from .encoding import state_key, typed_eq
 from .errors import (
     ArityMismatch,
     StateInvariantViolation,
@@ -151,6 +151,14 @@ def _square_for(case: VerificationCase, failed=None):
     expected cost: the spec's law as the spec returned it, and a side
     that is not a `Dist` is its point law ``Dist(((1, outcome),))``.
 
+    Behaviour compares by typed identity. A `Dist` compares its outcomes'
+    encodings. Two observables agree when they are one object (a shared
+    ``()`` or alphabet string: one ``is`` per square) or when `typed_eq`
+    holds, so ``True`` is not ``1``. The spec states of a deterministic
+    square compare by ``==``: keying both sides would cost about 1 µs per
+    side, an estimated 20% of `amortcheck all`, a trade-off left to the
+    work on carrier membership.
+
     With a k-input method (k >= 2) every Φ application goes through one
     table from `state_key(s)` to the normalised image (identity ⊕
     Φ(s).cost, Φ(s).value), so Φ runs once per distinct typed state (``1``,
@@ -203,7 +211,8 @@ def _square_for(case: VerificationCase, failed=None):
                 if spec_out is not last_out:  # else lhs_beh is still last_out's
                     guard_outcome(sig, spec_out)
                     last_out = spec_out
-                    lhs_beh = spec_out if spec_out is STOP else (spec_out.obs, spec_out.states)
+                    spec_obs = spec_out if spec_out is STOP else spec_out.obs
+                    lhs_beh = spec_out if spec_out is STOP else (spec_obs, spec_out.states)
                 guard_outcome(sig, out)
                 if out is STOP:
                     rhs_cost, rhs_beh = impl_res.cost, STOP
@@ -221,6 +230,8 @@ def _square_for(case: VerificationCase, failed=None):
                         mapped_cost, mapped = ch.cost, (ch.value,)
                     rhs_cost = combine(impl_res.cost, mapped_cost)
                     rhs_beh = (out.obs, mapped)
+                    if out.obs is not spec_obs and not typed_eq(out.obs, spec_obs):
+                        rhs_beh = Continue(*rhs_beh)  # never equals lhs_beh: a mismatch
                     if batch is not None:
                         batch += successors
             count += 1
@@ -265,7 +276,7 @@ def check_square(
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
-    if not any(type(a) is type(arg) and a == arg for a in sig.arg_domain):
+    if not any(typed_eq(a, arg) for a in sig.arg_domain):
         raise ArityMismatch(f"{method}: argument {arg!r} is not in its domain")
     spec = case.spec.method(method)
     engine, image = _square_for(case)
@@ -422,7 +433,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     The implementation runs from the chosen seed; the specification runs
     from the seed's image under the potential. Per-step observables must
-    agree, Stop must happen on both sides together, and the totals must
+    agree by typed identity (one object, or `typed_eq`: ``True`` is not
+    ``1``), Stop must happen on both sides together, and the totals must
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
     under the case's mode (the final potential term vanishes if the trace
     ends in Stop). A step whose value is a `Dist` stands for its one
@@ -489,7 +501,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         if impl_stop:
             stopped = True
             break
-        if impl_out.obs != spec_out.obs:
+        if impl_out.obs is not spec_out.obs and not typed_eq(impl_out.obs, spec_out.obs):
             mismatches.append(
                 TraceMismatch(
                     step_no,
@@ -549,21 +561,6 @@ def random_trace(
     return Trace(tuple(steps), seed_index=rng.randrange(len(case.impl.seeds)))
 
 
-def arg_literal(arg: Any) -> str:
-    """The documented textual encoding of a method argument."""
-    if arg == UNIT and isinstance(arg, tuple):
-        return "()"
-    if isinstance(arg, bool):
-        raise TypeError("boolean arguments have no trace encoding")
-    if isinstance(arg, int):
-        return str(arg)
-    if isinstance(arg, str):
-        return '"' + arg.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(arg, NamedFn):
-        return arg.name
-    raise TypeError(f"argument {arg!r} has no trace encoding")
-
-
 def parse_arg(sig: MethodSig, token: str, line: int, column: int) -> Any:
     for candidate in sig.arg_domain:
         if arg_literal(candidate) == token:
@@ -578,8 +575,9 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
 
     One record per line: ``method_name argument_literal``. Lines starting
     with ``#`` and blank lines are ignored. Argument literals are integers,
-    double-quoted strings, ``()`` for unit, or the name of a function in
-    the method's domain. The trace runs from the case's first seed.
+    ``true`` and ``false``, double-quoted strings, ``()`` for unit, or the
+    name of a function in the method's domain (`coalgebra.arg_literal`).
+    The trace runs from the case's first seed.
     """
     table = case.impl.sig_table
     steps = []

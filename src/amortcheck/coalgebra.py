@@ -51,9 +51,31 @@ class NamedFn:
         return self.name
 
 
+def arg_literal(arg: Any) -> str:
+    """The trace-file literal of a method argument: ``()`` for unit,
+    ``true``/``false``, an integer, a double-quoted string or a `NamedFn`'s
+    name. Any other argument raises `TypeError`, which `MethodSig` turns
+    into `ArityMismatch` when the domain is declared."""
+    if arg == UNIT and isinstance(arg, tuple):
+        return "()"
+    if isinstance(arg, bool):
+        return "true" if arg else "false"
+    if isinstance(arg, int):
+        return str(arg)
+    if isinstance(arg, str):
+        return '"' + arg.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(arg, NamedFn):
+        return arg.name
+    raise TypeError(f"argument {arg!r} has no trace encoding")
+
+
 @dataclass(frozen=True)
 class MethodSig:
-    """Shape of one method: slot arities, argument domain, termination."""
+    """Shape of one method: slot arities, argument domain, termination.
+
+    The domain must be non-empty and each member must have a trace literal
+    (`arg_literal`), else `ArityMismatch` naming it.
+    """
 
     name: str
     in_arity: int = 1
@@ -68,6 +90,13 @@ class MethodSig:
             raise ArityMismatch(f"{self.name}: out_arity must be non-negative")
         if not self.arg_domain:
             raise ArityMismatch(f"{self.name}: arg_domain must not be empty")
+        for arg in self.arg_domain:
+            try:
+                arg_literal(arg)
+            except TypeError:
+                raise ArityMismatch(
+                    f"{self.name}: argument {arg!r} has no trace literal"
+                ) from None
 
     @property
     def multi_slot(self) -> bool:

@@ -3,8 +3,10 @@
 Every carrier in this package is built from ints, strings, exact rationals
 and nested tuples. One shared codec keeps distribution canonicalization and
 counterexample reporting consistent: two values get equal encodings exactly
-when they are equal with equal types all the way down. `state_key` gives
-state deduplication the same identity without building the text.
+when they are equal with equal types all the way down. `state_key` is that
+typed identity as a hashable key, mostly without building the text: state
+deduplication, the Φ table, `Dist` equality and the observable test of a
+square (`typed_eq`) all read it.
 
 Objects outside the plain universe may participate by exposing
 ``__encode_parts__() -> tuple`` (used for outcome canonicalization).
@@ -20,13 +22,20 @@ _TAG = object()
 
 
 def encode(value: Any) -> str:
-    """Serialize a value deterministically. Injective on the plain universe."""
+    """Serialize a value deterministically. Injective on the plain universe.
+
+    A float is ``f`` and its `repr`, so ``1.0`` is not ``1``; floats are
+    told apart by `repr`, so ``0.0`` and ``-0.0`` differ and a NaN is
+    itself.
+    """
     if value is None:
         return "n"
     if isinstance(value, bool):
         return "b1" if value else "b0"
     if isinstance(value, int):
         return f"i{value}"
+    if isinstance(value, float):
+        return "f" + repr(value)
     if isinstance(value, Fraction):
         return f"q{value.numerator}/{value.denominator}"
     if isinstance(value, str):
@@ -44,25 +53,28 @@ def state_key(value: Any) -> Any:
     """A hashable key that is equal for two values exactly when `encode` is.
 
     Exact strs and ints are their own keys, and a tuple whose elements are
-    all their own keys is its own key too, so most states need no copy.
-    Anything else (None, bools, rationals, ``__encode_parts__`` objects) is
-    keyed by its tagged encoding, which keeps ``1``, ``True`` and
-    ``Fraction(1)`` apart although they hash and compare equal.
+    all their own keys is its own key too, so most states need no copy; any
+    other tuple is keyed element by element. Anything else (None, bools,
+    floats, rationals, ``__encode_parts__`` objects) is keyed by its tagged
+    encoding, which keeps ``1``, ``True``, ``1.0`` and ``Fraction(1)``
+    apart although they hash and compare equal. A value the codec cannot
+    encode raises `TypeError`.
     """
     cls = type(value)
     if cls is str or cls is int:
         return value
     if cls is tuple:
-        keys = None  # a copy, made at the first element that is not its own key
-        for n, v in enumerate(value):
+        for v in value:
             t = type(v)
-            if t is str or t is int:
-                continue
-            k = state_key(v)
-            if k is not v:
-                if keys is None:
-                    keys = list(value)
-                keys[n] = k
-        return value if keys is None else tuple(keys)
+            if t is not str and t is not int and state_key(v) is not v:
+                return tuple(map(state_key, value))
+        return value
     return (_TAG, encode(value))
 
+
+def typed_eq(a: Any, b: Any) -> bool:
+    """``a == b`` with equal `state_key`s (``True`` is not ``1``), or only ``==`` without keys."""
+    try:
+        return a == b and state_key(a) == state_key(b)
+    except TypeError:  # a value the codec cannot key
+        return a == b

@@ -101,6 +101,20 @@ def broken_allocator_case() -> VerificationCase:
     return replace(allocator_case(), name="allocator-broken", phi=phi)
 
 
+def typed_observable_case() -> VerificationCase:
+    """Negative control: a counter mod 2 that observes ``True``, its spec ``1``.
+
+    ``True == 1`` in Python, but observables compare by typed identity, so
+    every square is a behaviour mismatch.
+    """
+    sig = MethodSig("tick")
+    tick = Method(sig, lambda states, arg: _cont(1, True, 1 - states[0]))
+    impl = Coalgebra(StateDomain("fin2"), (0,), (tick,))
+    spec = _one_point(Method(sig, _returning(_cont(1, 1, UNIT))))
+    phi = PotentialMorphism(lambda n: Charged(0, UNIT))
+    return VerificationCase("typed-observable", NAT_COST, impl, spec, phi)
+
+
 # ---------------------------------------------------------------------------
 # Time-varying costs on a cyclic index carrier.
 

@@ -164,6 +164,16 @@ def test_dist_canonical_form_merges_and_orders():
     assert Dist([(1, 3)]).is_point()
 
 
+def test_dist_equality_is_typed():
+    # ``True == 1``, but a law observing True is not one observing 1.
+    true, one = Dist([(1, Continue(True, (0,)))]), Dist([(1, Continue(1, (0,)))])
+    assert true != one and len({true, one}) == 2
+    assert true == Dist([(1, Continue(True, (0,)))])
+    assert Dist([(1, 1.0)]) != Dist([(1, 1)])
+    law = expect([(1, charge(0, Continue(1.5, (0,))))]).value
+    assert law.branches == ((1, Continue(1.5, (0,))),)
+
+
 @pytest.mark.parametrize(
     "cls, fields",
     [

@@ -47,7 +47,8 @@ from amortcheck import (
     parse_trace,
     random_trace,
 )
-from amortcheck.checker import _tuples_with_max
+from amortcheck import coalgebra
+from amortcheck.checker import _tuples_with_max, arg_literal
 from amortcheck.coalgebra import sum_images
 from amortcheck.encoding import encode
 from amortcheck.structures import (
@@ -276,6 +277,57 @@ def test_non_plain_observable_mismatch_is_a_verdict():
     report = check_trace(case, Trace((("step", UNIT),)))
     assert report.counterexamples == (
         TraceMismatch(0, "observable", "step: impl observed 1.5, spec observed 2.5"),
+    )
+
+
+@pytest.mark.parametrize(
+    "impl_obs, spec_obs, ok",
+    [
+        (True, 1, False),
+        (1.0, 1, False),
+        ((1, True), (1, 1), False),
+        (tuple([1, "a"]), tuple([1, "a"]), True),  # equal, typed, two objects
+        ([1], [1], True),  # no typed key: compared by ==
+    ],
+    ids=["bool-int", "float-int", "nested-bool", "equal-tuples", "unkeyable"],
+)
+def test_observables_compare_by_typed_identity(impl_obs, spec_obs, ok):
+    case = _one_method_case(Continue(impl_obs, (0,)), Continue(spec_obs, (0,)))
+    want = [] if ok else [Verdict.BEHAVIOR_MISMATCH]
+    report = explore(case)
+    assert [c.verdict for c in report.counterexamples] == want
+    if not ok:  # the reported sides are the outcomes
+        (check,) = report.counterexamples
+        assert (check.lhs.value.obs, check.rhs.value.obs) == (spec_obs, impl_obs)
+        assert type(check.rhs.value.obs) is type(impl_obs)
+    check = check_square(case, "step", (0,))
+    assert (check.verdict is Verdict.PASS) == ok
+    report = check_trace(case, Trace((("step", UNIT),)))
+    assert [c.kind for c in report.counterexamples] == ([] if ok else ["observable"])
+    # A law compares its outcomes by typed encoding too; it needs one.
+    if type(impl_obs) is not list:
+        law = Dist([(1, Continue(impl_obs, (0,)))])
+        case = _one_method_case(law, Continue(spec_obs, (0,)))
+        assert [c.verdict for c in explore(case).counterexamples] == want
+
+
+def test_a_law_over_float_observables_gets_a_verdict():
+    # Floats have a typed encoding, so a law can hold them: no TypeError.
+    case = _one_method_case(Dist([(1, Continue(1, (0,)))]), Continue(1.5, (0,)))
+    report = explore(case)
+    assert [c.verdict for c in report.counterexamples] == [Verdict.BEHAVIOR_MISMATCH]
+    case = _one_method_case(Dist([(1, Continue(1.5, (0,)))]), Continue(1.5, (0,)))
+    assert explore(case).passed
+
+
+def test_the_typed_observable_control_fails_on_every_square_and_trace():
+    case = get_case("typed-observable")
+    report = explore(case)
+    assert (report.states_explored, report.squares_checked, report.failures) == (2, 2, 2)
+    assert {c.verdict for c in report.counterexamples} == {Verdict.BEHAVIOR_MISMATCH}
+    report = check_trace(case, Trace((("tick", UNIT),)))
+    assert report.counterexamples == (
+        TraceMismatch(0, "observable", "tick: impl observed True, spec observed 1"),
     )
 
 
@@ -571,6 +623,26 @@ def test_parse_trace_unit_and_int_literals():
     trace = parse_trace(alloc, "alloc ()\nalloc ()\n")
     assert trace.steps == (("alloc", UNIT), ("alloc", UNIT))
     assert check_trace(alloc, trace).passed
+
+
+def test_boolean_arguments_have_trace_literals():
+    sig = MethodSig("tick", arg_domain=(False, True))
+    impl_tick = Method(sig, lambda s, a: charge(2, Continue(UNIT, (0,))))
+    spec_tick = Method(sig, lambda s, a: charge(1, Continue(UNIT, (UNIT,))))
+    impl = Coalgebra(StateDomain("zero"), (0,), (impl_tick,))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (spec_tick,))
+    phi = PotentialMorphism(lambda s: charge(0, UNIT))
+    case = VerificationCase("flags", INT_COST, impl, spec, phi)
+    report = explore(case)
+    assert report.verdict == "fail"
+    assert [(c.verdict, c.arg, c.arg_literal) for c in report.counterexamples] == [
+        (Verdict.COST_MISMATCH, False, "false"),
+        (Verdict.COST_MISMATCH, True, "true"),
+    ]
+    trace = parse_trace(case, "tick true\ntick false\n")
+    assert trace.steps == (("tick", True), ("tick", False))
+    assert [type(arg) for _, arg in trace.steps] == [bool, bool]
+    assert arg_literal is coalgebra.arg_literal
 
 
 def _lookalike_chain_case(seen):

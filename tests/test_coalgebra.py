@@ -79,6 +79,14 @@ def test_method_sig_rejects_an_empty_argument_domain():
         MethodSig("tick", arg_domain=())
 
 
+def test_method_sig_rejects_an_argument_without_a_trace_literal():
+    # Every reported square prints its argument, and a trace file names it.
+    with pytest.raises(ArityMismatch, match=r"^m: argument 1.5 has no trace literal$"):
+        MethodSig("m", arg_domain=(1.5,))
+    with pytest.raises(ArityMismatch, match=r"^m: argument \(1,\) has no trace literal$"):
+        MethodSig("m", arg_domain=(0, (1,)))
+
+
 def test_case_rejects_mismatched_signature_tables():
     impl = _tiny_coalgebra(MethodSig("step"))
     spec = _tiny_coalgebra(MethodSig("other"))

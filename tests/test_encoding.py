@@ -29,7 +29,7 @@ def test_specific_encodings_stay_distinct():
 # Few leaves, many of them equal in Python but not under `encode`, so that
 # drawn pairs often collide.
 lookalike = st.recursive(
-    st.sampled_from([0, 1, True, False, Fraction(0), Fraction(1), "1", "", None]),
+    st.sampled_from([0, 1, True, False, 1.0, Fraction(0), Fraction(1), "1", "", None]),
     lambda inner: st.tuples(inner) | st.tuples(inner, inner) | st.tuples(),
     max_leaves=6,
 )
@@ -67,3 +67,9 @@ def test_state_key_of_str_and_int_tuples_is_the_state_itself():
     assert state_key(state) is state
     assert state_key("a") == "a" and state_key(7) == 7
     assert state_key((1, True)) == (1, state_key(True))
+
+
+def test_floats_have_their_own_typed_encoding():
+    assert encode(1.0) == "f1.0" and encode(1.0) != encode(1)
+    assert state_key(1.0) != state_key(1) and state_key(1.0) != state_key(True)
+    assert state_key((1, 1.0)) == (1, state_key(1.0))

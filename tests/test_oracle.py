@@ -24,7 +24,12 @@ Random chains A →Φ B →Ψ C over Fin n check that potentials compose: when
 leg A→B passes and leg B→C passes explored from Φ's image of A's reached
 states, the composite `compose_phi(Φ, Ψ)` passes. Legs that pass from
 their own seeds certify nothing: a cost defect of leg B→C at a B-state
-that only Φ's image reaches fails the composite.
+that only Φ's image reaches fails the composite. Random sequential cases
+check pairing, the tensor of potentials: each pair square is one
+component's square with the other's potential added, so two passing
+components make a passing colax `pair_cases`, and a failing pair square
+is a failing square of one component unless that component stops (a Stop
+drops the other's potential, which an exact pair cannot absorb).
 """
 
 import random
@@ -57,6 +62,7 @@ from amortcheck import (
     compose_phi,
     expect,
     explore,
+    pair_cases,
     random_trace,
 )
 from amortcheck.checker import arg_literal
@@ -83,7 +89,9 @@ def reference_square(case, method, inputs, arg):
     """The square at `inputs` with both sides built and compared whole.
 
     The sides are laws when either transition returns a `Dist`, else
-    outcomes.
+    outcomes. Laws compare whole (a `Dist` compares typed encodings);
+    outcomes compare by ``==`` and their observables by encoding too, so
+    ``True`` is not ``1``.
     """
     monoid = case.monoid
     impl = case.impl.method(method)
@@ -106,7 +114,10 @@ def reference_square(case, method, inputs, arg):
         lhs = Charged(lhs_cost, spec_outs[0][1])
         rhs = Charged(rhs_cost, rhs_outs[0][1])
     exact = case.phi.mode is Mode.EXACT
-    if lhs.value != rhs.value:
+    if lhs.value != rhs.value or (
+        type(lhs.value) is Continue is type(rhs.value)
+        and encode(lhs.value.obs) != encode(rhs.value.obs)
+    ):
         verdict = Verdict.BEHAVIOR_MISMATCH
     elif lhs_cost == rhs_cost if exact else monoid.leq(rhs_cost, lhs_cost):
         verdict = Verdict.PASS
@@ -213,7 +224,7 @@ def weighted_transition(rng, n, sources, outs, potential, may_stop=False):
     return tuple(tuple(zip(weights, side)) for side in zip(*pairs))
 
 
-def random_case(rng, randomized=False, words=False):
+def random_case(rng, randomized=False, words=False, merge=True):
     """A random case over Fin n with its `explore` bounds.
 
     The randomized flavour draws every entry as 1–2 weighted branches over
@@ -221,11 +232,12 @@ def random_case(rng, randomized=False, words=False):
     one-branch entry on one side being a plain outcome, its point law. The
     word flavour checks `step` and `drop` in exact mode over the
     non-commutative `TRACE_COST`, so the order in which each side of the
-    square combines its costs must match the reference.
+    square combines its costs must match the reference. Without `merge`
+    the case has the sequential methods `step` and `drop` only.
     """
     draw = weighted_transition if randomized else word_transition if words else transition
     monoid = TRACE_COST if words else RATIONAL_COST if randomized else INT_COST
-    sigs = (STEP, DROP) if words else (STEP, DROP, MERGE)
+    sigs = (STEP, DROP, MERGE) if merge and not words else (STEP, DROP)
     n = rng.randint(1, len(LABELS))
     potential = [rng.choice(WORDS) if words else rng.randint(0, 3) for _ in range(n)]
     step = {
@@ -616,3 +628,51 @@ def test_legs_passing_from_their_own_seeds_do_not_certify_the_composite():
             assert not explore(seeded(bc, images)).passed, seed
             planted[mode] += 1
     assert all(n >= 20 for n in planted.values()), planted
+
+
+# --- pairing ----------------------------------------------------------------
+
+
+def test_each_pair_square_is_a_square_of_one_component():
+    # Sequential components with no filter, explored until closed, so every
+    # state a pair reaches has its components' squares checked. A pair
+    # square at (l, r) is its component's square at l (or r) with the other
+    # component's potential added to both sides, except that a Stop drops
+    # the whole pair: its right side loses that potential. So two passing
+    # components make a passing colax pair, and an exact pair fails only
+    # where one component stops beside a nonzero potential.
+    components = []
+    for seed in range(1200, 1400):
+        case, _ = random_case(random.Random(seed), merge=False)
+        case = replace(case, explore_filter=None)
+        closed = explore(case, max_depth=len(LABELS), max_states=len(LABELS))
+        components.append((case, closed.passed))
+    passing = [c for c in components if c[1]]
+    # Every two passing components (few pass, and they are small), and each
+    # component beside a passing one.
+    pairs = list(product(passing, repeat=2))
+    pairs += [(c, passing[n % len(passing)]) for n, c in enumerate(components)]
+    seen = {"passing colax pairs": 0, "component failures": 0, "exact stop failures": 0}
+    for (left, left_ok), (right, right_ok) in pairs:
+        pair = pair_cases(left, right)
+        report = explore(pair, limit=10**6)
+        if left_ok and right_ok and pair.phi.mode is Mode.COLAX:
+            assert report.passed
+            seen["passing colax pairs"] += 1
+        assert len(report.counterexamples) == report.failures
+        for c in report.counterexamples:
+            side, method = c.method.split(".")
+            (states,) = c.inputs
+            j = int(side == "right")
+            own = check_square((left, right)[j], method, (states[j],), c.arg)
+            other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
+            stops = own.rhs.value is STOP
+            assert c.lhs_cost == own.lhs_cost + other_phi, c
+            assert c.rhs_cost == own.rhs_cost + (0 if stops else other_phi), c
+            if own.verdict is Verdict.PASS:
+                assert stops and other_phi != 0 and pair.phi.mode is Mode.EXACT, c
+                seen["exact stop failures"] += 1
+            else:
+                assert own.verdict is c.verdict, c
+                seen["component failures"] += 1
+    assert all(n >= 20 for n in seen.values()), seen
