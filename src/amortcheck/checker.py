@@ -155,9 +155,9 @@ def _square_for(case: VerificationCase, failed=None):
     encodings. Two observables agree when they are one object (a shared
     ``()`` or alphabet string: one ``is`` per square) or when `typed_eq`
     holds, so ``True`` is not ``1``. The spec states of a deterministic
-    square compare by ``==``: keying both sides would cost about 1 µs per
-    side, an estimated 20% of `amortcheck all`, a trade-off left to the
-    work on carrier membership.
+    square compare by ``==``: keying them too made `amortcheck all` about
+    a third slower (median `verdict_s` of the `all` benchmark workload
+    0.92 → 1.22 s), a trade-off left to the work on carrier membership.
 
     With a k-input method (k >= 2) every Φ application goes through one
     table from `state_key(s)` to the normalised image (identity ⊕
@@ -230,8 +230,9 @@ def _square_for(case: VerificationCase, failed=None):
                         mapped_cost, mapped = ch.cost, (ch.value,)
                     rhs_cost = combine(impl_res.cost, mapped_cost)
                     rhs_beh = (out.obs, mapped)
-                    if out.obs is not spec_obs and not typed_eq(out.obs, spec_obs):
-                        rhs_beh = Continue(*rhs_beh)  # never equals lhs_beh: a mismatch
+                    if out.obs is not spec_obs:  # a Continue never equals lhs_beh
+                        typed = typed_eq(out.obs, spec_obs)
+                        rhs_beh = (spec_obs, mapped) if typed else Continue(*rhs_beh)
                     if batch is not None:
                         batch += successors
             count += 1

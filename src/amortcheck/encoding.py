@@ -54,7 +54,8 @@ def state_key(value: Any) -> Any:
 
     Exact strs and ints are their own keys, and a tuple whose elements are
     all their own keys is its own key too, so most states need no copy; any
-    other tuple is keyed element by element. Anything else (None, bools,
+    other tuple is keyed element by element, keying each element once, so
+    in time linear in its size. Anything else (None, bools,
     floats, rationals, ``__encode_parts__`` objects) is keyed by its tagged
     encoding, which keeps ``1``, ``True``, ``1.0`` and ``Fraction(1)``
     apart although they hash and compare equal. A value the codec cannot
@@ -66,15 +67,17 @@ def state_key(value: Any) -> Any:
     if cls is tuple:
         for v in value:
             t = type(v)
-            if t is not str and t is not int and state_key(v) is not v:
-                return tuple(map(state_key, value))
+            if t is not str and t is not int:
+                k = state_key(v)
+                if k is not v:  # reuse k: keying v twice is exponential in depth
+                    return tuple([k if w is v else state_key(w) for w in value])
         return value
     return (_TAG, encode(value))
 
 
 def typed_eq(a: Any, b: Any) -> bool:
-    """``a == b`` with equal `state_key`s (``True`` is not ``1``), or only ``==`` without keys."""
+    """Equal `state_key`s (``True`` is not ``1``), or ``==`` for a value without a key."""
     try:
-        return a == b and state_key(a) == state_key(b)
+        return state_key(a) == state_key(b)
     except TypeError:  # a value the codec cannot key
         return a == b

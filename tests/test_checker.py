@@ -287,9 +287,10 @@ def test_non_plain_observable_mismatch_is_a_verdict():
         (1.0, 1, False),
         ((1, True), (1, 1), False),
         (tuple([1, "a"]), tuple([1, "a"]), True),  # equal, typed, two objects
+        (float("nan"), float("nan"), True),  # two NaNs, one key
         ([1], [1], True),  # no typed key: compared by ==
     ],
-    ids=["bool-int", "float-int", "nested-bool", "equal-tuples", "unkeyable"],
+    ids=["bool-int", "float-int", "nested-bool", "equal-tuples", "two-nans", "unkeyable"],
 )
 def test_observables_compare_by_typed_identity(impl_obs, spec_obs, ok):
     case = _one_method_case(Continue(impl_obs, (0,)), Continue(spec_obs, (0,)))

@@ -73,3 +73,32 @@ def test_floats_have_their_own_typed_encoding():
     assert encode(1.0) == "f1.0" and encode(1.0) != encode(1)
     assert state_key(1.0) != state_key(1) and state_key(1.0) != state_key(True)
     assert state_key((1, 1.0)) == (1, state_key(1.0))
+
+
+def test_state_key_keys_each_element_once(monkeypatch):
+    # A nested state with a keyed leaf is keyed in time linear in its size:
+    # a level that rebuilds reuses its children's keys, shared ones too.
+    import amortcheck.encoding as encoding
+
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        assert calls[0] <= 3 * 40, "keyed in more than linear time"
+        return state_key(value)
+
+    monkeypatch.setattr(encoding, "state_key", counted)
+    cons = shared = None
+    for n in range(40):
+        cons, shared = (n, cons), (shared, shared)
+    key = counted(cons)
+    for n in reversed(range(40)):
+        assert key[0] == n
+        key = key[1]
+    assert key == state_key(None)
+    calls[0] = 0
+    key = counted(shared)
+    for _ in range(40):
+        assert key[0] is key[1]
+        key = key[0]
+    assert key == state_key(None)

@@ -37,6 +37,8 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from amortcheck import (
     INT_COST,
     RATIONAL_COST,
@@ -633,26 +635,33 @@ def test_legs_passing_from_their_own_seeds_do_not_certify_the_composite():
 # --- pairing ----------------------------------------------------------------
 
 
-def test_each_pair_square_is_a_square_of_one_component():
-    # Sequential components with no filter, explored until closed, so every
-    # state a pair reaches has its components' squares checked. A pair
-    # square at (l, r) is its component's square at l (or r) with the other
-    # component's potential added to both sides, except that a Stop drops
-    # the whole pair: its right side loses that potential. So two passing
-    # components make a passing colax pair, and an exact pair fails only
-    # where one component stops beside a nonzero potential.
+def sequential_components():
+    """Random sequential components with no filter, explored until closed,
+    so every state a pair reaches has its components' squares checked.
+    Each comes with whether it passes."""
     components = []
     for seed in range(1200, 1400):
         case, _ = random_case(random.Random(seed), merge=False)
         case = replace(case, explore_filter=None)
         closed = explore(case, max_depth=len(LABELS), max_states=len(LABELS))
         components.append((case, closed.passed))
+    return components
+
+
+def test_each_pair_square_is_a_square_of_one_component():
+    # A pair square at (l, r) is its component's square at l (or r) with
+    # the other component's potential added to both sides. So two passing
+    # components make a passing colax pair, and a failing pair square that
+    # does not stop fails as its component's square does. A Stop ends the
+    # whole pair, which is not yet settled for exact pairs: see the xfail
+    # test below.
+    components = sequential_components()
     passing = [c for c in components if c[1]]
     # Every two passing components (few pass, and they are small), and each
     # component beside a passing one.
     pairs = list(product(passing, repeat=2))
     pairs += [(c, passing[n % len(passing)]) for n, c in enumerate(components)]
-    seen = {"passing colax pairs": 0, "component failures": 0, "exact stop failures": 0}
+    seen = {"passing colax pairs": 0, "component failures": 0}
     for (left, left_ok), (right, right_ok) in pairs:
         pair = pair_cases(left, right)
         report = explore(pair, limit=10**6)
@@ -666,13 +675,21 @@ def test_each_pair_square_is_a_square_of_one_component():
             j = int(side == "right")
             own = check_square((left, right)[j], method, (states[j],), c.arg)
             other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
-            stops = own.rhs.value is STOP
             assert c.lhs_cost == own.lhs_cost + other_phi, c
-            assert c.rhs_cost == own.rhs_cost + (0 if stops else other_phi), c
-            if own.verdict is Verdict.PASS:
-                assert stops and other_phi != 0 and pair.phi.mode is Mode.EXACT, c
-                seen["exact stop failures"] += 1
-            else:
-                assert own.verdict is c.verdict, c
-                seen["component failures"] += 1
+            if own.rhs.value is STOP:
+                continue  # what a paired Stop means is open
+            assert c.rhs_cost == own.rhs_cost + other_phi, c
+            assert own.verdict is c.verdict, c
+            seen["component failures"] += 1
     assert all(n >= 20 for n in seen.values()), seen
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a Stop ends the whole pair, so an exact pair square that stops "
+    "drops the other component's potential from its right side",
+)
+def test_two_passing_exact_components_give_a_passing_pair():
+    passing = [c for c, ok in sequential_components() if ok and c.phi.mode is Mode.EXACT]
+    for left, right in product(passing, repeat=2):
+        assert explore(pair_cases(left, right), limit=10**6).passed
