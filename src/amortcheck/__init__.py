@@ -23,7 +23,6 @@ from .checker import (
 from .coalgebra import (
     STOP,
     UNIT,
-    UNIT_DOMAIN,
     Coalgebra,
     Continue,
     Method,

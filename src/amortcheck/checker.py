@@ -28,7 +28,6 @@ from .coalgebra import (
     STOP,
     UNIT,
     Continue,
-    MethodSig,
     Mode,
     VerificationCase,
     arg_literal,
@@ -562,23 +561,16 @@ def random_trace(
     return Trace(tuple(steps), seed_index=rng.randrange(len(case.impl.seeds)))
 
 
-def parse_arg(sig: MethodSig, token: str, line: int, column: int) -> Any:
-    for candidate in sig.arg_domain:
-        if arg_literal(candidate) == token:
-            return candidate
-    raise TraceParseError(
-        line, column, f"argument {token!r} is not in the domain of {sig.name}"
-    )
-
-
 def parse_trace(case: VerificationCase, text: str) -> Trace:
     """Parse the plain-text trace format.
 
     One record per line: ``method_name argument_literal``. Lines starting
     with ``#`` and blank lines are ignored. Argument literals are integers,
     ``true`` and ``false``, double-quoted strings, ``()`` for unit, or the
-    name of a function in the method's domain (`coalgebra.arg_literal`).
-    The trace runs from the case's first seed.
+    name of a function in the method's domain (`coalgebra.arg_literal`);
+    each is looked up in its method's `MethodSig.literals`, so every
+    argument a report prints reads back. The trace runs from the case's
+    first seed.
     """
     table = case.impl.sig_table
     steps = []
@@ -591,10 +583,10 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
         if name not in table:
             raise TraceParseError(line_no, column, f"unknown method {name!r}")
         rest = stripped[len(name):].strip()
-        if not rest:
-            raise TraceParseError(
-                line_no, column + len(name), f"missing argument for {name!r}"
-            )
-        arg_col = raw.index(rest[0], column + len(name) - 1) + 1
-        steps.append((name, parse_arg(table[name], rest, line_no, arg_col)))
+        literals = table[name].literals
+        if rest not in literals:
+            problem = f"argument {rest!r} is not in the domain of" if rest else "missing argument for"
+            arg_col = len(raw.rstrip()) - len(rest) + 1
+            raise TraceParseError(line_no, arg_col, f"{problem} {name!r}")
+        steps.append((name, literals[rest]))
     return Trace(tuple(steps))

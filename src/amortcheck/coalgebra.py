@@ -28,9 +28,6 @@ from .errors import (
 #: The trivial argument/observable value, rendered ``()`` in trace files.
 UNIT = ()
 
-#: Argument domain of methods taking no meaningful argument.
-UNIT_DOMAIN = (UNIT,)
-
 
 @dataclass(frozen=True)
 class NamedFn:
@@ -54,8 +51,9 @@ class NamedFn:
 def arg_literal(arg: Any) -> str:
     """The trace-file literal of a method argument: ``()`` for unit,
     ``true``/``false``, an integer, a double-quoted string or a `NamedFn`'s
-    name. Any other argument raises `TypeError`, which `MethodSig` turns
-    into `ArityMismatch` when the domain is declared."""
+    name. This is the one encoder; `MethodSig` keeps its inverse. Any other
+    argument raises `TypeError`, which `MethodSig` turns into
+    `ArityMismatch` when the domain is declared."""
     if arg == UNIT and isinstance(arg, tuple):
         return "()"
     if isinstance(arg, bool):
@@ -66,22 +64,26 @@ def arg_literal(arg: Any) -> str:
         return '"' + arg.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(arg, NamedFn):
         return arg.name
-    raise TypeError(f"argument {arg!r} has no trace encoding")
+    raise TypeError(f"argument {arg!r} has no trace literal")
 
 
 @dataclass(frozen=True)
 class MethodSig:
     """Shape of one method: slot arities, argument domain, termination.
 
-    The domain must be non-empty and each member must have a trace literal
-    (`arg_literal`), else `ArityMismatch` naming it.
+    The domain must be non-empty, and `literals` maps each member's trace
+    literal (`arg_literal`) back to it. A member with no literal, two
+    members with one literal (duplicates included) and a literal a trace
+    file cannot read back (empty, spanning lines, or with leading or
+    trailing whitespace) raise `ArityMismatch` naming the member(s).
     """
 
     name: str
     in_arity: int = 1
     out_arity: int = 1
-    arg_domain: Tuple[Any, ...] = UNIT_DOMAIN
+    arg_domain: Tuple[Any, ...] = (UNIT,)
     may_stop: bool = False
+    literals: Dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.in_arity < 1:
@@ -90,13 +92,23 @@ class MethodSig:
             raise ArityMismatch(f"{self.name}: out_arity must be non-negative")
         if not self.arg_domain:
             raise ArityMismatch(f"{self.name}: arg_domain must not be empty")
+        literals = {}
         for arg in self.arg_domain:
             try:
-                arg_literal(arg)
-            except TypeError:
+                lit = arg_literal(arg)
+            except TypeError as err:
+                raise ArityMismatch(f"{self.name}: {err}") from None
+            if lit in literals:
+                twin = literals[lit]
                 raise ArityMismatch(
-                    f"{self.name}: argument {arg!r} has no trace literal"
-                ) from None
+                    f"{self.name}: {type(twin).__name__} {twin!r} and "
+                    f"{type(arg).__name__} {arg!r} share literal {lit}"
+                )
+            if len(lit.splitlines()) != 1 or lit != lit.strip():
+                kind = type(arg).__name__
+                raise ArityMismatch(f"{self.name}: {kind} literal {lit!r} does not read back")
+            literals[lit] = arg
+        object.__setattr__(self, "literals", literals)
 
     @property
     def multi_slot(self) -> bool:

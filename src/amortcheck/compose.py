@@ -81,16 +81,21 @@ def _lift_method(method: Method, side: int, tag: str) -> Method:
     return Method(sig, run)
 
 
+def _both(left, right):
+    """The pair predicate that holds when each component's holds (a missing
+    one always holds); None when neither component has one."""
+    if left is None and right is None:
+        return None
+    left, right = left or (lambda s: True), right or (lambda s: True)
+    return lambda pair: left(pair[0]) and right(pair[1])
+
+
 def _pair_coalgebra(left: Coalgebra, right: Coalgebra) -> Coalgebra:
     methods = tuple(
         [_lift_method(m, 0, "left") for m in left.methods]
         + [_lift_method(m, 1, "right") for m in right.methods]
     )
-    invariant = None
-    if left.state_invariant or right.state_invariant:
-        li = left.state_invariant or (lambda s: True)
-        ri = right.state_invariant or (lambda s: True)
-        invariant = lambda pair: li(pair[0]) and ri(pair[1])
+    invariant = _both(left.state_invariant, right.state_invariant)
     seeds = tuple((a, b) for a in left.seeds for b in right.seeds)
     name = f"pair({left.state_domain.name},{right.state_domain.name})"
     return Coalgebra(StateDomain(name), seeds, methods, invariant)
@@ -102,7 +107,13 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
     Methods are tagged ``left.<name>`` / ``right.<name>`` and act on their
     component only. Restricted to 1-in/1-out methods: an untouched
     component would otherwise be counted more than once in the potential
-    sum, which is exactly what the tensor of potentials must not do.
+    sum, which is exactly what the tensor of potentials must not do. Each
+    component's state invariant and explore filter apply to its side.
+
+    A pair square is its component's square with the other potential on
+    both sides, but a component's Stop ends the pair, so at a Stop it is
+    on the left side only: an exact pair of passing components fails
+    exactly at the Stop squares beside a nonzero potential.
     """
     if left.monoid != right.monoid:
         raise ValueError("paired cases must share one cost model")
@@ -130,6 +141,7 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
         phi=PotentialMorphism(phi, mode),
         max_depth=min(left.max_depth, right.max_depth),
         max_states=min(VerificationCase.max_states, left.max_states * right.max_states),
+        explore_filter=_both(left.explore_filter, right.explore_filter),
     )
 
 

@@ -50,7 +50,8 @@ from amortcheck import (
 from amortcheck import coalgebra
 from amortcheck.checker import _tuples_with_max, arg_literal
 from amortcheck.coalgebra import sum_images
-from amortcheck.encoding import encode
+from amortcheck.encoding import encode, typed_eq
+from amortcheck.registry import registered_names
 from amortcheck.structures import (
     allocator_case,
     batched_queue_case,
@@ -616,7 +617,7 @@ def test_parse_trace_and_errors():
 
     with pytest.raises(TraceParseError) as err:
         parse_trace(case, "write\n")
-    assert err.value.line == 1
+    assert err.value.line == 1 and err.value.column == 6
 
 
 def test_parse_trace_unit_and_int_literals():
@@ -624,6 +625,18 @@ def test_parse_trace_unit_and_int_literals():
     trace = parse_trace(alloc, "alloc ()\nalloc ()\n")
     assert trace.steps == (("alloc", UNIT), ("alloc", UNIT))
     assert check_trace(alloc, trace).passed
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_every_registered_argument_reads_back(name):
+    # A counterexample prints `arg_literal(arg)`; a trace line naming that
+    # literal gives the same argument back, typed.
+    case = get_case(name)
+    for m in case.impl.methods:
+        for arg in m.sig.arg_domain:
+            trace = parse_trace(case, f"{m.sig.name} {arg_literal(arg)}")
+            ((method, got),) = trace.steps
+            assert method == m.sig.name and typed_eq(got, arg), (method, arg)
 
 
 def test_boolean_arguments_have_trace_literals():

@@ -1,5 +1,8 @@
 """Potential application over state tuples and case-level validation."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 
 from amortcheck import (
@@ -11,6 +14,7 @@ from amortcheck import (
     MethodSig,
     Mode,
     NAT_COST,
+    NamedFn,
     NonCommutativeTensor,
     OrderUnavailable,
     PotentialMorphism,
@@ -85,6 +89,36 @@ def test_method_sig_rejects_an_argument_without_a_trace_literal():
         MethodSig("m", arg_domain=(1.5,))
     with pytest.raises(ArityMismatch, match=r"^m: argument \(1,\) has no trace literal$"):
         MethodSig("m", arg_domain=(0, (1,)))
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ((0, 0), r"^m: int 0 and int 0 share literal 0$"),
+        ((True, NamedFn("true", abs)), r"^m: bool True and NamedFn true share literal true$"),
+        (("a\nb",), r"^m: str literal '\"a\\nb\"' does not read back$"),
+        ((NamedFn(" id", abs),), r"^m: NamedFn literal ' id' does not read back$"),
+        ((NamedFn("", abs),), r"^m: NamedFn literal '' does not read back$"),
+    ],
+    ids=["duplicate", "shared", "two-lines", "leading-space", "empty"],
+)
+def test_method_sig_rejects_a_literal_a_trace_cannot_read_back(domain, message):
+    # A trace file names each argument by its literal, one per line and
+    # stripped, so each member needs its own literal that survives that.
+    with pytest.raises(ArityMismatch, match=message):
+        MethodSig("m", arg_domain=domain)
+
+
+def test_method_sig_literal_table_is_derived():
+    sig = MethodSig("m", arg_domain=(UNIT, 1, "x", NamedFn("f", abs)))
+    assert sig.literals == {"()": UNIT, "1": 1, '"x"': "x", "f": sig.arg_domain[3]}
+    assert MethodSig("m").literals == {"()": UNIT}
+    assert sig == MethodSig("m", arg_domain=sig.arg_domain) and "literals" not in repr(sig)
+    renamed = replace(sig, name="left.m")
+    assert renamed.literals == sig.literals and renamed.literals is not sig.literals
+    with pytest.raises(ValueError):
+        replace(sig, literals={})
+    assert copy.deepcopy(sig).literals == sig.literals
 
 
 def test_case_rejects_mismatched_signature_tables():

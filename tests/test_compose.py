@@ -44,6 +44,7 @@ from amortcheck.structures import (
     broken_allocator_case,
     buffer_case,
     randomized_allocator_case,
+    varying_cost_case,
 )
 
 
@@ -109,6 +110,18 @@ def test_composite_bounds_follow_the_case_defaults():
     programs = (ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc")),)
     translated = translate_case(base, programs, base.spec, _identity_phi(), "alloc-via-alloc")
     assert translated.max_depth == defaults["max_depth"]
+
+
+def test_pairs_keep_their_parts_explore_filters():
+    # `varying` is defective at 40, but its filter stops it at 29, so it
+    # passes on 30 states; the pair must not explore past that filter.
+    varying = replace(varying_cost_case(defect_at=40), explore_filter=lambda i: i < 30)
+    assert explore(varying, max_depth=64).passed
+    paired = pair_cases(varying, allocator_case())
+    report = explore(paired, max_depth=64)
+    assert report.passed
+    assert (report.states_explored, report.squares_checked) == (30 * 8, 2 * 30 * 8)
+    assert pair_cases(allocator_case(), allocator_case()).explore_filter is None
 
 
 def test_pairing_with_a_failing_case_fails():

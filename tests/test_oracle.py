@@ -635,13 +635,15 @@ def test_legs_passing_from_their_own_seeds_do_not_certify_the_composite():
 # --- pairing ----------------------------------------------------------------
 
 
-def sequential_components():
-    """Random sequential components with no filter, explored until closed,
-    so every state a pair reaches has its components' squares checked.
-    Each comes with whether it passes."""
+def sequential_components(seeds=range(1200, 1400), modes=tuple(Mode)):
+    """Random sequential components in `modes` with no filter, explored
+    until closed, so every state a pair reaches has its components' squares
+    checked. Each comes with whether it passes."""
     components = []
-    for seed in range(1200, 1400):
+    for seed in seeds:
         case, _ = random_case(random.Random(seed), merge=False)
+        if case.phi.mode not in modes:
+            continue
         case = replace(case, explore_filter=None)
         closed = explore(case, max_depth=len(LABELS), max_states=len(LABELS))
         components.append((case, closed.passed))
@@ -651,17 +653,19 @@ def sequential_components():
 def test_each_pair_square_is_a_square_of_one_component():
     # A pair square at (l, r) is its component's square at l (or r) with
     # the other component's potential added to both sides. So two passing
-    # components make a passing colax pair, and a failing pair square that
-    # does not stop fails as its component's square does. A Stop ends the
-    # whole pair, which is not yet settled for exact pairs: see the xfail
-    # test below.
+    # components make a passing colax pair, and a failing pair square fails
+    # as its component's square does. The one exception is the rule for
+    # Stop: a component's Stop ends the pair, so the other potential is
+    # added to the left side only, and a Stop square that passes in its
+    # component fails in the pair only in exact mode, beside a nonzero
+    # potential.
     components = sequential_components()
     passing = [c for c in components if c[1]]
     # Every two passing components (few pass, and they are small), and each
     # component beside a passing one.
     pairs = list(product(passing, repeat=2))
     pairs += [(c, passing[n % len(passing)]) for n, c in enumerate(components)]
-    seen = {"passing colax pairs": 0, "component failures": 0}
+    seen = {"passing colax pairs": 0, "component failures": 0, "stop squares": 0}
     for (left, left_ok), (right, right_ok) in pairs:
         pair = pair_cases(left, right)
         report = explore(pair, limit=10**6)
@@ -677,19 +681,41 @@ def test_each_pair_square_is_a_square_of_one_component():
             other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
             assert c.lhs_cost == own.lhs_cost + other_phi, c
             if own.rhs.value is STOP:
-                continue  # what a paired Stop means is open
-            assert c.rhs_cost == own.rhs_cost + other_phi, c
+                assert c.rhs_cost == own.rhs_cost, c
+                seen["stop squares"] += 1
+                if own.verdict is Verdict.PASS:
+                    assert pair.phi.mode is Mode.EXACT and other_phi != 0, c
+                    continue
+            else:
+                assert c.rhs_cost == own.rhs_cost + other_phi, c
             assert own.verdict is c.verdict, c
             seen["component failures"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a Stop ends the whole pair, so an exact pair square that stops "
-    "drops the other component's potential from its right side",
-)
-def test_two_passing_exact_components_give_a_passing_pair():
-    passing = [c for c, ok in sequential_components() if ok and c.phi.mode is Mode.EXACT]
+def test_a_stop_ends_the_pair_beside_the_other_potential():
+    # Every failure of a pair of two passing exact components is a Stop
+    # square beside a nonzero potential of the other component, and the
+    # registered pair below shows every such square failing.
+    components = sequential_components(range(1200, 3200), (Mode.EXACT,))
+    passing = [c for c, ok in components if ok]
+    stops = 0
     for left, right in product(passing, repeat=2):
-        assert explore(pair_cases(left, right), limit=10**6).passed
+        for c in explore(pair_cases(left, right), limit=10**6).counterexamples:
+            (states,) = c.inputs
+            j = int(c.method.startswith("right."))
+            other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
+            assert c.rhs.value is STOP and c.verdict is Verdict.COST_MISMATCH, c
+            assert c.lhs_cost - other_phi == c.rhs_cost and other_phi != 0, c
+            stops += 1
+    assert len(passing) >= 10 and stops >= 20, (len(passing), stops)
+    allocator = get_case("allocator")
+    report = explore(pair_cases(get_case("queue-exact"), allocator))
+    assert (report.failures, report.squares_checked) == (7, 16_416)
+    assert {(c.method, c.inputs[0][0]) for c in report.counterexamples} == {
+        ("left.dequeue", ((), ()))
+    }
+    # The allocator states beside which the empty queue's dequeue fails
+    # are exactly those with a nonzero potential: all but d = 7.
+    failing = sorted(c.inputs[0][1] for c in report.counterexamples)
+    assert failing == [d for d in range(8) if allocator.phi.phi(d).cost != 0]
