@@ -418,16 +418,6 @@ def explore(
     )
 
 
-def _point(case, sig, dist):
-    """The one outcome of a trace step whose value is a `Dist`."""
-    if not dist.is_point():
-        raise UnsupportedArity(
-            f"{case.name}: trace checking needs point outcome "
-            f"distributions, {sig.name} branches"
-        )
-    return dist.branches[0][1]
-
-
 def check_trace(case: VerificationCase, trace: Trace) -> Report:
     """Verify the telescoped amortization identity along one trace.
 
@@ -437,11 +427,11 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     ``1``), Stop must happen on both sides together, and the totals must
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
     under the case's mode (the final potential term vanishes if the trace
-    ends in Stop). A step whose value is a `Dist` stands for its one
-    outcome; a law that branches raises `UnsupportedArity`. Steps get the
-    same shape guard as squares: Stop only from a ``may_stop`` method, else
-    exactly one successor state. The trace's `seed_index` must index the
-    case's seeds (else `ValueError`).
+    ends in Stop). Each side of a step is `guard_outcome`'s outcome: Stop
+    only from a ``may_stop`` method, else exactly one successor state, and
+    a point law stands for its one outcome while a law that branches raises
+    `ArityMismatch`. The trace's `seed_index` must index the case's seeds
+    (else `ValueError`).
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -477,15 +467,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                 "traces cover sequential methods only"
             )
         res = impl_run((impl_state,), arg)
-        impl_cost, impl_out = res.cost, res.value
-        if type(impl_out) is Dist:
-            impl_out = _point(case, sig, impl_out)
-        guard_outcome(sig, impl_out)
+        impl_cost, impl_out = res.cost, guard_outcome(sig, res.value)
         res = spec_run((spec_state,), arg)
-        spec_cost, spec_out = res.cost, res.value
-        if type(spec_out) is Dist:
-            spec_out = _point(case, sig, spec_out)
-        guard_outcome(sig, spec_out)
+        spec_cost, spec_out = res.cost, guard_outcome(sig, res.value)
         total_impl = combine(total_impl, impl_cost)
         total_spec = combine(total_spec, spec_cost)
         steps_run += 1

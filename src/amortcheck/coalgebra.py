@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from .charged import Charged
+from .charged import Charged, Dist
 from .cost import CostMonoid
 from .encoding import encode
 from .errors import (
@@ -71,11 +71,13 @@ def arg_literal(arg: Any) -> str:
 class MethodSig:
     """Shape of one method: slot arities, argument domain, termination.
 
-    The domain must be non-empty, and `literals` maps each member's trace
-    literal (`arg_literal`) back to it. A member with no literal, two
-    members with one literal (duplicates included) and a literal a trace
-    file cannot read back (empty, spanning lines, or with leading or
-    trailing whitespace) raise `ArityMismatch` naming the member(s).
+    A name a trace line cannot hold (empty, with whitespace or starting
+    with ``#``) raises `ArityMismatch`. The domain must be non-empty, and
+    `literals` maps each member's trace literal (`arg_literal`) back to it.
+    A member with no literal, two members with one literal (duplicates
+    included) and a literal a trace file cannot read back (empty, spanning
+    lines, or with leading or trailing whitespace) raise `ArityMismatch`
+    naming the member(s).
     """
 
     name: str
@@ -86,6 +88,9 @@ class MethodSig:
     literals: Dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        name = self.name
+        if not name or name.startswith("#") or any(c.isspace() for c in name):
+            raise ArityMismatch(f"method name {name!r} cannot be named in a trace")
         if self.in_arity < 1:
             raise ArityMismatch(f"{self.name}: in_arity must be positive")
         if self.out_arity < 0:
@@ -163,11 +168,12 @@ _set_obs, _set_states = Continue.obs.__set__, Continue.states.__set__
 Outcome = Any  # Stop | Continue
 
 
-def guard_outcome(sig: MethodSig, outcome: Outcome) -> None:
-    """An outcome must honor its method's declared shape (else
-    `ArityMismatch`): `STOP` or a `Continue`. A law's branches are guarded
-    one by one; a `Dist` where one outcome is due (a paired method, a
-    substrate call) is refused."""
+def guard_outcome(sig: MethodSig, outcome: Outcome) -> Outcome:
+    """The one outcome a step stands for, checked against its method's
+    shape (else `ArityMismatch` naming the method): `STOP` from a
+    ``may_stop`` method, a `Continue` with ``out_arity`` states, or a point
+    law, which stands for its outcome. A law that branches is refused; the
+    square engine guards a law's branches one by one."""
     try:
         if outcome is STOP:
             if not sig.may_stop:
@@ -177,9 +183,15 @@ def guard_outcome(sig: MethodSig, outcome: Outcome) -> None:
                 f"{sig.name} produced {len(outcome.states)} successor state(s), "
                 f"declared out_arity is {sig.out_arity}"
             )
+        return outcome
     except AttributeError:
-        kind = type(outcome).__name__
-        raise ArityMismatch(f"{sig.name} returned {kind}, not Stop or Continue") from None
+        if type(outcome) is not Dist:
+            kind = type(outcome).__name__
+            raise ArityMismatch(f"{sig.name} returned {kind}, not Stop or Continue") from None
+    if not outcome.is_point():
+        n = len(outcome.branches)
+        raise ArityMismatch(f"{sig.name} returned a law of {n} outcomes, not one")
+    return guard_outcome(sig, outcome.branches[0][1])
 
 
 @dataclass(frozen=True)

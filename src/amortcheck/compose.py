@@ -68,10 +68,9 @@ def _lift_method(method: Method, side: int, tag: str) -> Method:
     def run(states, arg):
         (pair,) = states
         res = method.run((pair[side],), arg)
-        out = res.value
-        guard_outcome(method.sig, out)
+        out = guard_outcome(method.sig, res.value)
         if out is STOP:
-            return res
+            return Charged(res.cost, STOP)
         if side == 0:
             successor = (out.states[0], pair[1])
         else:
@@ -108,7 +107,9 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
     component only. Restricted to 1-in/1-out methods: an untouched
     component would otherwise be counted more than once in the potential
     sum, which is exactly what the tensor of potentials must not do. Each
-    component's state invariant and explore filter apply to its side.
+    component's state invariant and explore filter apply to its side. A
+    point law is lifted as its one outcome (`guard_outcome`), at its
+    expected cost; a law that branches raises `ArityMismatch`.
 
     A pair square is its component's square with the other potential on
     both sides, but a component's Stop ends the pair, so at a Stop it is
@@ -164,7 +165,8 @@ class SubstrateRun:
         self.calls = 0
 
     def call(self, method: str, arg: Any = UNIT) -> Any:
-        """Run a 1-in/1-out substrate method; its observable, or `STOP`."""
+        """Run a 1-in/1-out substrate method; its observable, or `STOP`. A
+        point law is its outcome (`guard_outcome`), at its expected cost."""
         if self.calls >= STEP_BUDGET:
             raise StepBudgetExceeded(
                 f"translation program exceeded {STEP_BUDGET} substrate calls"
@@ -173,8 +175,7 @@ class SubstrateRun:
         if not m.sig.sequential:
             raise UnsupportedArity(f"substrate method {method} is not 1-in/1-out")
         res = m.run((self.state,), arg)
-        out = res.value
-        guard_outcome(m.sig, out)
+        out = guard_outcome(m.sig, res.value)
         self.cost = self._monoid.combine(self.cost, res.cost)
         self.calls += 1
         if out is STOP:

@@ -26,7 +26,8 @@ class OrderUnavailable(AmortError):
 
 
 class UnsupportedArity(AmortError):
-    """Operation restricted to 1-in/1-out methods (traces, pairing)."""
+    """Operation restricted to 1-in/1-out methods (traces, pairing); a law
+    that branches where one outcome is due is an `ArityMismatch` instead."""
 
 
 class StepBudgetExceeded(AmortError):

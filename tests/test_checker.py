@@ -44,12 +44,14 @@ from amortcheck import (
     check_trace,
     explore,
     get_case,
+    pair_cases,
     parse_trace,
     random_trace,
 )
 from amortcheck import coalgebra
 from amortcheck.checker import _tuples_with_max, arg_literal
 from amortcheck.coalgebra import sum_images
+from amortcheck.compose import SubstrateRun
 from amortcheck.encoding import encode, typed_eq
 from amortcheck.registry import registered_names
 from amortcheck.structures import (
@@ -591,15 +593,31 @@ def test_explore_admits_only_continue_successors():
     assert report.squares_checked == 2
 
 
+BRANCHES = r"^alloc returned a law of 2 outcomes, not one$"
+
+
 def test_trace_rejects_branching_randomized_step():
     # rand-alloc folds its coin flips into the expected cost, so each of its
     # steps is a point distribution; the coin-stop impl really branches.
     assert check_trace(get_case("rand-alloc"), Trace((("alloc", UNIT),))).passed
-    with pytest.raises(
-        UnsupportedArity,
-        match="coin-stop: trace checking needs point outcome distributions, alloc branches",
-    ):
+    with pytest.raises(ArityMismatch, match=BRANCHES):
         check_trace(_coin_stop_case(Fraction(1, 2)), Trace((("alloc", UNIT),)))
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda case: check_trace(case, Trace((("alloc", UNIT),))),
+        lambda case: explore(pair_cases(case, case)),
+        lambda case: SubstrateRun(case.impl, case.monoid, 0).call("alloc"),
+    ],
+    ids=["trace", "pair", "substrate"],
+)
+def test_a_branching_law_is_refused_wherever_one_outcome_is_due(step):
+    # Each of these threads one outcome through `guard_outcome`, which
+    # reads a point law as its outcome and refuses one that branches.
+    with pytest.raises(ArityMismatch, match=BRANCHES):
+        step(_coin_stop_case(Fraction(1, 2)))
 
 
 def test_parse_trace_and_errors():

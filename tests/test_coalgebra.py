@@ -109,6 +109,23 @@ def test_method_sig_rejects_a_literal_a_trace_cannot_read_back(domain, message):
         MethodSig("m", arg_domain=domain)
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("#alloc", r"^method name '#alloc' cannot be named in a trace$"),
+        ("al loc", r"^method name 'al loc' cannot be named in a trace$"),
+        ("", r"^method name '' cannot be named in a trace$"),
+    ],
+    ids=["comment", "space", "empty"],
+)
+def test_method_sig_rejects_a_name_a_trace_cannot_hold(name, message):
+    # A trace line is `name literal`: a `#` line is a comment, the name
+    # ends at the first whitespace, and an empty name leaves the literal
+    # in its place, so none of these methods could be named.
+    with pytest.raises(ArityMismatch, match=message):
+        MethodSig(name)
+
+
 def test_method_sig_literal_table_is_derived():
     sig = MethodSig("m", arg_domain=(UNIT, 1, "x", NamedFn("f", abs)))
     assert sig.literals == {"()": UNIT, "1": 1, '"x"': "x", "f": sig.arg_domain[3]}

@@ -1,6 +1,7 @@
 """Composition: chained potentials, paired cases, signature translations."""
 
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from amortcheck import (
     charge,
     check_square,
     compose_phi,
+    expect,
     explore,
     get_case,
     pair_cases,
@@ -149,27 +151,76 @@ def test_pairing_requires_commutative_monoid_and_unary_methods():
         pair_cases(allocator_case(), get_case("rand-alloc"))
 
 
-RETURNED_DIST = r"^alloc returned Dist, not Stop or Continue$"
+def _branching(case):
+    """`case` with an `alloc` whose law branches on both sides: a fair coin
+    observed as 0 or 1, the state kept."""
+    half = Fraction(1, 2)
+    coin = lambda states, arg: expect(
+        [(half, charge(0, Continue(0, states))), (half, charge(0, Continue(1, states)))]
+    )
+    alloc = Method(MethodSig("alloc"), coin)
+    return replace(
+        case,
+        impl=replace(case.impl, methods=(alloc,)),
+        spec=replace(case.spec, methods=(alloc,)),
+    )
+
+
+BRANCHES = r"^alloc returned a law of 2 outcomes, not one$"
+
+
+def test_pairing_two_randomized_cases_passes():
+    # rand-alloc's laws are points, so a pair of it lifts each at its
+    # expected cost and passes as the component does.
+    rand = randomized_allocator_case()
+    report = explore(pair_cases(rand, rand))
+    assert report.passed, report.counterexamples
+    assert (report.states_explored, report.squares_checked) == (16, 32)
+    assert report.slack_min == report.slack_max == 0
 
 
 def test_pairing_rejects_two_randomized_cases():
-    # A paired method lifts its component's one outcome, so the shape guard
-    # refuses a law when the pair is explored, naming the method.
+    # A paired method lifts its component's one outcome, so a law that
+    # branches is refused on either side when the pair is explored, naming
+    # the component's method.
     rand = randomized_allocator_case()
-    with pytest.raises(ArityMismatch, match=RETURNED_DIST):
-        explore(pair_cases(rand, rand))
+    for pair in (pair_cases(_branching(rand), rand), pair_cases(rand, _branching(rand))):
+        with pytest.raises(ArityMismatch, match=BRANCHES):
+            explore(pair)
+
+
+def _half_per_alloc():
+    """A one-point target spec charging 1/2 per `alloc`."""
+    half = lambda states, arg: charge(Fraction(1, 2), Continue(UNIT, (UNIT,)))
+    return Coalgebra(StateDomain("unit"), (UNIT,), (Method(MethodSig("alloc"), half),))
+
+
+ALLOC = ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc"))
+
+
+@pytest.mark.parametrize(
+    "over, counts", [("spec", (1, 1)), ("impl", (4, 4))], ids=["spec", "impl"]
+)
+def test_translation_over_a_randomized_base_passes(over, counts):
+    # A substrate call reads rand-alloc's point law as its outcome, at its
+    # expected cost: 1/2 per call on the spec, 2 then 0, 0, 0 on the impl.
+    phi_extra = PotentialMorphism(lambda s: charge(0, UNIT))
+    case = translate_case(
+        randomized_allocator_case(), (ALLOC,), _half_per_alloc(), phi_extra, "t", over
+    )
+    report = explore(case)
+    assert report.passed, report.counterexamples
+    assert (report.states_explored, report.squares_checked) == counts
 
 
 def test_translation_rejects_a_randomized_base_and_an_unknown_side():
-    # A substrate call threads one successor state, so its shape guard
-    # refuses a law on either side, naming the substrate method.
+    # A substrate call threads one successor state, so a law that branches
+    # is refused on either side, naming the substrate method.
     target = allocator_case()
-    alloc = ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc"))
+    branching = _branching(randomized_allocator_case())
     for over in ("spec", "impl"):
-        case = translate_case(
-            randomized_allocator_case(), (alloc,), target.spec, _identity_phi(), "t", over
-        )
-        with pytest.raises(ArityMismatch, match=RETURNED_DIST):
+        case = translate_case(branching, (ALLOC,), target.spec, _identity_phi(), "t", over)
+        with pytest.raises(ArityMismatch, match=BRANCHES):
             explore(case)
     args = ((), target.spec, _identity_phi(), "t")
     with pytest.raises(ValueError, match=r"^over must be 'spec' or 'impl'$"):

@@ -1,8 +1,8 @@
 """Smoke test of the benchmark harness against the current sources.
 
 `perfbench/worker.py` runs one pass in a fresh process and prints one JSON
-object as its last line. A traced `merge` pass and the negative controls
-must still run and come out right, so a change to any API `perfbench/`
+object as its last line. Traced `merge` and `trace` passes and the
+negative controls must still run and come out right, so a change to any API `perfbench/`
 reads fails here too. No `--spans` path is passed and no bytecode is
 written, so nothing lands under `perfbench/`.
 """
@@ -18,10 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_worker(*flags):
+def run_worker(workload, *flags):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, "perfbench/worker.py", "--workload", "merge", "--seed", "1", *flags],
+        [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1", *flags],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -34,7 +34,14 @@ def run_worker(*flags):
 
 @pytest.mark.parametrize("flag", ["--traced", "--controls"])
 def test_worker_pass_is_correct(flag):
-    out = run_worker(flag)
+    out = run_worker("merge", flag)
     assert out["wrong"] == []
     if flag == "--traced":
         assert out["layers"]["explored"]["piggy"][0] == 200
+
+
+def test_traced_trace_pass_is_correct():
+    # Every seeded trace's `check_trace` report matches its known answer.
+    out = run_worker("trace", "--traced")
+    assert out["wrong"] == []
+    assert out["attempted"] == 72
