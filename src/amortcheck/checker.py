@@ -39,7 +39,6 @@ from .errors import (
     ArityMismatch,
     StateInvariantViolation,
     TraceParseError,
-    UnknownMethod,
     UnsupportedArity,
 )
 
@@ -89,6 +88,14 @@ Counterexample = Union[SquareCheck, TraceMismatch]
 
 @dataclass(frozen=True)
 class Report:
+    """The verdict of one `explore` or `check_trace` run and what it covered.
+
+    `failures` counts every failing square or trace step; `counterexamples`
+    keeps the first few. `slack_min`/`slack_max` bound lhs − rhs cost over
+    the squares (a trace's one telescoped gap), and stay None unless the
+    monoid is numeric.
+    """
+
     case_name: str
     mode: Mode
     states_explored: int
@@ -266,8 +273,8 @@ def check_square(
     batch or callback; the square it returns gets its sides. Where either
     side's value is a `Dist`, both sides are laws compared on expected
     cost (a deterministic side is its point law). A wrong number of inputs,
-    or an argument outside the method's domain by typed equality (``True``
-    is not ``1``), raises `ArityMismatch`.
+    or an argument the method's `MethodSig.admits` refuses (typed
+    membership: ``True`` is not ``1``), raises `ArityMismatch`.
     """
     impl = case.impl.method(method)
     sig = impl.sig
@@ -276,8 +283,7 @@ def check_square(
         raise ArityMismatch(
             f"{method} takes {sig.in_arity} input state(s), got {len(inputs)}"
         )
-    if not any(typed_eq(a, arg) for a in sig.arg_domain):
-        raise ArityMismatch(f"{method}: argument {arg!r} is not in its domain")
+    sig.admits(arg)
     spec = case.spec.method(method)
     engine, image = _square_for(case)
     tuples = ((inputs, *sum_images(case.monoid, map(image, inputs))),)
@@ -432,6 +438,11 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     a point law stands for its one outcome while a law that branches raises
     `ArityMismatch`. The trace's `seed_index` must index the case's seeds
     (else `ValueError`).
+
+    Each step passes the door before it runs, and a refused step raises
+    after the steps before it ran: a method name that is unknown or not
+    1-in/1-out is refused by `Coalgebra.step_method`, and an argument
+    outside the method's domain by `MethodSig.admits` (`ArityMismatch`).
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -448,41 +459,34 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     total_impl = monoid.identity
     total_spec = monoid.identity
-    steps_run = 0
+    step_no = -1  # the last step that ran
     stopped = False
     mismatches: List[TraceMismatch] = []
     methods = {
-        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.sequential)
+        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.admits)
         for m in case.impl.methods
+        if m.sig.sequential
     }
 
     for step_no, (method, arg) in enumerate(trace.steps):
-        try:
-            impl_run, spec_run, sig, sequential = methods[method]
-        except KeyError:
-            raise UnknownMethod(method) from None
-        if not sequential:
-            raise UnsupportedArity(
-                f"{method} is {sig.in_arity}-in/{sig.out_arity}-out; "
-                "traces cover sequential methods only"
-            )
+        step = methods.get(method)
+        if step is None:  # unknown, or not 1-in/1-out: the door refuses it
+            case.impl.step_method(method)
+        impl_run, spec_run, sig, admits = step
+        admits(arg)
         res = impl_run((impl_state,), arg)
         impl_cost, impl_out = res.cost, guard_outcome(sig, res.value)
         res = spec_run((spec_state,), arg)
         spec_cost, spec_out = res.cost, guard_outcome(sig, res.value)
         total_impl = combine(total_impl, impl_cost)
         total_spec = combine(total_spec, spec_cost)
-        steps_run += 1
 
-        impl_stop = impl_out is STOP
-        spec_stop = spec_out is STOP
-        if impl_stop != spec_stop:
-            side = "impl" if impl_stop else "spec"
-            mismatches.append(
-                TraceMismatch(step_no, "stop", f"{method}: only {side} stopped")
-            )
-            break
-        if impl_stop:
+        if impl_out is STOP or spec_out is STOP:
+            if impl_out is not spec_out:
+                side = "impl" if impl_out is STOP else "spec"
+                mismatches.append(
+                    TraceMismatch(step_no, "stop", f"{method}: only {side} stopped")
+                )
             stopped = True
             break
         if impl_out.obs is not spec_out.obs and not typed_eq(impl_out.obs, spec_out.obs):
@@ -520,8 +524,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     return Report(
         case_name=case.name,
         mode=mode,
-        states_explored=steps_run + 1,
-        squares_checked=steps_run,
+        states_explored=step_no + 2,
+        squares_checked=step_no + 1,
         failures=len(mismatches),
         counterexamples=tuple(mismatches),
         wall_time=time.perf_counter() - t0,

@@ -17,12 +17,13 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .charged import Charged, Dist
 from .cost import CostMonoid
-from .encoding import encode
+from .encoding import encode, typed_eq
 from .errors import (
     ArityMismatch,
     NonCommutativeTensor,
     OrderUnavailable,
     UnknownMethod,
+    UnsupportedArity,
 )
 
 #: The trivial argument/observable value, rendered ``()`` in trace files.
@@ -77,7 +78,8 @@ class MethodSig:
     A member with no literal, two members with one literal (duplicates
     included) and a literal a trace file cannot read back (empty, spanning
     lines, or with leading or trailing whitespace) raise `ArityMismatch`
-    naming the member(s).
+    naming the member(s). `members` maps each member to itself, for
+    `admits`.
     """
 
     name: str
@@ -86,6 +88,7 @@ class MethodSig:
     arg_domain: Tuple[Any, ...] = (UNIT,)
     may_stop: bool = False
     literals: Dict[str, Any] = field(init=False, repr=False, compare=False)
+    members: Dict[Any, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         name = self.name
@@ -114,6 +117,19 @@ class MethodSig:
                 raise ArityMismatch(f"{self.name}: {kind} literal {lit!r} does not read back")
             literals[lit] = arg
         object.__setattr__(self, "literals", literals)
+        object.__setattr__(self, "members", {arg: arg for arg in self.arg_domain})
+
+    def admits(self, arg: Any) -> None:
+        """The door rule for arguments: pass if `arg` is in the domain by
+        typed identity (``True`` is not ``1``), else raise `ArityMismatch`.
+        A member object passes in one lookup and one ``is``; anything else
+        is scanned with `typed_eq` (an unhashable value matches nothing)."""
+        try:
+            if self.members.get(arg) is arg or any(typed_eq(m, arg) for m in self.arg_domain):
+                return
+        except TypeError:  # unhashable
+            pass
+        raise ArityMismatch(f"{self.name}: argument {arg!r} is not in its domain")
 
     @property
     def multi_slot(self) -> bool:
@@ -226,6 +242,13 @@ class Method:
 
 @dataclass(frozen=True)
 class Coalgebra:
+    """A carrier, its seed states and one `Method` per distinct name.
+
+    `method` resolves any method by name; `step_method` is the one door for
+    a step that threads one state (traces, pairs, translations, substrate
+    calls).
+    """
+
     state_domain: StateDomain
     seeds: Tuple[Any, ...]
     methods: Tuple[Method, ...]
@@ -244,6 +267,17 @@ class Coalgebra:
             return self._by_name[name]
         except KeyError:
             raise UnknownMethod(name) from None
+
+    def step_method(self, name: str) -> Method:
+        """The door rule for methods of a one-state step (trace steps,
+        pairs, translations, substrate calls): `UnknownMethod` for a missing
+        name, `UnsupportedArity` (``split is 1-in/2-out, not 1-in/1-out``)
+        for a method that is not 1-in/1-out."""
+        m = self.method(name)
+        if not m.sig.sequential:
+            arity = f"{m.sig.in_arity}-in/{m.sig.out_arity}-out"
+            raise UnsupportedArity(f"{name} is {arity}, not 1-in/1-out")
+        return m
 
     @property
     def sig_table(self) -> Dict[str, MethodSig]:

@@ -38,7 +38,7 @@ from .coalgebra import (
     guard_outcome,
 )
 from .cost import CostMonoid, NAT_COST
-from .errors import NonCommutativeTensor, StepBudgetExceeded, UnsupportedArity
+from .errors import NonCommutativeTensor, StepBudgetExceeded
 from .structures import (
     ALPHABET,
     allocator_case,
@@ -104,12 +104,13 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
     """Run two cases side by side; the paired potential adds the parts.
 
     Methods are tagged ``left.<name>`` / ``right.<name>`` and act on their
-    component only. Restricted to 1-in/1-out methods: an untouched
-    component would otherwise be counted more than once in the potential
-    sum, which is exactly what the tensor of potentials must not do. Each
-    component's state invariant and explore filter apply to its side. A
-    point law is lifted as its one outcome (`guard_outcome`), at its
-    expected cost; a law that branches raises `ArityMismatch`.
+    component only. Every method must pass `Coalgebra.step_method`'s door
+    (else `UnsupportedArity`): an untouched component would otherwise be
+    counted more than once in the potential sum, which is exactly what the
+    tensor of potentials must not do. Each component's state invariant and
+    explore filter apply to its side. A point law is lifted as its one
+    outcome (`guard_outcome`), at its expected cost; a law that branches
+    raises `ArityMismatch`.
 
     A pair square is its component's square with the other potential on
     both sides, but a component's Stop ends the pair, so at a Stop it is
@@ -122,10 +123,7 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
         raise NonCommutativeTensor("pairing needs a commutative cost monoid")
     for case in (left, right):
         for m in case.impl.methods:
-            if not m.sig.sequential:
-                raise UnsupportedArity(
-                    f"cannot pair {case.name}: {m.sig.name} is not 1-in/1-out"
-                )
+            case.impl.step_method(m.sig.name)
 
     monoid = left.monoid
     lphi, rphi = left.phi, right.phi
@@ -165,15 +163,18 @@ class SubstrateRun:
         self.calls = 0
 
     def call(self, method: str, arg: Any = UNIT) -> Any:
-        """Run a 1-in/1-out substrate method; its observable, or `STOP`. A
-        point law is its outcome (`guard_outcome`), at its expected cost."""
+        """Run a substrate method; its observable, or `STOP`. A point law
+        is its outcome (`guard_outcome`), at its expected cost.
+
+        The call passes the door first: `Coalgebra.step_method` refuses a
+        method that is unknown or not 1-in/1-out, and `MethodSig.admits` an
+        argument outside its domain (`ArityMismatch`)."""
         if self.calls >= STEP_BUDGET:
             raise StepBudgetExceeded(
                 f"translation program exceeded {STEP_BUDGET} substrate calls"
             )
-        m = self._coalg.method(method)
-        if not m.sig.sequential:
-            raise UnsupportedArity(f"substrate method {method} is not 1-in/1-out")
+        m = self._coalg.step_method(method)
+        m.sig.admits(arg)
         res = m.run((self.state,), arg)
         out = guard_outcome(m.sig, res.value)
         self.cost = self._monoid.combine(self.cost, res.cost)
@@ -205,6 +206,8 @@ def translate_case(
 
     Programs call the substrate by method name through a `SubstrateRun`
     (`UnknownMethod` for a name it lacks) and cost exactly those calls.
+    Each program threads one substrate state, so its signature must pass
+    `Coalgebra.step_method`'s door (else `UnsupportedArity`).
 
     With ``over="spec"`` the substrate is the base case's specification
     coalgebra, so `phi_extra` alone is on trial. With ``over="impl"`` the
@@ -232,6 +235,8 @@ def translate_case(
         tuple(Method(pm.sig, make_runner(pm)) for pm in programs),
         substrate.state_invariant,
     )
+    for pm in programs:
+        impl.step_method(pm.sig.name)
     phi = phi_extra if over == "spec" else compose_phi(monoid, base.phi, phi_extra)
     return VerificationCase(
         name=name,

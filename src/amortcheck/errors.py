@@ -14,7 +14,10 @@ class BadWeights(AmortError):
 
 
 class ArityMismatch(AmortError):
-    """Input states, an argument or an outcome do not fit the method signature."""
+    """Input states, an argument or an outcome do not fit the method signature.
+
+    An argument outside the domain is refused by `MethodSig.admits`, the one
+    membership rule for squares, trace steps and substrate calls."""
 
 
 class UnknownMethod(AmortError):
@@ -26,8 +29,9 @@ class OrderUnavailable(AmortError):
 
 
 class UnsupportedArity(AmortError):
-    """Operation restricted to 1-in/1-out methods (traces, pairing); a law
-    that branches where one outcome is due is an `ArityMismatch` instead."""
+    """Operation restricted to 1-in/1-out methods (traces, pairing, substrate
+    calls), refused by `Coalgebra.step_method` with one message; a law that
+    branches where one outcome is due is an `ArityMismatch` instead."""
 
 
 class StepBudgetExceeded(AmortError):

@@ -115,17 +115,24 @@ def test_check_square_rejects_an_unknown_method():
         check_square(allocator_case(), "free", (0,))
 
 
-def test_check_square_rejects_an_argument_outside_the_domain():
-    with pytest.raises(ArityMismatch, match=r"^alloc: argument 'zzz' is not in its domain$"):
-        check_square(allocator_case(), "alloc", (0,), "zzz")
-    # Membership is typed: `True == 1`, but `True` is not in (0, 1).
+def _typed_arg_case():
+    """Method `step` on the state 0 with `arg_domain=(0, 1)`, costing its argument."""
     step = Method(
         MethodSig("step", arg_domain=(0, 1)),
         lambda states, arg: charge(arg, Continue(UNIT, states)),
     )
     side = Coalgebra(StateDomain("zero"), (0,), (step,))
     phi = PotentialMorphism(lambda s: charge(0, s))
-    case = VerificationCase("typed-arg", INT_COST, side, side, phi)
+    return VerificationCase("typed-arg", INT_COST, side, side, phi)
+
+
+def test_check_square_rejects_an_argument_outside_the_domain():
+    with pytest.raises(ArityMismatch, match=r"^alloc: argument 'zzz' is not in its domain$"):
+        check_square(allocator_case(), "alloc", (0,), "zzz")
+    with pytest.raises(ArityMismatch, match=r"^alloc: argument \[\] is not in its domain$"):
+        check_square(allocator_case(), "alloc", (0,), [])
+    # Membership is typed: `True == 1`, but `True` is not in (0, 1).
+    case = _typed_arg_case()
     assert check_square(case, "step", (0,), 1).verdict is Verdict.PASS
     with pytest.raises(ArityMismatch, match=r"^step: argument True is not in its domain$"):
         check_square(case, "step", (0,), True)
@@ -246,19 +253,72 @@ def test_trace_empty_is_trivially_exact():
 def test_trace_buffer_emission_identity():
     # chop-concatenation: emitted ++ residue == all inputs, brute-forced
     case = buffer_case(4)
-    trace = Trace((("write", "ab"), ("write", "cde"[:3].replace("c", "b")),))
+    trace = Trace((("write", "ab"), ("write", "bab")))
     report = check_trace(case, trace)
-    assert report.passed
+    assert report.passed and report.squares_checked == 2
 
 
 def test_trace_rejects_multi_slot_methods():
-    case = get_case("piggy")
-    with pytest.raises(UnsupportedArity):
+    case, counts = _counted(get_case("piggy"))
+    with pytest.raises(UnsupportedArity, match=r"^merge is 2-in/1-out, not 1-in/1-out$"):
         check_trace(case, Trace((("merge", UNIT),)))
     # Raised at the first step naming one, after the sequential steps ran.
     steps = Trace((("deposit", UNIT), ("split", UNIT), ("merge", UNIT)))
-    with pytest.raises(UnsupportedArity, match=r"^split is 1-in/2-out; traces cover"):
+    with pytest.raises(UnsupportedArity, match=r"^split is 1-in/2-out, not 1-in/1-out$"):
         check_trace(case, steps)
+    assert counts["impl"] == counts["spec"] == 1
+
+
+@pytest.mark.parametrize(
+    "name, method, arg, message",
+    [
+        ("allocator", "alloc", 5, "alloc: argument 5 is not in its domain"),
+        ("stack", "push", "z", "push: argument 'z' is not in its domain"),
+        ("stack", "push", ["a"], r"push: argument \['a'\] is not in its domain"),
+        ("buffer", "write", "bde", "write: argument 'bde' is not in its domain"),
+        ("typed-arg", "step", True, "step: argument True is not in its domain"),
+    ],
+    ids=["allocator-5", "stack-z", "stack-list", "buffer-bde", "typed-arg-true"],
+)
+def test_trace_refuses_an_argument_outside_the_domain_at_its_step(name, method, arg, message):
+    # The refused step raises before it runs, after the two steps before it.
+    case = _typed_arg_case() if name == "typed-arg" else get_case(name)
+    first = case.impl.method(method).sig.arg_domain[0]
+    case, counts = _counted(case)
+    steps = Trace(((method, first), (method, first), (method, arg), (method, first)))
+    with pytest.raises(ArityMismatch, match=f"^{message}$"):
+        check_trace(case, steps)
+    assert counts["impl"] == counts["spec"] == 2
+
+
+def test_trace_arguments_take_the_member_fast_path(monkeypatch):
+    # Drawn and parsed arguments are domain members, so `MethodSig.admits`
+    # never reaches its `typed_eq` scan on them.
+    scans = []
+
+    def counted_typed_eq(a, b):
+        scans.append((a, b))
+        return typed_eq(a, b)
+
+    monkeypatch.setattr(coalgebra, "typed_eq", counted_typed_eq)
+    rng = random.Random(2020)
+    steps = 0
+    for name in registered_names():
+        case = get_case(name)
+        if not any(m.sig.sequential for m in case.impl.methods):
+            continue
+        for _ in range(20):
+            trace = random_trace(case, 30, rng)
+            steps += len(trace.steps)
+            check_trace(case, trace)
+    buffer = get_case("buffer")
+    text = 'write "ab"\nwrite "bab"\nwrite ""\n'
+    assert check_trace(buffer, parse_trace(buffer, text)).passed
+    assert steps > 1000 and scans == []
+    # An equal string that is not the member object takes the scan.
+    bab = "".join(["b", "a", "b"])
+    assert check_trace(buffer, Trace((("write", bab),))).passed
+    assert scans
 
 
 def _one_method_case(impl_out, spec_out):

@@ -46,6 +46,7 @@ from amortcheck.structures import (
     broken_allocator_case,
     buffer_case,
     randomized_allocator_case,
+    stack_case,
     varying_cost_case,
 )
 
@@ -145,7 +146,7 @@ def test_pairing_guards_each_component_outcome():
 def test_pairing_requires_commutative_monoid_and_unary_methods():
     with pytest.raises(NonCommutativeTensor):
         pair_cases(buffer_case(2), buffer_case(2))
-    with pytest.raises(UnsupportedArity):
+    with pytest.raises(UnsupportedArity, match=r"^merge is 2-in/1-out, not 1-in/1-out$"):
         pair_cases(get_case("piggy"), get_case("piggy"))
     with pytest.raises(ValueError):
         pair_cases(allocator_case(), get_case("rand-alloc"))
@@ -225,6 +226,17 @@ def test_translation_rejects_a_randomized_base_and_an_unknown_side():
     args = ((), target.spec, _identity_phi(), "t")
     with pytest.raises(ValueError, match=r"^over must be 'spec' or 'impl'$"):
         translate_case(target, *args, over="bogus")
+
+
+def test_translation_refuses_a_program_that_is_not_one_in_one_out():
+    # A program threads one substrate state; a 2-input one is refused when
+    # the case is built, not by a failed unpacking at its first square.
+    join = MethodSig("join", in_arity=2)
+    step = lambda states, arg: charge(0, Continue(UNIT, (UNIT,)))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(join, step),))
+    programs = (ProgramMethod(join, lambda sub, arg: UNIT),)
+    with pytest.raises(UnsupportedArity, match=r"^join is 2-in/1-out, not 1-in/1-out$"):
+        translate_case(allocator_case(), programs, spec, _identity_phi(), "join")
 
 
 def test_counter_via_stack_passes_exact(explored):
@@ -310,8 +322,21 @@ def test_substrate_calls_need_one_in_one_out_methods():
     assert sub.call("tick") is STOP and sub.state == 0
     split = MethodSig("split", out_arity=2)
     sub = SubstrateRun(_substrate(split, Continue(UNIT, (0, 0))), NAT_COST, 0)
-    with pytest.raises(UnsupportedArity, match="split is not 1-in/1-out"):
+    with pytest.raises(UnsupportedArity, match=r"^split is 1-in/2-out, not 1-in/1-out$"):
         sub.call("split")
+
+
+@pytest.mark.parametrize(
+    "arg, literal", [("z", "'z'"), (True, "True"), (["a"], r"\['a'\]")], ids=["z", "true", "list"]
+)
+def test_substrate_calls_refuse_an_argument_outside_the_domain(arg, literal):
+    # The refused call does not run: state, cost and call count stay as the push left them.
+    sub = SubstrateRun(stack_case().spec, NAT_COST, ())
+    assert sub.call("push", "a") is UNIT
+    state, cost = sub.state, sub.cost
+    with pytest.raises(ArityMismatch, match=rf"^push: argument {literal} is not in its domain$"):
+        sub.call("push", arg)
+    assert (sub.state, sub.cost, sub.calls) == (state, cost, 1)
 
 
 def test_translation_budget_is_enforced():
