@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .charged import Charged, Dist
 from .cost import CostMonoid
-from .encoding import encode, typed_eq
+from .encoding import encode, quote, typed_eq
 from .errors import (
     ArityMismatch,
     NonCommutativeTensor,
@@ -62,7 +62,7 @@ def arg_literal(arg: Any) -> str:
     if isinstance(arg, int):
         return str(arg)
     if isinstance(arg, str):
-        return '"' + arg.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return quote(arg)
     if isinstance(arg, NamedFn):
         return arg.name
     raise TypeError(f"argument {arg!r} has no trace literal")

@@ -3,10 +3,10 @@
 Every carrier in this package is built from ints, strings, exact rationals
 and nested tuples. One shared codec keeps distribution canonicalization and
 counterexample reporting consistent: two values get equal encodings exactly
-when they are equal with equal types all the way down. `state_key` is that
-typed identity as a hashable key, mostly without building the text: state
-deduplication, the Φ table, `Dist` equality and the observable test of a
-square (`typed_eq`) all read it.
+when they are equal with equal types all the way down (subclass values such
+as namedtuples included). `state_key` is that typed identity as a hashable
+key, mostly without building the text: state deduplication, the Φ table,
+`Dist` equality and the observable test of a square (`typed_eq`) read it.
 
 Objects outside the plain universe may participate by exposing
 ``__encode_parts__() -> tuple`` (used for outcome canonicalization).
@@ -15,38 +15,44 @@ Objects outside the plain universe may participate by exposing
 from fractions import Fraction
 from typing import Any
 
-_STR_ESCAPES = {"\\": "\\\\", '"': '\\"'}
-
 # Marks keys built from an encoding; no plain value is or contains it.
 _TAG = object()
+
+
+def quote(text: str) -> str:
+    """`text` in double quotes, each ``\\`` and ``"`` escaped by a ``\\``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def encode(value: Any) -> str:
     """Serialize a value deterministically. Injective on the plain universe.
 
-    A float is ``f`` and its `repr`, so ``1.0`` is not ``1``; floats are
-    told apart by `repr`, so ``0.0`` and ``-0.0`` differ and a NaN is
-    itself.
+    Types are read exactly, as `state_key` reads them. A float is ``f`` and
+    its `repr` (``0.0`` and ``-0.0`` differ, a NaN is itself). A subclass
+    value (namedtuple, `IntEnum`) is its type's module-qualified name and
+    the plain value beneath, ``<pkg.P>t(i0)``, so types never share one.
     """
+    cls = type(value)
+    if cls is str:
+        return "s" + quote(value)
+    if cls is int:
+        return f"i{value}"
+    if cls is tuple:
+        return "t(" + ",".join(map(encode, value)) + ")"
     if value is None:
         return "n"
-    if isinstance(value, bool):
+    if cls is bool:
         return "b1" if value else "b0"
-    if isinstance(value, int):
-        return f"i{value}"
-    if isinstance(value, float):
+    if cls is float:
         return "f" + repr(value)
-    if isinstance(value, Fraction):
+    if cls is Fraction:
         return f"q{value.numerator}/{value.denominator}"
-    if isinstance(value, str):
-        body = "".join(_STR_ESCAPES.get(ch, ch) for ch in value)
-        return f's"{body}"'
-    if isinstance(value, tuple):
-        return "t(" + ",".join(encode(v) for v in value) + ")"
-    parts = getattr(value, "__encode_parts__", None)
-    if parts is not None:
-        return encode(parts())
-    raise TypeError(f"cannot encode value of type {type(value).__name__}")
+    if hasattr(value, "__encode_parts__"):
+        return encode(value.__encode_parts__())
+    for plain in (int, float, Fraction, str, tuple):
+        if isinstance(value, plain):
+            return f"<{cls.__module__}.{cls.__qualname__}>{encode(plain(value))}"
+    raise TypeError(f"cannot encode value of type {cls.__name__}")
 
 
 def state_key(value: Any) -> Any:
@@ -54,12 +60,12 @@ def state_key(value: Any) -> Any:
 
     Exact strs and ints are their own keys, and a tuple whose elements are
     all their own keys is its own key too, so most states need no copy; any
-    other tuple is keyed element by element, keying each element once, so
-    in time linear in its size. Anything else (None, bools,
-    floats, rationals, ``__encode_parts__`` objects) is keyed by its tagged
-    encoding, which keeps ``1``, ``True``, ``1.0`` and ``Fraction(1)``
-    apart although they hash and compare equal. A value the codec cannot
-    encode raises `TypeError`.
+    other exact tuple is keyed element by element, each element once, so in
+    time linear in its size. Anything else (None, bools, floats, rationals,
+    subclass values, ``__encode_parts__`` objects) is keyed by its tagged
+    encoding, which keeps ``1``, ``True``, ``1.0``, ``Fraction(1)`` and an
+    `IntEnum` 1 apart although they hash and compare equal. A value the
+    codec cannot encode raises `TypeError`.
     """
     cls = type(value)
     if cls is str or cls is int:

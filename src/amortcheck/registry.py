@@ -31,6 +31,7 @@ _ENTRIES = [
     CaseEntry("queue-via-stacks", compose.queue_via_stacks_case),
     CaseEntry("allocator-broken", structures.broken_allocator_case, negative=True),
     CaseEntry("typed-observable", structures.typed_observable_case, negative=True),
+    CaseEntry("typed-state", structures.typed_state_case, negative=True),
 ]
 
 REGISTRY: Dict[str, CaseEntry] = {e.name: e for e in _ENTRIES}

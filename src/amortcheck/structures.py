@@ -9,6 +9,7 @@ small while still distinguishing order-sensitive mistakes.
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -113,6 +114,27 @@ def typed_observable_case() -> VerificationCase:
     spec = _one_point(Method(sig, _returning(_cont(1, 1, UNIT))))
     phi = PotentialMorphism(lambda n: Charged(0, UNIT))
     return VerificationCase("typed-observable", NAT_COST, impl, spec, phi)
+
+
+_P, _Q = namedtuple("_P", "n"), namedtuple("_Q", "n")
+
+
+def typed_state_case() -> VerificationCase:
+    """Negative control: ``tick`` moves ``_P(0)`` to ``_Q(0)`` at cost 1, then
+    stays at ``_Q(0)`` at cost 5, against a spec charging 1.
+
+    ``_P(0) == _Q(0)`` in Python, but states are told apart by typed identity,
+    so ``_Q(0)`` gets its own square, which fails.
+    """
+
+    def tick(states, arg):
+        return _cont(5 if type(states[0]) is _Q else 1, UNIT, _Q(0))
+
+    sig = MethodSig("tick")
+    impl = Coalgebra(StateDomain("pq"), (_P(0),), (Method(sig, tick),))
+    spec = _unit_spec((sig, 1))
+    phi = PotentialMorphism(lambda s: Charged(0, UNIT))
+    return VerificationCase("typed-state", NAT_COST, impl, spec, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ frozen here; exploration results are cross-checked against those.
 
 import random
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -333,6 +334,10 @@ def _one_method_case(impl_out, spec_out):
     return VerificationCase("one", INT_COST, side(impl_out), side(spec_out), phi)
 
 
+class _One(IntEnum):
+    ONE = 1
+
+
 def test_non_plain_observable_mismatch_is_a_verdict():
     case = _one_method_case(Continue(1.5, (0,)), Continue(2.5, (0,)))
     report = explore(case)
@@ -352,8 +357,12 @@ def test_non_plain_observable_mismatch_is_a_verdict():
         (tuple([1, "a"]), tuple([1, "a"]), True),  # equal, typed, two objects
         (float("nan"), float("nan"), True),  # two NaNs, one key
         ([1], [1], True),  # no typed key: compared by ==
+        (_One.ONE, 1, False),  # an IntEnum member equal to 1
     ],
-    ids=["bool-int", "float-int", "nested-bool", "equal-tuples", "two-nans", "unkeyable"],
+    ids=[
+        "bool-int", "float-int", "nested-bool", "equal-tuples", "two-nans", "unkeyable",
+        "intenum-int",
+    ],
 )
 def test_observables_compare_by_typed_identity(impl_obs, spec_obs, ok):
     case = _one_method_case(Continue(impl_obs, (0,)), Continue(spec_obs, (0,)))
@@ -393,6 +402,21 @@ def test_the_typed_observable_control_fails_on_every_square_and_trace():
     assert report.counterexamples == (
         TraceMismatch(0, "observable", "tick: impl observed True, spec observed 1"),
     )
+
+
+def test_the_typed_state_control_fails_at_its_second_type():
+    # _P(0) == _Q(0), so keying them alike would check one square for both.
+    case = get_case("typed-state")
+    report = explore(case)
+    assert (report.states_explored, report.squares_checked, report.failures) == (2, 2, 1)
+    (check,) = report.counterexamples
+    assert check.verdict is Verdict.COST_MISMATCH
+    assert check.inputs_serialized == ("<amortcheck.structures._Q>t(i0)",)
+
+
+def test_the_typed_state_control_fails_its_two_step_trace():
+    report = check_trace(get_case("typed-state"), Trace((("tick", UNIT),) * 2))
+    assert not report.passed and report.slack_max == -4
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ def test_list_names_and_negative_marker(capsys):
         "allocator", "varying", "dynarray", "dynarray-update", "stack",
         "queue-lax", "queue-exact", "deque", "buffer", "rand-alloc", "piggy",
         "alloc16-via-8", "counter-via-stack", "queue-via-stacks",
-        "allocator-broken", "typed-observable",
+        "allocator-broken", "typed-observable", "typed-state",
     ]:
         assert name in out
     assert "negative-control" in out
@@ -60,6 +60,12 @@ def test_verify_typed_observable_control_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "typed-observable")
     assert code == 1
     assert "FAIL" in out and "behavior-mismatch" in out
+
+
+def test_verify_typed_state_control_exits_one(capsys):
+    code, out, _ = run(capsys, "verify", "typed-state")
+    assert code == 1
+    assert "FAIL" in out and "cost-mismatch" in out and "._Q>t(i0)" in out
 
 
 def test_unknown_case_is_usage_error(capsys):

@@ -1,9 +1,12 @@
-"""Injectivity of the state codec, and typed state keys."""
+"""Injectivity of the state codec, typed state keys, and one quoting rule."""
 
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from amortcheck.coalgebra import arg_literal
 from amortcheck.encoding import encode, state_key
 
 plain = st.recursive(
@@ -26,30 +29,56 @@ def test_specific_encodings_stay_distinct():
     assert encode(True) != encode(1)
 
 
+class One(IntEnum):
+    ONE = 1
+
+
+class Str(str):
+    pass
+
+
+class Float(float):
+    pass
+
+
+P, Q = namedtuple("P", "x"), namedtuple("Q", "x")
+
 # Few leaves, many of them equal in Python but not under `encode`, so that
-# drawn pairs often collide.
+# drawn pairs often collide: subclass values of the plain types among them.
 lookalike = st.recursive(
-    st.sampled_from([0, 1, True, False, 1.0, Fraction(0), Fraction(1), "1", "", None]),
-    lambda inner: st.tuples(inner) | st.tuples(inner, inner) | st.tuples(),
+    st.sampled_from(
+        [0, 1, True, False, 1.0, Fraction(0), Fraction(1), "1", "", None]
+        + [One.ONE, P(0), Q(0), Str("1"), Float(1.0)]
+    ),
+    lambda inner: st.tuples(inner)
+    | st.tuples(inner, inner)
+    | st.tuples()
+    | inner.map(P)
+    | inner.map(Q),
     max_leaves=6,
 )
 
 
 def _same(a, b):
-    """Equal, with equal types all the way down (so 1, True, Fraction(1) differ)."""
+    """Equal, with equal types all the way down (so 1, True, Fraction(1),
+    One.ONE differ, and so do P(0) and Q(0))."""
     if type(a) is not type(b):
         return False
-    if type(a) is tuple:
+    if isinstance(a, tuple):
         return len(a) == len(b) and all(map(_same, a, b))
     return a == b
 
 
 @given(plain | lookalike, plain | lookalike)
+@example(P(0), Q(0))
+@example(One.ONE, 1)
 def test_injective_on_distinct_values(a, b):
     assert (encode(a) == encode(b)) == _same(a, b)
 
 
 @given(plain | lookalike, plain | lookalike)
+@example(P(0), (0,))
+@example(One.ONE, 1)
 def test_state_keys_agree_with_encodings(a, b):
     assert (state_key(a) == state_key(b)) == (encode(a) == encode(b))
     if state_key(a) == state_key(b):
@@ -102,3 +131,17 @@ def test_state_key_keys_each_element_once(monkeypatch):
         assert key[0] is key[1]
         key = key[0]
     assert key == state_key(None)
+
+
+def test_subclass_values_encode_as_their_type_and_plain_value():
+    assert encode(P(0)) == f"<{__name__}.P>t(i0)" and encode(Q(0)) == f"<{__name__}.Q>t(i0)"
+    assert encode(One.ONE) == f"<{__name__}.One>i1" and state_key(One.ONE) != state_key(1)
+    assert encode(Str("1")) == f'<{__name__}.Str>s"1"'
+    assert encode(Float(1.0)) == f"<{__name__}.Float>f1.0"
+    assert encode((P("a"), "a")) == "t(" + encode(P("a")) + ',s"a")'
+
+
+@given(st.text(alphabet='ab"\\x', max_size=8))
+def test_strings_are_quoted_one_way(text):
+    escaped = "".join({"\\": "\\\\", '"': '\\"'}.get(ch, ch) for ch in text)
+    assert encode(text) == "s" + arg_literal(text) == f's"{escaped}"'

@@ -30,9 +30,14 @@ component's square with the other's potential added, so two passing
 components make a passing colax `pair_cases`, and a failing pair square
 is a failing square of one component unless that component stops (a Stop
 drops the other's potential, which an exact pair cannot absorb).
+
+Renaming every impl state, as ``("r", s)`` or as one namedtuple type,
+leaves every registered case's counts and slack unchanged: typed dedup
+neither merges nor splits states.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -498,6 +503,69 @@ def test_registered_cases_match_reference_explorer():
             "limit": 10,
         }
         assert_explore_matches_reference(case, bounds, case.name)
+
+
+# --- adequacy: renaming states changes nothing ------------------------------
+
+Wrapped = namedtuple("Wrapped", "state")
+
+
+def relabel(case, wrap, unwrap):
+    """`case` with every impl state s replaced by wrap(s): in its seeds, in
+    every transition (each branch of a law too), in Φ, filter and invariant."""
+
+    def relabelled(outcome):
+        if outcome is STOP:
+            return STOP
+        return Continue(outcome.obs, tuple(map(wrap, outcome.states)))
+
+    def method(m):
+        def run(states, arg):
+            res = m.run(tuple(map(unwrap, states)), arg)
+            if type(res.value) is Dist:
+                return Charged(res.cost, Dist((w, relabelled(o)) for w, o in res.value.branches))
+            return Charged(res.cost, relabelled(res.value))
+
+        return Method(m.sig, run)
+
+    def pulled(fn):
+        return None if fn is None else lambda s: fn(unwrap(s))
+
+    impl = replace(
+        case.impl,
+        seeds=tuple(map(wrap, case.impl.seeds)),
+        methods=tuple(map(method, case.impl.methods)),
+        state_invariant=pulled(case.impl.state_invariant),
+    )
+    phi = replace(case.phi, phi=pulled(case.phi.phi))
+    return replace(case, impl=impl, phi=phi, explore_filter=pulled(case.explore_filter))
+
+
+def counts(report):
+    return (
+        report.states_explored,
+        report.squares_checked,
+        report.failures,
+        report.slack_min,
+        report.slack_max,
+    )
+
+
+@pytest.mark.parametrize(
+    "wrap, unwrap",
+    [(lambda s: ("r", s), lambda r: r[1]), (Wrapped, lambda w: w.state)],
+    ids=["tagged-pair", "namedtuple"],
+)
+def test_renaming_impl_states_changes_no_count(wrap, unwrap, explored):
+    # Typed dedup must neither merge nor split renamed states: a collision
+    # would let one state's squares stand in for another's.
+    runs = [(get_case(name), explored(name)) for name in registered_names()]
+    defect = varying_cost_case(defect_at=5)
+    runs.append((defect, explore(defect)))
+    small = [(case, report) for case, report in runs if report.squares_checked <= 3000]
+    assert len(small) == len(runs) - 1  # all but deque's 96,774 squares
+    for case, report in small:
+        assert counts(explore(relabel(case, wrap, unwrap))) == counts(report), case.name
 
 
 # --- composition ------------------------------------------------------------
