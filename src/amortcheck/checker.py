@@ -93,7 +93,7 @@ class Report:
     `failures` counts every failing square or trace step; `counterexamples`
     keeps the first few. `slack_min`/`slack_max` bound lhs − rhs cost over
     the squares (a trace's one telescoped gap), and stay None unless the
-    monoid is numeric.
+    cost model is ordered.
     """
 
     case_name: str
@@ -148,7 +148,7 @@ def _square_for(case: VerificationCase, failed=None):
     builds. A square is (verdict, lhs cost, rhs cost, lhs behaviour, rhs
     behaviour). It returns (squares, slack, last square or None), `slack`
     extending the (min, max) of lhs − rhs cost passed in; it stays (None,
-    None) unless the monoid is numeric. The outcomes pick each square's
+    None) unless the monoid is ordered. The outcomes pick each square's
     law. When neither side's value is a `Dist`, a behaviour is `STOP` or
     (observable, states), the impl's states taken through Φ (summed from
     the identity, left to right, after the impl's cost); within a call the
@@ -166,22 +166,21 @@ def _square_for(case: VerificationCase, failed=None):
     0.92 → 1.22 s), a trade-off left to the work on carrier membership.
 
     With a k-input method (k >= 2) every Φ application goes through one
-    table from `state_key(s)` to the normalised image (identity ⊕
-    Φ(s).cost, Φ(s).value), so Φ runs once per distinct typed state (``1``,
-    ``True`` and ``Fraction(1)`` keep their own); else `image` is Φ itself.
+    table from `state_key(s)` to Φ(s) as Φ returns it, so Φ runs once per
+    distinct typed state (``1``, ``True`` and ``Fraction(1)`` keep their
+    own); else `image` is Φ itself. Every Φ sum folds from the identity once.
     """
     monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
     phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
-    numeric, PASS = monoid.numeric, Verdict.PASS
+    ordered, PASS = monoid.ordered, Verdict.PASS
     table = {} if any(m.sig.in_arity > 1 for m in case.impl.methods) else None
 
     def lookup(s):
         key = state_key(s)
         ch = table.get(key)
         if ch is None:
-            ch = phi(s)
-            ch = table[key] = Charged(combine(identity, ch.cost), ch.value)
+            ch = table[key] = phi(s)
         return ch
 
     image = phi if table is None else lookup
@@ -226,14 +225,11 @@ def _square_for(case: VerificationCase, failed=None):
                     successors = out.states
                     if len(successors) != 1:
                         mapped_cost, mapped = sum_images(monoid, map(image, successors))
-                    elif table is None:
-                        ch = phi(successors[0])
-                        mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
-                    else:  # `lookup` inlined: no frame per square
-                        ch = table.get(state_key(successors[0]))
+                    else:  # one image, `lookup` inlined: no frame per square
+                        ch = None if table is None else table.get(state_key(successors[0]))
                         if ch is None:
-                            ch = lookup(successors[0])
-                        mapped_cost, mapped = ch.cost, (ch.value,)
+                            ch = image(successors[0])
+                        mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
                     rhs_cost = combine(impl_res.cost, mapped_cost)
                     rhs_beh = (out.obs, mapped)
                     if out.obs is not spec_obs:  # a Continue never equals lhs_beh
@@ -242,7 +238,7 @@ def _square_for(case: VerificationCase, failed=None):
                     if batch is not None:
                         batch += successors
             count += 1
-            if numeric:
+            if ordered:
                 gap = lhs_cost - rhs_cost
                 if slack_max is None:
                     slack_min = slack_max = gap
@@ -320,21 +316,23 @@ def explore(
     """Breadth-first exploration from the seeds, checking every square.
 
     For every reached input tuple (all ordered in_arity-sized combinations
-    of reached states, generated once each), every method and every
-    argument in its domain, the amortization square is checked by the
-    case's one square engine (`_square_for`), built once per call and
-    called once per expanded state and method with the tuples that state
-    closes: itself, or `_tuples_with_max`'s k-tuples, which extend shared
-    prefixes of kept (state, Φ cost, Φ spec state) entries. Φ runs once on
-    each state as it is expanded and once per successor, or, with a k-input
-    method (k >= 2), once per distinct typed state. The engine collects a
-    state's successors into one batch, admitted in order once its squares
-    are checked, by the rule the seeds pass too: `explore_filter`, dedup by
-    typed value (`state_key`: ``1`` and ``True`` stay distinct), the state
-    cap and the state invariant. None is collected past the depth limit or
-    once the cap has refused an unseen state (a cap merely reached stops
-    nothing). Sides and state text are built only for the first `limit`
-    failures the engine calls back, the counterexamples kept.
+    of reached states, generated once each), every method and every argument
+    in its domain, the amortization square is checked by the case's one
+    square engine (`_square_for`), built once per call and called once per
+    expanded state and method with the tuples that state closes: itself, or
+    `_tuples_with_max`'s k-tuples, which extend shared prefixes of kept
+    (state, Φ cost, Φ spec state) entries, each image as Φ returns it; a
+    tuple's Φ cost folds its images from the identity once, as `sum_images`
+    does. Φ runs once on each state as it is expanded and once per
+    successor, or, with a k-input method (k >= 2), once per distinct typed
+    state. The engine collects a state's successors into one batch, admitted
+    in order once its squares are checked, by the rule the seeds pass too:
+    `explore_filter`, dedup by typed value (`state_key`: ``1`` and ``True``
+    stay distinct), the state cap and the state invariant. None is collected
+    past the depth limit or once the cap has refused an unseen state (a cap
+    merely reached stops nothing). Sides and state text are built only for
+    the first `limit` failures the engine calls back, the counterexamples
+    kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -518,7 +516,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                     f"wanted lhs {rel} rhs, got lhs={lhs!r} rhs={rhs!r}",
                 )
             )
-        if monoid.numeric:
+        if monoid.ordered:
             slack = lhs - rhs
 
     return Report(

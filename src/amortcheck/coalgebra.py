@@ -140,24 +140,21 @@ class MethodSig:
         return self.in_arity == 1 and self.out_arity == 1
 
 
-class Stop:
+class Stop(Enum):
     """Terminal outcome: the method refuses on this input (no successors)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    STOP = "stop"
 
     def __repr__(self) -> str:
         return "Stop"
+
+    __str__ = __repr__
 
     def __encode_parts__(self) -> tuple:
         return ("stop",)
 
 
-STOP = Stop()
+STOP = Stop.STOP
 
 
 @dataclass(frozen=True, slots=True, init=False)

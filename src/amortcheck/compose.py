@@ -91,8 +91,8 @@ def _both(left, right):
 
 def _pair_coalgebra(left: Coalgebra, right: Coalgebra) -> Coalgebra:
     methods = tuple(
-        [_lift_method(m, 0, "left") for m in left.methods]
-        + [_lift_method(m, 1, "right") for m in right.methods]
+        [_lift_method(left.step_method(m.sig.name), 0, "left") for m in left.methods]
+        + [_lift_method(right.step_method(m.sig.name), 1, "right") for m in right.methods]
     )
     invariant = _both(left.state_invariant, right.state_invariant)
     seeds = tuple((a, b) for a in left.seeds for b in right.seeds)
@@ -121,10 +121,6 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
         raise ValueError("paired cases must share one cost model")
     if not left.monoid.is_commutative:
         raise NonCommutativeTensor("pairing needs a commutative cost monoid")
-    for case in (left, right):
-        for m in case.impl.methods:
-            case.impl.step_method(m.sig.name)
-
     monoid = left.monoid
     lphi, rphi = left.phi, right.phi
 
@@ -288,9 +284,6 @@ def alloc16_via_8_case() -> VerificationCase:
     )
 
 
-SENTINEL = ALPHABET[0]
-
-
 def counter_via_stack_case() -> VerificationCase:
     """A counter implemented by pushing/popping a sentinel on a stack.
 
@@ -301,7 +294,7 @@ def counter_via_stack_case() -> VerificationCase:
     base = stack_case()
 
     def increment(sub: SubstrateRun, arg):
-        sub.call("push", SENTINEL)
+        sub.call("push", ALPHABET[0])
         return UNIT
 
     def decrement(sub: SubstrateRun, arg):

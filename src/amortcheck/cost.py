@@ -1,10 +1,11 @@
 """Cost monoids: the algebra every charged computation accumulates into.
 
-A cost model is a monoid plus two capability flags. Commutativity licenses
+A cost model is a monoid plus two capabilities. Commutativity licenses
 combining the costs of parallel states (multi-input/multi-output methods);
-a partial order licenses colax (inequality) verification. Verification is
-exact, so costs compare by structural equality: integers stay integers and
-rationals are `fractions.Fraction` values, normalized by construction.
+an order licenses colax (inequality) verification and slack, lhs − rhs
+cost, so an ordered model's costs must subtract. Costs compare by
+structural equality: integers stay integers and rationals are
+`fractions.Fraction` values, normalized by construction.
 """
 
 import operator
@@ -17,8 +18,7 @@ from typing import Any, Callable, Optional
 class CostMonoid:
     """A monoid of costs with optional commutativity and order capabilities.
 
-    `leq` is present iff the monoid is ordered; `numeric` marks models whose
-    values support subtraction (used only for slack reporting).
+    `leq` is present iff the monoid is ordered, and then slack is reported.
     """
 
     name: str
@@ -26,7 +26,6 @@ class CostMonoid:
     combine: Callable[[Any, Any], Any]
     is_commutative: bool
     leq: Optional[Callable[[Any, Any], bool]] = None
-    numeric: bool = False
 
     @property
     def ordered(self) -> bool:
@@ -45,17 +44,15 @@ def _add_fractions(a: Fraction, b: Fraction) -> Fraction:
 
 
 # Non-negative integers under addition.
-NAT_COST = CostMonoid("nat", 0, operator.add, True, operator.le, numeric=True)
+NAT_COST = CostMonoid("nat", 0, operator.add, True, operator.le)
 
 # All integers under addition (potentials may not be representable here
 # as non-negative values; the classic signed cost model).
-INT_COST = CostMonoid("int", 0, operator.add, True, operator.le, numeric=True)
+INT_COST = CostMonoid("int", 0, operator.add, True, operator.le)
 
 # Finite strings under concatenation: the buffering cost model. Neither
 # commutative nor ordered, so no tensoring and no colax checking.
-TRACE_COST = CostMonoid("trace", "", _concat, False, None, numeric=False)
+TRACE_COST = CostMonoid("trace", "", _concat, False)
 
 # Exact non-negative rationals under addition; the expected-cost model.
-RATIONAL_COST = CostMonoid(
-    "rational", Fraction(0), _add_fractions, True, operator.le, numeric=True
-)
+RATIONAL_COST = CostMonoid("rational", Fraction(0), _add_fractions, True, operator.le)

@@ -62,6 +62,7 @@ from amortcheck.structures import (
     buffer_case,
     piggy_bank_case,
     randomized_allocator_case,
+    varying_cost_case,
 )
 
 
@@ -162,27 +163,31 @@ def test_explore_broken_allocator_counterexample_at_zero():
 
 
 def test_counterexamples_round_trip_through_check_square():
+    # Every kept counterexample equals the square `check_square` builds from
+    # its method, inputs and argument: both fold Φ the same way, at 1 and 2
+    # inputs (merge and split squares of the piggy bank).
     cases = [
-        broken_allocator_case(),
+        get_case("allocator-broken"),
+        get_case("typed-observable"),
+        get_case("typed-state"),
+        varying_cost_case(defect_at=5),
         get_case("queue-lax").with_mode(Mode.EXACT),
         _one_method_case(Continue(1.5, (0,)), Continue(2.5, (0,))),
         _coin_stop_case(Fraction(1, 4)),
         _piggy_with_wrong_phi_at_two(),
     ]
-    verdicts, arities = set(), set()
+    verdicts, arities, methods = set(), set(), set()
     for case in cases:
-        report = explore(case)
-        assert report.counterexamples, case.name
+        report = explore(case, limit=1000)
+        assert len(report.counterexamples) == report.failures > 0, case.name
         for c in report.counterexamples:
-            again = check_square(case, c.method, c.inputs, c.arg)
-            for field in ("lhs", "rhs", "verdict", "inputs_serialized", "arg_literal"):
-                assert getattr(again, field) == getattr(c, field), (case.name, field)
+            assert c == check_square(case, c.method, c.inputs, c.arg), (case.name, c)
             verdicts.add(c.verdict)
             arities.add(len(c.inputs))
+            methods.add((case.name, c.method))
     assert verdicts == {Verdict.COST_MISMATCH, Verdict.BEHAVIOR_MISMATCH}
-    # merge pairs take their Φ cost from a shared prefix in `explore` and
-    # from `sum_images` in `check_square`
     assert arities == {1, 2}
+    assert {("piggy", "merge"), ("piggy", "split")} <= methods
 
 
 def _piggy_with_wrong_phi_at_two():
@@ -268,6 +273,17 @@ def test_trace_rejects_multi_slot_methods():
     with pytest.raises(UnsupportedArity, match=r"^split is 1-in/2-out, not 1-in/1-out$"):
         check_trace(case, steps)
     assert counts["impl"] == counts["spec"] == 1
+
+
+def test_random_trace_refuses_a_case_without_sequential_methods():
+    case = _term_swap_case()
+    swap_only = replace(
+        case,
+        impl=replace(case.impl, methods=case.impl.methods[1:]),
+        spec=replace(case.spec, methods=case.spec.methods[1:]),
+    )
+    with pytest.raises(UnsupportedArity, match=r"^term-swap has no 1-in/1-out methods$"):
+        random_trace(swap_only, 5, random.Random(0))
 
 
 @pytest.mark.parametrize(
@@ -796,6 +812,52 @@ def test_explore_keeps_equal_values_of_different_types_apart():
 
 # Commutative by declaration only: its sums are terms that record the fold.
 TERM_COST = CostMonoid("terms", "0", lambda a, b: ("+", a, b), True)
+
+
+def _term_swap_case():
+    """Fin 3 over `TERM_COST`: `step` (1-in/1-out) and `swap` (2-in/2-out).
+
+    Φ(s) = Charged(f"c{s}", s) and the spec mirrors the impl, so every
+    square fails on cost alone: lhs is ("+", Φ(in), "t") and rhs is ("+",
+    "i", Φ(out)), each Φ term the fold its square took.
+    """
+    step, swap = MethodSig("step"), MethodSig("swap", in_arity=2, out_arity=2)
+
+    def side(cost):
+        return Coalgebra(
+            StateDomain("fin3"),
+            (0,),
+            (
+                Method(step, lambda s, a: charge(cost, Continue(UNIT, ((s[0] + 1) % 3,)))),
+                Method(swap, lambda s, a: charge(cost, Continue(UNIT, (s[1], s[0])))),
+            ),
+        )
+
+    phi = PotentialMorphism(lambda s: Charged(f"c{s}", s))
+    return VerificationCase("term-swap", TERM_COST, side("i"), side("t"), phi)
+
+
+def test_every_phi_sum_folds_from_the_identity_once():
+    # The Φ table of a case with a 2-input method keeps Φ's images as Φ
+    # returns them, so a unary square folds Φ(in) as `sum_images` does,
+    # in `check_square` and in `explore` alike, and so does every successor.
+    case = _term_swap_case()
+
+    def fold(states):
+        return sum_images(TERM_COST, map(case.phi.phi, states))[0]
+
+    assert check_square(case, "step", (0,)).lhs_cost == ("+", ("+", "0", "c0"), "t")
+    report = explore(case, limit=100)
+    assert report.failures == len(report.counterexamples) == 3 + 9
+    checks = report.counterexamples + (
+        check_square(case, "step", (2,)),
+        check_square(case, "swap", (1, 2)),
+    )
+    assert {len(c.inputs) for c in checks} == {1, 2}
+    for c in checks:
+        assert c.verdict is Verdict.COST_MISMATCH
+        assert c.lhs_cost == ("+", fold(c.inputs), "t"), c
+        assert c.rhs_cost == ("+", "i", fold(c.rhs.value.states)), c  # Φ(s) holds s
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Potential application over state tuples and case-level validation."""
 
 import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -27,8 +28,8 @@ from amortcheck import (
     explore,
     get_case,
 )
-from amortcheck.coalgebra import Continue, sum_images
-from amortcheck.encoding import state_key
+from amortcheck.coalgebra import STOP, Continue, guard_outcome, sum_images
+from amortcheck.encoding import encode, state_key
 
 
 def test_sum_images_allocator_potential():
@@ -59,6 +60,18 @@ def _tiny_coalgebra(sig=None):
         (0,),
         (Method(sig, lambda s, a: charge(1, Continue(UNIT, (s[0],)))),),
     )
+
+
+def test_stop_is_one_enum_member_that_prints_as_stop():
+    assert repr(STOP) == str(STOP) == f"{STOP}" == "Stop"
+    assert encode(STOP) == 't(s"stop")'
+    assert copy.deepcopy(STOP) is STOP
+    assert pickle.loads(pickle.dumps(STOP)) is STOP
+
+
+def test_guard_outcome_refuses_a_value_that_is_no_outcome():
+    with pytest.raises(ArityMismatch, match=r"^step returned int, not Stop or Continue$"):
+        guard_outcome(MethodSig("step"), 3)
 
 
 def test_coalgebra_needs_a_seed_and_distinct_method_names():

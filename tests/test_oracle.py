@@ -33,7 +33,9 @@ drops the other's potential, which an exact pair cannot absorb).
 
 Renaming every impl state, as ``("r", s)`` or as one namedtuple type,
 leaves every registered case's counts and slack unchanged: typed dedup
-neither merges nor splits states.
+neither merges nor splits states. And every counted square can fail:
+raising the impl cost of one seeded square past the report's slack fails
+that square and no other.
 """
 
 import random
@@ -74,7 +76,7 @@ from amortcheck import (
 )
 from amortcheck.checker import arg_literal
 from amortcheck.coalgebra import sum_images
-from amortcheck.encoding import encode
+from amortcheck.encoding import encode, state_key
 from amortcheck.registry import get_case, registered_names
 from amortcheck.structures import varying_cost_case
 
@@ -163,7 +165,7 @@ def reference_explore(case, max_depth, max_states, limit):
                 for arg in m.sig.arg_domain:
                     check = reference_square(case, m.sig.name, inputs, arg)
                     squares += 1
-                    if case.monoid.numeric:
+                    if case.monoid.ordered:
                         gap = check.lhs_cost - check.rhs_cost
                         if slack_max is None or gap > slack_max:
                             slack_max = gap
@@ -566,6 +568,73 @@ def test_renaming_impl_states_changes_no_count(wrap, unwrap, explored):
     assert len(small) == len(runs) - 1  # all but deque's 96,774 squares
     for case, report in small:
         assert counts(explore(relabel(case, wrap, unwrap))) == counts(report), case.name
+
+
+# --- adequacy: one raised square is the one failure ------------------------
+
+
+def square_key(method, inputs, arg):
+    """A square's typed key: its method, the `state_key` of each input and
+    its argument's literal (a `NamedFn` argument has no `state_key`)."""
+    return method, tuple(map(state_key, inputs)), arg_literal(arg)
+
+
+def with_impl_runs(case, wrap):
+    """`case` with each impl method's transition replaced by wrap(method)."""
+    methods = tuple(Method(m.sig, wrap(m)) for m in case.impl.methods)
+    return replace(case, impl=replace(case.impl, methods=methods))
+
+
+def recorded_squares(case):
+    """The key of every square one `explore` of `case` checks, read off its impl calls."""
+    calls = []
+
+    def wrap(m):
+        def run(states, arg):
+            calls.append(square_key(m.sig.name, states, arg))
+            return m.run(states, arg)
+
+        return run
+
+    explore(with_impl_runs(case, wrap))
+    return calls
+
+
+def raised_at(case, key, bump):
+    """`case` with the impl cost of the one square `key` combined with `bump`."""
+
+    def wrap(m):
+        def run(states, arg):
+            res = m.run(states, arg)
+            if square_key(m.sig.name, states, arg) != key:
+                return res
+            return Charged(case.monoid.combine(res.cost, bump), res.value)
+
+        return run
+
+    return with_impl_runs(case, wrap)
+
+
+def test_one_raised_square_is_the_one_failure(explored):
+    # Mutants: raising one square's impl cost past the report's own slack
+    # (appending "x" under the unordered `trace` model) must fail exactly
+    # that square. A key collision or a vacuous square shows as 0 failures.
+    names = registered_names(include_negative=False)
+    small = [name for name in names if explored(name).squares_checked <= 3000]
+    assert len(small) == len(names) - 1  # all but deque's 96,774 squares
+    mutants = 0
+    for name in small:
+        case, report = get_case(name), explored(name)
+        squares = recorded_squares(case)
+        assert len(set(squares)) == len(squares) == report.squares_checked, name
+        bump = report.slack_max + 1 if case.monoid.ordered else "x"
+        for key in random.Random(name).sample(squares, min(5, len(squares))):
+            mutant = explore(raised_at(case, key, bump))
+            assert mutant.failures == 1, (name, key)
+            (c,) = mutant.counterexamples
+            assert square_key(c.method, c.inputs, c.arg) == key
+            mutants += 1
+    assert mutants == 64  # rand-alloc has 4 squares
 
 
 # --- composition ------------------------------------------------------------

@@ -8,6 +8,7 @@ brute-force oracle written alongside the test.
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -542,3 +543,18 @@ def test_every_declared_bound_binds(name, explored):
         if getattr(case, field) != default:
             relaxed = dataclasses.replace(case, **{field: default})
             assert _coverage_or_more(relaxed, declared.squares_checked) != want, field
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: batched_queue_case(3), "reverse_cost_per_element must be 1 or 2"),
+        (lambda: buffer_case(0), "buffer size must be >= 1"),
+        (lambda: randomized_allocator_case(k=0), "k must be >= 1"),
+        (lambda: randomized_allocator_case(p=Fraction(1)), "p must be an exact rational in [0, 1)"),
+    ],
+    ids=["queue-reverse-3", "buffer-0", "rand-alloc-k-0", "rand-alloc-p-1"],
+)
+def test_case_builders_refuse_parameters_out_of_range(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
