@@ -37,6 +37,7 @@ from .coalgebra import (
 from .encoding import state_key, typed_eq
 from .errors import (
     ArityMismatch,
+    BadWeights,
     StateInvariantViolation,
     TraceParseError,
     UnsupportedArity,
@@ -151,24 +152,26 @@ def _square_for(case: VerificationCase, failed=None):
     None) unless the monoid is ordered. The outcomes pick each square's
     law. When neither side's value is a `Dist`, a behaviour is `STOP` or
     (observable, states), the impl's states taken through Φ (summed from
-    the identity, left to right, after the impl's cost); within a call the
-    spec outcome last guarded (a shared constant) is not shape-checked
+    the identity, left to right, after the impl's cost). An outcome of
+    type exactly `Continue` with ``out_arity`` states passes with no call,
+    any other goes to `guard_outcome` (the one shape rule), and the spec
+    outcome last passed in a call (a shared constant) is not checked
     again. When either is, both behaviours are `Dist`s, compared on
-    expected cost: the spec's law as the spec returned it, and a side
-    that is not a `Dist` is its point law ``Dist(((1, outcome),))``.
+    expected cost: the spec's law as returned, and a side that is not a
+    `Dist` is its point law ``Dist(((1, outcome),))``; a weight that
+    cannot scale a cost (``trace``) raises `BadWeights`.
 
     Behaviour compares by typed identity. A `Dist` compares its outcomes'
     encodings. Two observables agree when they are one object (a shared
     ``()`` or alphabet string: one ``is`` per square) or when `typed_eq`
     holds, so ``True`` is not ``1``. The spec states of a deterministic
-    square compare by ``==``: keying them too made `amortcheck all` about
-    a third slower (median `verdict_s` of the `all` benchmark workload
-    0.92 → 1.22 s), a trade-off left to the work on carrier membership.
+    square compare by ``==``: keying them too made `all` a third slower.
 
     With a k-input method (k >= 2) every Φ application goes through one
     table from `state_key(s)` to Φ(s) as Φ returns it, so Φ runs once per
     distinct typed state (``1``, ``True`` and ``Fraction(1)`` keep their
-    own); else `image` is Φ itself. Every Φ sum folds from the identity once.
+    own); a lone successor that is an exact int or str is its own key there.
+    Else `image` is Φ itself. Every Φ sum folds from the identity once.
     """
     monoid = case.monoid
     combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
@@ -186,7 +189,7 @@ def _square_for(case: VerificationCase, failed=None):
     image = phi if table is None else lookup
 
     def engine(impl, spec, tuples, args, batch, slack):
-        sig, impl_run, spec_run = impl.sig, impl.run, spec.run
+        sig, impl_run, spec_run, n_out = impl.sig, impl.run, spec.run, impl.sig.out_arity
         slack_min, slack_max = slack
         count = 0
         unset = last_out = object()  # the last spec outcome guarded: none yet
@@ -206,7 +209,12 @@ def _square_for(case: VerificationCase, failed=None):
                     guard_outcome(sig, out)
                     if out is not STOP:
                         mapped_cost, mapped = sum_images(monoid, map(image, out.states))
-                        rhs_cost = combine(rhs_cost, mapped_cost if w == 1 else w * mapped_cost)
+                        try:
+                            scaled = mapped_cost if w == 1 else w * mapped_cost
+                        except TypeError:
+                            msg = f"{sig.name}: weight {w} cannot scale a {monoid.name} cost"
+                            raise BadWeights(msg) from None
+                        rhs_cost = combine(rhs_cost, scaled)
                         if batch is not None:
                             batch += out.states
                         out = Continue(out.obs, mapped)
@@ -214,11 +222,13 @@ def _square_for(case: VerificationCase, failed=None):
                 rhs_beh = Dist(rhs_outs)
             else:
                 if spec_out is not last_out:  # else lhs_beh is still last_out's
-                    guard_outcome(sig, spec_out)
+                    if type(spec_out) is not Continue or len(spec_out.states) != n_out:
+                        guard_outcome(sig, spec_out)
                     last_out = spec_out
                     spec_obs = spec_out if spec_out is STOP else spec_out.obs
                     lhs_beh = spec_out if spec_out is STOP else (spec_obs, spec_out.states)
-                guard_outcome(sig, out)
+                if type(out) is not Continue or len(out.states) != n_out:
+                    guard_outcome(sig, out)
                 if out is STOP:
                     rhs_cost, rhs_beh = impl_res.cost, STOP
                 else:
@@ -226,9 +236,12 @@ def _square_for(case: VerificationCase, failed=None):
                     if len(successors) != 1:
                         mapped_cost, mapped = sum_images(monoid, map(image, successors))
                     else:  # one image, `lookup` inlined: no frame per square
-                        ch = None if table is None else table.get(state_key(successors[0]))
-                        if ch is None:
-                            ch = image(successors[0])
+                        s = successors[0]
+                        if table is None:
+                            ch = phi(s)
+                        else:  # an exact int or str is its own `state_key`; a Charged is truthy
+                            t = type(s)
+                            ch = table.get(s if t is int or t is str else state_key(s)) or lookup(s)
                         mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
                     rhs_cost = combine(impl_res.cost, mapped_cost)
                     rhs_beh = (out.obs, mapped)
@@ -290,21 +303,22 @@ def check_square(
 def _tuples_with_max(entries, i: int, k: int, monoid) -> Iterator[tuple]:
     """(inputs, Φ cost, Φ spec states) of each k-tuple over entries[:i + 1] containing i.
 
-    `entries` holds (state, Φ cost, Φ spec state) per state. Tuples come in
-    ``product(range(i + 1), repeat=k)`` order, each a shared (k-1)-prefix,
-    built once, plus one component; costs fold as `sum_images` does.
+    `entries` holds ((state,), Φ cost, (Φ spec state,)) per state, and
+    tuples join those kept 1-tuples, in ``product(range(i + 1), repeat=k)``
+    order, each a shared (k-1)-prefix, built once, plus one component; costs
+    fold as `sum_images` does.
     """
     combine, head, last = monoid.combine, entries[: i + 1], entries[i]
     prefixes = [((), monoid.identity, (), False)]  # + whether index i occurs
     for _ in range(k - 1):
         prefixes = [
-            (inputs + (s,), combine(cost, c), values + (v,), has or j == i)
+            (inputs + s, combine(cost, c), values + v, has or j == i)
             for inputs, cost, values, has in prefixes
             for j, (s, c, v) in enumerate(head)
         ]
     for inputs, cost, values, has in prefixes:
         for s, c, v in head if has else (last,):
-            yield inputs + (s,), combine(cost, c), values + (v,)
+            yield inputs + s, combine(cost, c), values + v
 
 
 def explore(
@@ -320,19 +334,19 @@ def explore(
     in its domain, the amortization square is checked by the case's one
     square engine (`_square_for`), built once per call and called once per
     expanded state and method with the tuples that state closes: itself, or
-    `_tuples_with_max`'s k-tuples, which extend shared prefixes of kept
-    (state, Φ cost, Φ spec state) entries, each image as Φ returns it; a
-    tuple's Φ cost folds its images from the identity once, as `sum_images`
-    does. Φ runs once on each state as it is expanded and once per
-    successor, or, with a k-input method (k >= 2), once per distinct typed
-    state. The engine collects a state's successors into one batch, admitted
-    in order once its squares are checked, by the rule the seeds pass too:
-    `explore_filter`, dedup by typed value (`state_key`: ``1`` and ``True``
-    stay distinct), the state cap and the state invariant. None is collected
-    past the depth limit or once the cap has refused an unseen state (a cap
-    merely reached stops nothing). Sides and state text are built only for
-    the first `limit` failures the engine calls back, the counterexamples
-    kept.
+    `_tuples_with_max`'s k-tuples, which join the 1-tuples of kept
+    ((state,), Φ cost, (Φ spec state,)) entries, each image as Φ returns it;
+    a tuple's Φ cost folds its images from the identity once, as
+    `sum_images` does. Φ runs once on each state as it is expanded and once
+    per successor, or, with a k-input method (k >= 2), once per distinct
+    typed state. The engine collects a state's successors into one batch,
+    admitted in order once its squares are checked, by the rule the seeds
+    pass too: `explore_filter`, dedup by typed value (`state_key`: ``1`` and
+    ``True`` stay distinct), the state cap and the state invariant. None is
+    collected past the depth limit or once the cap has refused an unseen
+    state (a cap merely reached stops nothing). Sides and state text are
+    built only for the first `limit` failures the engine calls back, the
+    counterexamples kept.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -397,7 +411,7 @@ def explore(
         batch = [] if not full and depth <= max_depth else None
         ch = image(states[i])
         if entries is not None:
-            entries.append((states[i], ch.cost, ch.value))
+            entries.append(((states[i],), ch.cost, (ch.value,)))
         unary = (((states[i],), combine(identity, ch.cost), (ch.value,)),)
         for impl, spec, sig in methods:
             k = sig.in_arity
@@ -434,8 +448,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     ends in Stop). Each side of a step is `guard_outcome`'s outcome: Stop
     only from a ``may_stop`` method, else exactly one successor state, and
     a point law stands for its one outcome while a law that branches raises
-    `ArityMismatch`. The trace's `seed_index` must index the case's seeds
-    (else `ValueError`).
+    `ArityMismatch`; an outcome of type exactly `Continue` with one state
+    is its own, with no call. The trace's `seed_index` must index the
+    case's seeds (else `ValueError`).
 
     Each step passes the door before it runs, and a refused step raises
     after the steps before it ran: a method name that is unknown or not
@@ -446,17 +461,13 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     if not 0 <= trace.seed_index < len(seeds):
         raise ValueError(f"{case.name}: seed_index must lie in range({len(seeds)})")
     t0 = time.perf_counter()
-    mode = case.phi.mode
-    monoid = case.monoid
-    combine = monoid.combine
+    mode, monoid, combine = case.phi.mode, case.monoid, case.monoid.combine
 
-    seed = seeds[trace.seed_index]
-    phi0 = case.phi.phi(seed)
-    impl_state = seed
+    impl_state = seeds[trace.seed_index]
+    phi0 = case.phi.phi(impl_state)
     spec_state = phi0.value
 
-    total_impl = monoid.identity
-    total_spec = monoid.identity
+    total_impl = total_spec = monoid.identity
     step_no = -1  # the last step that ran
     stopped = False
     mismatches: List[TraceMismatch] = []
@@ -473,9 +484,13 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         impl_run, spec_run, sig, admits = step
         admits(arg)
         res = impl_run((impl_state,), arg)
-        impl_cost, impl_out = res.cost, guard_outcome(sig, res.value)
+        impl_cost, impl_out = res.cost, res.value
+        if type(impl_out) is not Continue or len(impl_out.states) != 1:
+            impl_out = guard_outcome(sig, impl_out)
         res = spec_run((spec_state,), arg)
-        spec_cost, spec_out = res.cost, guard_outcome(sig, res.value)
+        spec_cost, spec_out = res.cost, res.value
+        if type(spec_out) is not Continue or len(spec_out.states) != 1:
+            spec_out = guard_outcome(sig, spec_out)
         total_impl = combine(total_impl, impl_cost)
         total_spec = combine(total_spec, spec_cost)
 

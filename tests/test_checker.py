@@ -17,6 +17,7 @@ from amortcheck import (
     INT_COST,
     RATIONAL_COST,
     STOP,
+    TRACE_COST,
     UNIT,
     ArityMismatch,
     BadWeights,
@@ -448,6 +449,29 @@ def test_trace_steps_get_the_square_shape_guard(outcome):
         check_trace(case, Trace((("step", UNIT),)))
 
 
+class _Cont(Continue):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("side", ["impl", "spec"])
+def test_only_an_exact_continue_skips_the_shape_guard(side):
+    # An outcome of type exactly `Continue` with out_arity states passes the
+    # shape rule with no `guard_outcome` call; a subclass goes through the
+    # call, which admits it with one state and refuses it with two.
+    def case(n):
+        odd, plain = _Cont(UNIT, (0,) * n), Continue(UNIT, (0,))
+        return _one_method_case(*((odd, plain) if side == "impl" else (plain, odd)))
+
+    trace = Trace((("step", UNIT),) * 3)
+    assert explore(case(1)).passed
+    assert check_square(case(1), "step", (0,)).verdict is Verdict.PASS
+    assert check_trace(case(1), trace).passed
+    message = r"^step produced 2 successor state\(s\), declared out_arity is 1$"
+    for run in (explore, lambda c: check_square(c, "step", (0,)), lambda c: check_trace(c, trace)):
+        with pytest.raises(ArityMismatch, match=message):
+            run(case(2))
+
+
 def _counter_stopping_at(impl_stop, spec_stop):
     """Method `step` counts up from 0; each side Stops at its given count."""
     sig = MethodSig("step", may_stop=True)
@@ -685,6 +709,32 @@ def test_a_law_whose_weights_do_not_sum_to_one_is_refused_by_explore_and_trace()
         check_trace(case, Trace((("alloc", UNIT),) * 3))
 
 
+def _coin_flip_case(monoid, potential):
+    """Method `flip` moves 0 or 1 to 0 or 1 with weight 1/2 each, at cost 0;
+    the spec is one deterministic step on ``()`` at the monoid's identity."""
+    sig, half = MethodSig("flip"), Fraction(1, 2)
+    law = expect([(half, charge(0, Continue(UNIT, (j,)))) for j in (0, 1)])
+    impl = Coalgebra(StateDomain("coin"), (0,), (Method(sig, lambda s, a: law),))
+    one = charge(monoid.identity, Continue(UNIT, (UNIT,)))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, lambda s, a: one),))
+    return VerificationCase("coin", monoid, impl, spec, PotentialMorphism(lambda s: potential))
+
+
+def test_a_branching_law_over_costs_no_weight_scales_is_refused():
+    # Φ(out) of each branch is weighed by its weight; `trace` strings do not
+    # scale, so the square refuses the law where it used to die on a bare
+    # `TypeError`. A trace step refuses a branching law on its own.
+    case = _coin_flip_case(TRACE_COST, Charged("", UNIT))
+    message = r"^flip: weight 1/2 cannot scale a trace cost$"
+    with pytest.raises(BadWeights, match=message):
+        explore(case)
+    with pytest.raises(BadWeights, match=message):
+        check_square(case, "flip", (0,))
+    with pytest.raises(ArityMismatch, match=r"^flip returned a law of 2 outcomes, not one$"):
+        check_trace(case, Trace((("flip", UNIT),)))
+    assert explore(_coin_flip_case(INT_COST, charge(0, UNIT))).passed
+
+
 def test_explore_admits_only_continue_successors():
     report = explore(_coin_stop_case(Fraction(1, 2)))
     # The seed 0 plus the one successor of its Continue branch; Stop adds none.
@@ -863,9 +913,10 @@ def test_every_phi_sum_folds_from_the_identity_once():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("i", range(7))
 def test_tuples_with_max_matches_filtered_product(i, k):
-    # State j has Φ image Charged(f"c{j}", f"v{j}"); entries past i must
-    # not be used. A term cost pins the left fold from the identity.
-    entries = [(f"s{j}", f"c{j}", f"v{j}") for j in range(9)]
+    # State j has Φ image Charged(f"c{j}", f"v{j}"), kept as the entry
+    # ((s,), Φ cost, (Φ value,)); entries past i must not be used. A term
+    # cost pins the left fold from the identity.
+    entries = [((f"s{j}",), f"c{j}", (f"v{j}",)) for j in range(9)]
     expected = [t for t in product(range(i + 1), repeat=k) if max(t) == i]
     got = list(_tuples_with_max(entries, i, k, TERM_COST))
     assert [inputs for inputs, _, _ in got] == [tuple(f"s{j}" for j in t) for t in expected]
@@ -962,23 +1013,29 @@ def _counted(case):
     return counted, counts
 
 
+USER_CALLS = [  # name, impl, spec and Φ calls, explore bounds
+    ("stack", 1749, 1749, 2329, {}),
+    ("queue-lax", 1539, 1539, 2051, {}),
+    ("piggy", 1720, 1720, 79, {}),
+    ("piggy", 40600, 40600, 399, {"max_depth": 64, "max_states": 200}),  # the merge benchmark
+    ("rand-alloc", 4, 4, 8, {}),
+]
+
+
 @pytest.mark.parametrize(
-    "name, impl, spec, phi",
-    [
-        ("stack", 1749, 1749, 2329),
-        ("queue-lax", 1539, 1539, 2051),
-        ("piggy", 1720, 1720, 79),
-        ("rand-alloc", 4, 4, 8),
-    ],
+    "name, impl, spec, phi, bounds",
+    USER_CALLS,
+    ids=["-".join(map(str, calls[:4])) for calls in USER_CALLS],
 )
-def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi):
+def test_explore_makes_exactly_the_recorded_user_calls(name, impl, spec, phi, bounds):
     # One impl and one spec call per square. Unary-only cases call Φ once
     # per expanded state and once per successor. A case with a k-input
     # method keeps one Φ table per run, so Φ runs once per distinct typed
     # state: piggy's 79 are its 40 states and the 39 successors past the
-    # cap (1800 applications, one per expanded state and per successor).
+    # cap (1800 applications, one per expanded state and per successor);
+    # at the merge benchmark's bounds, its 200 states and 199 more.
     case, counts = _counted(get_case(name))
-    report = explore(case)
+    report = explore(case, **bounds)
     assert report.squares_checked == impl
     assert counts == {"impl": impl, "spec": spec, "phi": phi}
 

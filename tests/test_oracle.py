@@ -41,6 +41,7 @@ that square and no other.
 import random
 from collections import namedtuple
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -445,30 +446,37 @@ def test_three_input_explore_matches_reference_explorer():
             assert not explore(case, **bounds).passed
 
 
-def test_phi_table_keeps_equal_states_of_different_types_apart():
-    """A 2-input case whose successors are ``1``, ``True`` and ``Fraction(1)``.
+class One(IntEnum):
+    ONE = 1
 
-    The three compare equal but are distinct states, each with its own
+
+def test_phi_table_keeps_equal_states_of_different_types_apart():
+    """A 2-input case whose successors are ``1``, ``True``, ``Fraction(1)``
+    and an `IntEnum` 1.
+
+    The four compare equal but are distinct states, each with its own
     potential. A case with a k-input method applies Φ through one table
-    per run; keyed by ``==`` it would hand all three the first one's
-    image, so Φ would run twice, not four times, and the costs of every
-    square reaching ``True`` or ``Fraction(1)`` would change.
+    per run; keyed by ``==`` it would hand all four the first one's
+    image, so Φ would run twice, not five times, and the costs of every
+    square reaching ``True``, ``Fraction(1)`` or ``One.ONE`` would change.
+    Only an exact int or str is looked up as itself.
     """
-    labels = (0, 1, True, Fraction(1))
+    labels = (0, 1, True, Fraction(1), One.ONE)
+    index = {encode(s): j for j, s in enumerate(labels)}
     step = MethodSig("step")
     join = MethodSig("join", in_arity=2, out_arity=1)
     applied = []
 
     def potential(s):
         applied.append(encode(s))
-        return charge(INDEX[encode(s)], UNIT)
+        return charge(index[encode(s)], UNIT)
 
     def impl_step(states, arg):
-        return charge(0, Continue(UNIT, (labels[(INDEX[encode(states[0])] + 1) % 4],)))
+        return charge(0, Continue(UNIT, (labels[(index[encode(states[0])] + 1) % 5],)))
 
     def impl_join(states, arg):
-        total = sum(INDEX[encode(s)] for s in states)
-        return charge(1, Continue(UNIT, (labels[total % 4],)))
+        total = sum(index[encode(s)] for s in states)
+        return charge(1, Continue(UNIT, (labels[total % 5],)))
 
     one = Continue(UNIT, (UNIT,))
     spec = (
@@ -476,7 +484,9 @@ def test_phi_table_keeps_equal_states_of_different_types_apart():
         Method(join, lambda states, arg: charge(0, one)),
     )
     impl = (Method(step, impl_step), Method(join, impl_join))
-    for mode, failures in ((Mode.EXACT, 17), (Mode.COLAX, 10)):
+    # `step` fails at 4 alone (exact), `join` at every pair (exact) or at
+    # the 15 whose index sum is below 5 (colax).
+    for mode, failures in ((Mode.EXACT, 26), (Mode.COLAX, 15)):
         case = VerificationCase(
             "typed-join",
             INT_COST,
@@ -488,7 +498,7 @@ def test_phi_table_keeps_equal_states_of_different_types_apart():
         report = explore(case, limit=20)
         assert sorted(applied) == sorted(encode(s) for s in labels), mode
         got = (report.states_explored, report.squares_checked, report.failures)
-        assert got == (4, 20, failures), mode
+        assert got == (5, 30, failures), mode
         bounds = {"max_depth": 12, "max_states": 5000, "limit": 20}
         assert_explore_matches_reference(case, bounds, mode)
 
@@ -585,19 +595,26 @@ def with_impl_runs(case, wrap):
     return replace(case, impl=replace(case.impl, methods=methods))
 
 
-def recorded_squares(case):
-    """The key of every square one `explore` of `case` checks, read off its impl calls."""
+def recorded_runs(case):
+    """(key, inputs, impl outcome) of every square one `explore` of `case`
+    checks, read off its impl calls."""
     calls = []
 
     def wrap(m):
         def run(states, arg):
-            calls.append(square_key(m.sig.name, states, arg))
-            return m.run(states, arg)
+            res = m.run(states, arg)
+            calls.append((square_key(m.sig.name, states, arg), states, res.value))
+            return res
 
         return run
 
     explore(with_impl_runs(case, wrap))
     return calls
+
+
+def recorded_squares(case):
+    """The key of every square one `explore` of `case` checks."""
+    return [key for key, _, _ in recorded_runs(case)]
 
 
 def raised_at(case, key, bump):
@@ -635,6 +652,56 @@ def test_one_raised_square_is_the_one_failure(explored):
             assert square_key(c.method, c.inputs, c.arg) == key
             mutants += 1
     assert mutants == 64  # rand-alloc has 4 squares
+
+
+def phi_raised_at(case, key):
+    """`case` with Φ's cost raised by 1 at the one state whose `state_key` is `key`."""
+    phi = case.phi.phi
+
+    def raised(s):
+        ch = phi(s)
+        return Charged(case.monoid.combine(ch.cost, 1), ch.value) if state_key(s) == key else ch
+
+    return replace(case, phi=replace(case.phi, phi=raised))
+
+
+def test_one_raised_potential_fails_the_squares_that_hold_it_unevenly(explored):
+    # Mutants: raising Φ(s) by 1 moves an exact square's lhs by the number
+    # of times s is an input and its rhs by the number of times s is a
+    # successor, so exactly the squares where the two differ fail. piggy's
+    # merge(s, s) holds s twice. Deterministic cases only: a law's branch
+    # weighs Φ(out) by its weight.
+    names = registered_names(include_negative=False)
+    mutated = []
+    for name in names:
+        case, report = get_case(name), explored(name)
+        if case.phi.mode is not Mode.EXACT or not case.monoid.ordered:
+            continue
+        if report.squares_checked > 3000:
+            continue
+        runs = recorded_runs(case)
+        if any(type(out) is Dist for _, _, out in runs):
+            continue
+        assert report.failures == 0, name
+        seeds = set(map(state_key, case.impl.seeds))
+        states = {state_key(s): s for _, inputs, _ in runs for s in inputs}
+        candidates = [k for k in states if k not in seeds]
+        if not candidates:
+            continue
+        key = random.Random(name).choice(candidates)
+
+        def held(slots):
+            return sum(state_key(s) == key for s in slots)
+
+        def uneven(inputs, out):
+            return held(inputs) != held(() if out is STOP else out.states)
+
+        expected = sum(uneven(inputs, out) for _, inputs, out in runs)
+        assert expected > 0, name
+        assert explore(phi_raised_at(case, key)).failures == expected, (name, states[key])
+        mutated.append(name)
+    assert "piggy" in mutated
+    assert len(mutated) == 7, mutated
 
 
 # --- composition ------------------------------------------------------------
