@@ -455,7 +455,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     Each step passes the door before it runs, and a refused step raises
     after the steps before it ran: a method name that is unknown or not
     1-in/1-out is refused by `Coalgebra.step_method`, and an argument
-    outside the method's domain by `MethodSig.admits` (`ArityMismatch`).
+    outside the method's domain by `MethodSig.admits` (`ArityMismatch`). A
+    member object of the domain passes with no call (``members.get(arg) is
+    arg``, `admits`' own first rule); anything else goes to `admits`.
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -472,7 +474,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     stopped = False
     mismatches: List[TraceMismatch] = []
     methods = {
-        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.admits)
+        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.members)
         for m in case.impl.methods
         if m.sig.sequential
     }
@@ -481,8 +483,12 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         step = methods.get(method)
         if step is None:  # unknown, or not 1-in/1-out: the door refuses it
             case.impl.step_method(method)
-        impl_run, spec_run, sig, admits = step
-        admits(arg)
+        impl_run, spec_run, sig, members = step
+        try:
+            if members.get(arg) is not arg:
+                sig.admits(arg)
+        except TypeError:  # unhashable: `admits` refuses it
+            sig.admits(arg)
         res = impl_run((impl_state,), arg)
         impl_cost, impl_out = res.cost, res.value
         if type(impl_out) is not Continue or len(impl_out.states) != 1:

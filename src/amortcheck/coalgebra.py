@@ -225,12 +225,13 @@ class Method:
     """A signature together with its transition function.
 
     The transition takes (input state tuple, argument) and returns a
-    `Charged` outcome. A randomized transition's cost is the expected cost
-    and its value a `Dist` of outcomes (see `charged.expect`); a
-    deterministic one is the point law of its outcome. Transitions must
-    be pure: equal inputs give equal charged outcomes. Outcomes are
-    immutable, so a transition whose outcome does not depend on its inputs
-    may return one shared object.
+    `Charged` outcome, built directly: ``charge(cost, Continue(obs, succs))``
+    with one successor per output slot, or ``charge(cost, STOP)``. A
+    randomized transition's cost is the expected cost and its value a
+    `Dist` of outcomes (see `charged.expect`); a deterministic one is the
+    point law of its outcome. Transitions must be pure: equal inputs give
+    equal charged outcomes. Outcomes are immutable, so a transition whose
+    outcome does not depend on its inputs may return one shared object.
     """
 
     sig: MethodSig

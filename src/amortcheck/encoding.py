@@ -59,13 +59,14 @@ def state_key(value: Any) -> Any:
     """A hashable key that is equal for two values exactly when `encode` is.
 
     Exact strs and ints are their own keys, and a tuple whose elements are
-    all their own keys is its own key too, so most states need no copy; any
-    other exact tuple is keyed element by element, each element once, so in
-    time linear in its size. Anything else (None, bools, floats, rationals,
-    subclass values, ``__encode_parts__`` objects) is keyed by its tagged
-    encoding, which keeps ``1``, ``True``, ``1.0``, ``Fraction(1)`` and an
-    `IntEnum` 1 apart although they hash and compare equal. A value the
-    codec cannot encode raises `TypeError`.
+    all their own keys is its own key too, so most states need no copy (an
+    element that is an exact tuple of exact strs and ints is tested inline,
+    with no call); any other exact tuple is keyed element by element, each
+    element once, so in time linear in its size. Anything else (None,
+    bools, floats, rationals, subclass values, ``__encode_parts__`` objects)
+    is keyed by its tagged encoding, which keeps ``1``, ``True``, ``1.0``,
+    ``Fraction(1)`` and an `IntEnum` 1 apart although they hash and compare
+    equal. A value the codec cannot encode raises `TypeError`.
     """
     cls = type(value)
     if cls is str or cls is int:
@@ -74,6 +75,12 @@ def state_key(value: Any) -> Any:
         for v in value:
             t = type(v)
             if t is not str and t is not int:
+                if t is tuple:  # a plain inner tuple is its own key: no call
+                    for u in v:
+                        if type(u) is not str and type(u) is not int:
+                            break
+                    else:
+                        continue
                 k = state_key(v)
                 if k is not v:  # reuse k: keying v twice is exponential in depth
                     return tuple([k if w is v else state_key(w) for w in value])

@@ -3,6 +3,8 @@
 Each constructor returns a `VerificationCase` bundling an implementation
 coalgebra, a specification coalgebra over the same signature table, the
 potential morphism relating them, and any exploration bound that binds.
+Each transition builds its outcome directly, as
+``charge(cost, Continue(obs, (successor,)))``, or ``charge(0, STOP)``.
 Element alphabets are fixed two-symbol sets so exhaustive exploration stays
 small while still distinguishing order-sensitive mistakes.
 """
@@ -58,10 +60,6 @@ def _unit_spec(*costs) -> Coalgebra:
     return _one_point(*methods)
 
 
-def _cont(cost, obs, *succs) -> Charged:
-    return charge(cost, Continue(obs, succs))
-
-
 # ---------------------------------------------------------------------------
 # Allocator: charge 8 every eighth call vs. charge 1 per call.
 
@@ -72,8 +70,8 @@ def cyclic_allocator(period: int) -> Coalgebra:
     def step(states, arg):
         (d,) = states
         if d == 0:
-            return _cont(period, UNIT, period - 1)
-        return _cont(0, UNIT, d - 1)
+            return charge(period, Continue(UNIT, (period - 1,)))
+        return charge(0, Continue(UNIT, (d - 1,)))
 
     return Coalgebra(
         StateDomain(f"fin{period}"),
@@ -109,9 +107,9 @@ def typed_observable_case() -> VerificationCase:
     every square is a behaviour mismatch.
     """
     sig = MethodSig("tick")
-    tick = Method(sig, lambda states, arg: _cont(1, True, 1 - states[0]))
+    tick = Method(sig, lambda states, arg: charge(1, Continue(True, (1 - states[0],))))
     impl = Coalgebra(StateDomain("fin2"), (0,), (tick,))
-    spec = _one_point(Method(sig, _returning(_cont(1, 1, UNIT))))
+    spec = _one_point(Method(sig, _returning(charge(1, Continue(1, (UNIT,))))))
     phi = PotentialMorphism(lambda n: Charged(0, UNIT))
     return VerificationCase("typed-observable", NAT_COST, impl, spec, phi)
 
@@ -128,7 +126,7 @@ def typed_state_case() -> VerificationCase:
     """
 
     def tick(states, arg):
-        return _cont(5 if type(states[0]) is _Q else 1, UNIT, _Q(0))
+        return charge(5 if type(states[0]) is _Q else 1, Continue(UNIT, (_Q(0),)))
 
     sig = MethodSig("tick")
     impl = Coalgebra(StateDomain("pq"), (_P(0),), (Method(sig, tick),))
@@ -156,14 +154,14 @@ def varying_cost_case(defect_at: Optional[int] = None) -> VerificationCase:
 
     def impl_step(states, arg):
         (i,) = states
-        return _cont(_VARY_IMPL[i % 4], UNIT, (i + 1) % _VARY_N)
+        return charge(_VARY_IMPL[i % 4], Continue(UNIT, ((i + 1) % _VARY_N,)))
 
     def spec_step(states, arg):
         (i,) = states
         c = _VARY_SPEC[i % 4]
         if defect_at is not None and i == defect_at:
             c = max(0, c - 1)
-        return _cont(c, UNIT, (i + 1) % _VARY_N)
+        return charge(c, Continue(UNIT, ((i + 1) % _VARY_N,)))
 
     carrier = StateDomain(f"fin{_VARY_N}")
     impl = Coalgebra(carrier, (0,), (Method(MethodSig("tick"), impl_step),))
@@ -186,8 +184,8 @@ def varying_cost_case(defect_at: Optional[int] = None) -> VerificationCase:
 def _array_push(states, e):
     ((n, items),) = states
     if len(items) + 1 == 2 ** (n + 1) - 1:
-        return _cont(3 + len(items), UNIT, (n + 1, items + (e,)))
-    return _cont(1, UNIT, (n, items + (e,)))
+        return charge(3 + len(items), Continue(UNIT, ((n + 1, items + (e,)),)))
+    return charge(1, Continue(UNIT, ((n, items + (e,)),)))
 
 
 def array_potential(state) -> int:
@@ -209,7 +207,7 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
 
         def impl_update(states, f):
             ((n, items),) = states
-            return _cont(len(items), UNIT, (n, tuple(f(x) for x in items)))
+            return charge(len(items), Continue(UNIT, ((n, tuple(f(x) for x in items)),)))
 
         impl_methods.append(Method(update_sig, impl_update))
 
@@ -225,8 +223,8 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
             StateDomain("nat"),
             (0,),
             (
-                Method(push_sig, lambda s, e: _cont(3, UNIT, s[0] + 1)),
-                Method(update_sig, lambda s, f: _cont(s[0], UNIT, s[0])),
+                Method(push_sig, lambda s, e: charge(3, Continue(UNIT, (s[0] + 1,)))),
+                Method(update_sig, lambda s, f: charge(s[0], Continue(UNIT, (s[0],)))),
             ),
         )
         phi = PotentialMorphism(
@@ -254,17 +252,17 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
 
 
 def push_front(cost):
-    return lambda states, e: _cont(cost, UNIT, (e,) + states[0])
+    return lambda states, e: charge(cost, Continue(UNIT, ((e,) + states[0],)))
 
 
 def push_back(cost):
-    return lambda states, e: _cont(cost, UNIT, states[0] + (e,))
+    return lambda states, e: charge(cost, Continue(UNIT, (states[0] + (e,),)))
 
 
 def pop_front(cost):
     def run(states, arg):
         (l,) = states
-        return _cont(cost, l[0], l[1:]) if l else charge(0, STOP)
+        return charge(cost, Continue(l[0], (l[1:],))) if l else charge(0, STOP)
 
     return run
 
@@ -272,7 +270,7 @@ def pop_front(cost):
 def pop_back(cost):
     def run(states, arg):
         (l,) = states
-        return _cont(cost, l[-1], l[:-1]) if l else charge(0, STOP)
+        return charge(cost, Continue(l[-1], (l[:-1],))) if l else charge(0, STOP)
 
     return run
 
@@ -300,7 +298,7 @@ def stack_case() -> VerificationCase:
         ((n, items),) = states
         if not items:
             return charge(0, STOP)
-        return _cont(1, items[-1], (n, items[:-1]))
+        return charge(1, Continue(items[-1], ((n, items[:-1]),)))
 
     impl = Coalgebra(
         StateDomain("bounded-array"),
@@ -344,16 +342,16 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
 
     def impl_enqueue(states, e):
         ((inbox, outbox),) = states
-        return _cont(0, UNIT, ((e,) + inbox, outbox))
+        return charge(0, Continue(UNIT, (((e,) + inbox, outbox),)))
 
     def impl_dequeue(states, arg):
         ((inbox, outbox),) = states
         if outbox:
-            return _cont(0, outbox[0], (inbox, outbox[1:]))
+            return charge(0, Continue(outbox[0], ((inbox, outbox[1:]),)))
         flushed = inbox[::-1]
         if not flushed:
             return charge(0, STOP)
-        return _cont(per * len(inbox), flushed[0], ((), flushed[1:]))
+        return charge(per * len(inbox), Continue(flushed[0], (((), flushed[1:]),)))
 
     impl = Coalgebra(
         StateDomain("list-pair"),
@@ -399,32 +397,32 @@ def deque_case() -> VerificationCase:
     # back list is the deque's last element.
     def impl_push_front(states, e):
         ((f, b),) = states
-        return _cont(1, UNIT, ((e,) + f, b))
+        return charge(1, Continue(UNIT, (((e,) + f, b),)))
 
     def impl_push_back(states, e):
         ((f, b),) = states
-        return _cont(1, UNIT, (f, (e,) + b))
+        return charge(1, Continue(UNIT, ((f, (e,) + b),)))
 
     def impl_pop_front(states, arg):
         ((f, b),) = states
         if f:
-            return _cont(1, f[0], (f[1:], b))
+            return charge(1, Continue(f[0], ((f[1:], b),)))
         if b:
             k = len(b)
             m = k // 2
             new_f = b[m:][::-1]
-            return _cont(k + 1, new_f[0], (new_f[1:], b[:m]))
+            return charge(k + 1, Continue(new_f[0], ((new_f[1:], b[:m]),)))
         return charge(0, STOP)
 
     def impl_pop_back(states, arg):
         ((f, b),) = states
         if b:
-            return _cont(1, b[0], (f, b[1:]))
+            return charge(1, Continue(b[0], ((f, b[1:]),)))
         if f:
             k = len(f)
             m = k // 2
             new_b = f[m:][::-1]
-            return _cont(k + 1, new_b[0], (f[:m], new_b[1:]))
+            return charge(k + 1, Continue(new_b[0], ((f[:m], new_b[1:]),)))
         return charge(0, STOP)
 
     impl = Coalgebra(
@@ -490,7 +488,7 @@ def buffer_case(n: int = 4) -> VerificationCase:
     def impl_write(states, s):
         (residue,) = states
         emitted, rest = chop(n, residue + s)
-        return _cont(emitted, UNIT, rest)
+        return charge(emitted, Continue(UNIT, (rest,)))
 
     impl = Coalgebra(
         StateDomain("short-string"),
@@ -498,7 +496,7 @@ def buffer_case(n: int = 4) -> VerificationCase:
         (Method(write_sig, impl_write),),
         state_invariant=lambda s: len(s) < n,
     )
-    spec = _one_point(Method(write_sig, lambda st, s: _cont(s, UNIT, UNIT)))
+    spec = _one_point(Method(write_sig, lambda st, s: charge(s, Continue(UNIT, (UNIT,)))))
     phi = PotentialMorphism(lambda residue: Charged(residue, UNIT))
     return VerificationCase(
         name="buffer",
@@ -548,7 +546,9 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
             )
         return expect([(1, charge(Fraction(0), Continue(UNIT, (d - 1,))))])
 
-    law = expect([(w, _cont(Fraction(c), UNIT, UNIT)) for w, c in binomial_branches(1, p)])
+    law = expect(
+        [(w, charge(Fraction(c), Continue(UNIT, (UNIT,)))) for w, c in binomial_branches(1, p)]
+    )
 
     impl = Coalgebra(
         StateDomain(f"fin{k}"),
@@ -586,21 +586,21 @@ def piggy_bank_case() -> VerificationCase:
 
     def impl_deposit(states, arg):
         (t,) = states
-        return _cont(0, UNIT, t + 1)
+        return charge(0, Continue(UNIT, (t + 1,)))
 
     def impl_spend(states, arg):
         (t,) = states
         if t == 0:
-            return _cont(0, UNIT, 0)
-        return _cont(1, UNIT, t - 1)
+            return charge(0, Continue(UNIT, (0,)))
+        return charge(1, Continue(UNIT, (t - 1,)))
 
     def impl_merge(states, arg):
         m, t = states
-        return _cont(0, UNIT, m + t)
+        return charge(0, Continue(UNIT, (m + t,)))
 
     def impl_split(states, arg):
         (t,) = states
-        return _cont(0, UNIT, (t + 1) // 2, t // 2)
+        return charge(0, Continue(UNIT, ((t + 1) // 2, t // 2)))
 
     impl = Coalgebra(
         StateDomain("tokens"),

@@ -339,6 +339,42 @@ def test_trace_arguments_take_the_member_fast_path(monkeypatch):
     assert scans
 
 
+def test_trace_door_makes_no_call_for_a_member(monkeypatch):
+    # A member object passes the door on `admits`' own first rule, with no
+    # call; any other argument is `admits`' to rule on, once per step. Only
+    # the traced methods' own signatures count: a composite case's
+    # substrate calls pass their own door inside the transition.
+    calls, door = [], set()
+    admits = MethodSig.admits
+
+    def counted_admits(sig, arg):
+        if id(sig) in door:
+            calls.append(arg)
+        return admits(sig, arg)
+
+    monkeypatch.setattr(MethodSig, "admits", counted_admits)
+    rng = random.Random(2424)
+    steps = 0
+    for name in registered_names():
+        case = get_case(name)
+        if not any(m.sig.sequential for m in case.impl.methods):
+            continue
+        door = {id(m.sig) for m in case.impl.methods}
+        for _ in range(10):
+            drawn = random_trace(case, 30, rng)
+            text = "".join(f"{m} {arg_literal(a)}\n" for m, a in drawn.steps)
+            for trace in (drawn, parse_trace(case, text)):
+                steps += len(trace.steps)
+                check_trace(case, trace)
+    assert steps > 1000 and calls == []
+    # An equal string that is not the member object: one call per step.
+    buffer = get_case("buffer")
+    door = {id(m.sig) for m in buffer.impl.methods}
+    bab = "".join(["b", "a", "b"])
+    assert check_trace(buffer, Trace((("write", bab),) * 3)).passed
+    assert calls == [bab] * 3 and all(arg is bab for arg in calls)
+
+
 def _one_method_case(impl_out, spec_out):
     """Method `step` on the state 0: impl and spec return the given outcomes."""
     sig = MethodSig("step")

@@ -79,6 +79,11 @@ def test_injective_on_distinct_values(a, b):
 @given(plain | lookalike, plain | lookalike)
 @example(P(0), (0,))
 @example(One.ONE, 1)
+# Non-plain values inside an inner tuple, each against its plain twin.
+@example(((True,), ()), ((1,), ()))
+@example((("a", 1.0),), (("a", 1),))
+@example(((Fraction(1),),), ((1,),))
+@example(((P(0),),), ((Q(0),),))
 def test_state_keys_agree_with_encodings(a, b):
     assert (state_key(a) == state_key(b)) == (encode(a) == encode(b))
     if state_key(a) == state_key(b):
@@ -96,6 +101,14 @@ def test_state_key_of_str_and_int_tuples_is_the_state_itself():
     assert state_key(state) is state
     assert state_key("a") == "a" and state_key(7) == 7
     assert state_key((1, True)) == (1, state_key(True))
+
+
+def test_plain_inner_tuples_are_their_own_key():
+    # Inner tuples of exact strs and ints are tested inline, nested ones by
+    # recursion; either way the state is its own key.
+    deque = (("a", "b", "a", "b", "a", "b"), ("b", "b", "a", "a", "b", "a"))
+    for state in [((),), ((("a",),), ("b", 3)), deque]:
+        assert state_key(state) is state
 
 
 def test_floats_have_their_own_typed_encoding():

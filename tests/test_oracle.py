@@ -33,9 +33,10 @@ drops the other's potential, which an exact pair cannot absorb).
 
 Renaming every impl state, as ``("r", s)`` or as one namedtuple type,
 leaves every registered case's counts and slack unchanged: typed dedup
-neither merges nor splits states. And every counted square can fail:
-raising the impl cost of one seeded square past the report's slack fails
-that square and no other.
+neither merges nor splits states. So does reordering the seeds of a case
+whose every state is a seed, and failures never decrease as the depth
+bound grows. And every counted square can fail: raising the impl cost of
+one seeded square past the report's slack fails that square and no other.
 """
 
 import random
@@ -578,6 +579,32 @@ def test_renaming_impl_states_changes_no_count(wrap, unwrap, explored):
     assert len(small) == len(runs) - 1  # all but deque's 96,774 squares
     for case, report in small:
         assert counts(explore(relabel(case, wrap, unwrap))) == counts(report), case.name
+
+
+@pytest.mark.parametrize(
+    "name, n_seeds", [("allocator", 8), ("alloc16-via-8", 16), ("rand-alloc", 4)]
+)
+def test_permuting_the_seeds_of_a_closed_case_changes_no_count(name, n_seeds, explored):
+    # Every state of these cases is a seed, so the space is closed whatever
+    # the admission order: reordering the seeds must not move a count.
+    case = get_case(name)
+    seeds = list(case.impl.seeds)
+    shuffled = seeds[:]
+    random.Random(f"seeds-{name}").shuffle(shuffled)
+    assert len(seeds) == n_seeds and shuffled != seeds
+    for order in (seeds[::-1], shuffled):
+        permuted = replace(case, impl=replace(case.impl, seeds=tuple(order)))
+        assert counts(explore(permuted)) == counts(explored(name)), (name, order)
+
+
+def test_failures_never_decrease_as_the_depth_bound_grows():
+    rng = random.Random(2424)
+    cases = [get_case("allocator-broken")]
+    cases += [varying_cost_case(defect_at=d) for d in rng.sample(range(1, 64), 3)]
+    for case in cases:
+        failures = [explore(case, max_depth=depth).failures for depth in range(65)]
+        assert failures == sorted(failures), case.name
+        assert failures[-1] == explore(case).failures > 0, case.name
 
 
 # --- adequacy: one raised square is the one failure ------------------------
