@@ -55,6 +55,7 @@ class SquareCheck:
     """Result of one amortization-square check, fully reproducible.
 
     Built only for reported squares: `check_square` and kept counterexamples.
+    The square's costs are its sides' own, `lhs.cost` and `rhs.cost`.
     """
 
     method: str
@@ -65,14 +66,6 @@ class SquareCheck:
     verdict: Verdict
     inputs_serialized: Tuple[str, ...]
     arg_literal: str
-
-    @property
-    def lhs_cost(self) -> Any:
-        return self.lhs.cost
-
-    @property
-    def rhs_cost(self) -> Any:
-        return self.rhs.cost
 
 
 @dataclass(frozen=True)
@@ -346,7 +339,8 @@ def explore(
     collected past the depth limit or once the cap has refused an unseen
     state (a cap merely reached stops nothing). Sides and state text are
     built only for the first `limit` failures the engine calls back, the
-    counterexamples kept.
+    counterexamples kept. A case whose filter admits no seed checks
+    nothing, so it is refused (`ValueError` naming the case).
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -421,6 +415,8 @@ def explore(
             n, slack, _ = engine(impl, spec, tuples, sig.arg_domain, batch, slack)
             squares += n
         i += 1
+    if not states:  # only the filter can refuse every seed
+        raise ValueError(f"{case.name}: the explore filter admits no seed")
 
     counterexamples.sort(key=lambda c: (c.method, c.inputs_serialized, c.arg_literal))
     return Report(
@@ -444,13 +440,13 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     agree by typed identity (one object, or `typed_eq`: ``True`` is not
     ``1``), Stop must happen on both sides together, and the totals must
     satisfy  potential(start) + spec total  vs  impl total + potential(end)
-    under the case's mode (the final potential term vanishes if the trace
-    ends in Stop). Each side of a step is `guard_outcome`'s outcome: Stop
-    only from a ``may_stop`` method, else exactly one successor state, and
-    a point law stands for its one outcome while a law that branches raises
-    `ArityMismatch`; an outcome of type exactly `Continue` with one state
-    is its own, with no call. The trace's `seed_index` must index the
-    case's seeds (else `ValueError`).
+    under the case's mode; a trace whose two sides Stop ends on `STOP`,
+    where potential(end) vanishes. Each side of a step is `guard_outcome`'s
+    outcome: Stop only from a ``may_stop`` method, else exactly one
+    successor state, and a point law stands for its one outcome while a
+    law that branches raises `ArityMismatch`; an outcome of type exactly
+    `Continue` with one state is its own, with no call. The trace's
+    `seed_index` must index the case's seeds (else `ValueError`).
 
     Each step passes the door before it runs, and a refused step raises
     after the steps before it ran: a method name that is unknown or not
@@ -471,7 +467,6 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     total_impl = total_spec = monoid.identity
     step_no = -1  # the last step that ran
-    stopped = False
     mismatches: List[TraceMismatch] = []
     methods = {
         m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.members)
@@ -506,7 +501,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                 mismatches.append(
                     TraceMismatch(step_no, "stop", f"{method}: only {side} stopped")
                 )
-            stopped = True
+            impl_state = STOP
             break
         if impl_out.obs is not spec_out.obs and not typed_eq(impl_out.obs, spec_out.obs):
             mismatches.append(
@@ -523,11 +518,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     slack = None
     if not mismatches:
-        lhs = monoid.combine(phi0.cost, total_spec)
-        if stopped:
-            rhs = total_impl
-        else:
-            rhs = monoid.combine(total_impl, case.phi.phi(impl_state).cost)
+        lhs = combine(phi0.cost, total_spec)
+        end = monoid.identity if impl_state is STOP else case.phi.phi(impl_state).cost
+        rhs = combine(total_impl, end)
         if not (lhs == rhs if mode is Mode.EXACT else monoid.leq(rhs, lhs)):
             rel = "=" if mode is Mode.EXACT else ">="
             mismatches.append(

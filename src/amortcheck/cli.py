@@ -110,7 +110,7 @@ def _describe_counterexample(c) -> str:
         inputs = " ".join(c.inputs_serialized)
         return (
             f"  {c.verdict.value}: method={c.method} arg={c.arg_literal} "
-            f"inputs=[{inputs}] lhs_cost={c.lhs_cost!r} rhs_cost={c.rhs_cost!r}"
+            f"inputs=[{inputs}] lhs_cost={c.lhs.cost!r} rhs_cost={c.rhs.cost!r}"
         )
     assert isinstance(c, TraceMismatch)
     where = "telescoped total" if c.step < 0 else f"step {c.step}"

@@ -242,9 +242,10 @@ class Method:
 class Coalgebra:
     """A carrier, its seed states and one `Method` per distinct name.
 
-    `method` resolves any method by name; `step_method` is the one door for
-    a step that threads one state (traces, pairs, translations, substrate
-    calls).
+    With no seed or no method it has no square, so it is refused
+    (`ValueError`). `method` resolves any method by name; `step_method` is
+    the one door for a step that threads one state (traces, pairs,
+    translations, substrate calls).
     """
 
     state_domain: StateDomain
@@ -255,6 +256,8 @@ class Coalgebra:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("a coalgebra needs at least one seed state")
+        if not self.methods:
+            raise ValueError("a coalgebra needs at least one method")
         names = [m.sig.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate method names: {names}")
@@ -319,7 +322,8 @@ class VerificationCase:
     `max_depth`/`max_states` bound exploration when no explicit bounds are
     given; a case states its own only where the default would not bind.
     `explore_filter`, when present, restricts the explored state space:
-    successors falling outside it are not admitted to the frontier.
+    seeds and successors falling outside it are not admitted, and `explore`
+    refuses a case whose filter admits no seed (`ValueError`).
     """
 
     name: str

@@ -62,20 +62,19 @@ def compose_phi(
     return PotentialMorphism(lambda s: bind(monoid, first.phi(s), second.phi), mode)
 
 
-def _lift_method(method: Method, side: int, tag: str) -> Method:
-    sig = replace(method.sig, name=f"{tag}.{method.sig.name}")
+def _lift_method(method: Method, side: int) -> Method:
+    """`method` acting on component `side` (0 or 1) of a pair state, named
+    ``left.<name>`` or ``right.<name>`` by that side; a Stop ends the pair."""
+    sig = replace(method.sig, name=f"{('left', 'right')[side]}.{method.sig.name}")
 
     def run(states, arg):
         (pair,) = states
         res = method.run((pair[side],), arg)
         out = guard_outcome(method.sig, res.value)
-        if out is STOP:
-            return Charged(res.cost, STOP)
-        if side == 0:
-            successor = (out.states[0], pair[1])
-        else:
-            successor = (pair[0], out.states[0])
-        return Charged(res.cost, Continue(out.obs, (successor,)))
+        if out is not STOP:
+            succ = (out.states[0], pair[1]) if side == 0 else (pair[0], out.states[0])
+            out = Continue(out.obs, (succ,))
+        return Charged(res.cost, out)
 
     return Method(sig, run)
 
@@ -91,8 +90,9 @@ def _both(left, right):
 
 def _pair_coalgebra(left: Coalgebra, right: Coalgebra) -> Coalgebra:
     methods = tuple(
-        [_lift_method(left.step_method(m.sig.name), 0, "left") for m in left.methods]
-        + [_lift_method(right.step_method(m.sig.name), 1, "right") for m in right.methods]
+        _lift_method(part.step_method(m.sig.name), side)
+        for side, part in enumerate((left, right))
+        for m in part.methods
     )
     invariant = _both(left.state_invariant, right.state_invariant)
     seeds = tuple((a, b) for a in left.seeds for b in right.seeds)
@@ -200,6 +200,8 @@ def translate_case(
 ) -> VerificationCase:
     """Build the case whose implementation runs `programs` over `base`.
 
+    The implementation is the substrate with the programs for methods, so
+    its domain, seeds and invariant are the substrate's (no program: refused).
     Programs call the substrate by method name through a `SubstrateRun`
     (`UnknownMethod` for a name it lacks) and cost exactly those calls.
     Each program threads one substrate state, so its signature must pass
@@ -225,12 +227,7 @@ def translate_case(
 
         return run
 
-    impl = Coalgebra(
-        substrate.state_domain,
-        substrate.seeds,
-        tuple(Method(pm.sig, make_runner(pm)) for pm in programs),
-        substrate.state_invariant,
-    )
+    impl = replace(substrate, methods=tuple(Method(pm.sig, make_runner(pm)) for pm in programs))
     for pm in programs:
         impl.step_method(pm.sig.name)
     phi = phi_extra if over == "spec" else compose_phi(monoid, base.phi, phi_extra)
@@ -271,17 +268,12 @@ def alloc16_to_8_case() -> VerificationCase:
 def alloc16_via_8_case() -> VerificationCase:
     """16-burst allocator against the unit-cost spec, by composing stages.
 
-    The second stage is `allocator_case`'s own argument; the composite
-    potential works out to 15 - d.
+    The first stage with the spec of the second, `allocator_case`, and the
+    composed potential, which works out to 15 - d.
     """
-    stage2 = allocator_case()
-    return VerificationCase(
-        name="alloc16-via-8",
-        monoid=NAT_COST,
-        impl=cyclic_allocator(16),
-        spec=stage2.spec,
-        phi=compose_phi(NAT_COST, alloc16_to_8_phi(), stage2.phi),
-    )
+    stage1, stage2 = alloc16_to_8_case(), allocator_case()
+    phi = compose_phi(stage1.monoid, stage1.phi, stage2.phi)
+    return replace(stage1, name="alloc16-via-8", spec=stage2.spec, phi=phi)
 
 
 def counter_via_stack_case() -> VerificationCase:
@@ -301,10 +293,8 @@ def counter_via_stack_case() -> VerificationCase:
         got = sub.call("pop")
         return STOP if got is STOP else UNIT
 
-    programs = (
-        ProgramMethod(MethodSig("increment"), increment),
-        ProgramMethod(MethodSig("decrement", may_stop=True), decrement),
-    )
+    inc_sig, dec_sig = MethodSig("increment"), MethodSig("decrement", may_stop=True)
+    programs = (ProgramMethod(inc_sig, increment), ProgramMethod(dec_sig, decrement))
 
     def spec_increment(states, arg):
         (n,) = states
@@ -316,14 +306,8 @@ def counter_via_stack_case() -> VerificationCase:
             return charge(0, STOP)
         return charge(2, Continue(UNIT, (n - 1,)))
 
-    target_spec = Coalgebra(
-        StateDomain("nat"),
-        (0,),
-        (
-            Method(MethodSig("increment"), spec_increment),
-            Method(MethodSig("decrement", may_stop=True), spec_decrement),
-        ),
-    )
+    spec_methods = (Method(inc_sig, spec_increment), Method(dec_sig, spec_decrement))
+    target_spec = Coalgebra(StateDomain("nat"), (0,), spec_methods)
     phi = PotentialMorphism(lambda l: Charged(0, len(l)))
     return translate_case(
         base,

@@ -62,7 +62,7 @@ def test_criterion_02_dynamic_array_pushes():
     for m in range(1, 257):
         e = "ab"[m % 2]
         check = check_square(case, "push", (state,), e)
-        ok = ok and check.verdict is Verdict.PASS and check.lhs_cost == check.rhs_cost
+        ok = ok and check.verdict is Verdict.PASS and check.lhs.cost == check.rhs.cost
         res = case.impl.method("push").run((state,), e)
         total += res.cost
         state = res.value.states[0]
@@ -80,7 +80,7 @@ def test_criterion_03_queue_dichotomy(explored):
     forced = explore(get_case("queue-lax").with_mode(Mode.EXACT))
     ok = ok and not forced.passed and len(forced.counterexamples) > 0
     for c in forced.counterexamples:
-        ok = ok and c.method == "dequeue" and c.lhs_cost == 2 * c.rhs_cost
+        ok = ok and c.method == "dequeue" and c.lhs.cost == 2 * c.rhs.cost
 
     exact_case = batched_queue_case(2)
     lax_exact = batched_queue_case(1).with_mode(Mode.EXACT)
@@ -92,7 +92,7 @@ def test_criterion_03_queue_dichotomy(explored):
             ok = ok and check_square(lax_colax, "dequeue", (state,)).verdict is Verdict.PASS
             bad = check_square(lax_exact, "dequeue", (state,))
             ok = ok and bad.verdict is Verdict.COST_MISMATCH
-            ok = ok and bad.lhs_cost == 2 * bad.rhs_cost == 2 * length
+            ok = ok and bad.lhs.cost == 2 * bad.rhs.cost == 2 * length
     _verdict(3, "queue-exact exact; queue-lax colax-only, flush lhs = 2*rhs", ok)
 
 
@@ -152,11 +152,11 @@ def test_criterion_06_multi_slot_potential_sums():
         for n in range(33):
             check = check_square(case, "merge", (m, n))
             ok = ok and check.verdict is Verdict.PASS
-            ok = ok and check.lhs_cost == check.rhs_cost == m + n
+            ok = ok and check.lhs.cost == check.rhs.cost == m + n
     for n in range(33):
         check = check_square(case, "split", (n,))
         ok = ok and check.verdict is Verdict.PASS
-        ok = ok and check.lhs_cost == check.rhs_cost == n
+        ok = ok and check.lhs.cost == check.rhs.cost == n
     _verdict(6, "piggy merge/split squares sum potentials for tokens <= 32", ok)
 
 
@@ -210,7 +210,7 @@ def test_criterion_09_negative_controls():
         for c in report.counterexamples:
             again = check_square(case, c.method, c.inputs, c.arg)
             ok = ok and again.verdict is c.verdict
-            ok = ok and again.lhs_cost == c.lhs_cost and again.rhs_cost == c.rhs_cost
+            ok = ok and again.lhs.cost == c.lhs.cost and again.rhs.cost == c.rhs.cost
     _verdict(9, "negative controls exit 1 with reproducible counterexamples", ok)
 
 

@@ -71,14 +71,14 @@ def test_allocator_square_at_zero():
     # lhs = phi(0) + 1 = 7 + 1 = 8; rhs = 8 + phi(7) = 8 + 0 = 8
     check = check_square(allocator_case(), "alloc", (0,))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 8 and check.rhs_cost == 8
+    assert check.lhs.cost == 8 and check.rhs.cost == 8
 
 
 def test_allocator_square_at_three():
     # lhs = phi(3) + 1 = 4 + 1 = 5; rhs = 0 + phi(2) = 5
     check = check_square(allocator_case(), "alloc", (3,))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 5 and check.rhs_cost == 5
+    assert check.lhs.cost == 5 and check.rhs.cost == 5
 
 
 def test_queue_flush_square_dichotomy():
@@ -88,14 +88,14 @@ def test_queue_flush_square_dichotomy():
     lax = batched_queue_case(1)
     exact_check = check_square(lax.with_mode(Mode.EXACT), "dequeue", (state,))
     assert exact_check.verdict is Verdict.COST_MISMATCH
-    assert exact_check.lhs_cost == 4 and exact_check.rhs_cost == 2
+    assert exact_check.lhs.cost == 4 and exact_check.rhs.cost == 2
     colax_check = check_square(lax, "dequeue", (state,))
     assert colax_check.verdict is Verdict.PASS
 
     exact_case = batched_queue_case(2)
     check = check_square(exact_case, "dequeue", (state,))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 4 and check.rhs_cost == 4
+    assert check.lhs.cost == 4 and check.rhs.cost == 4
 
 
 def test_check_square_is_deterministic():
@@ -158,7 +158,7 @@ def test_explore_broken_allocator_counterexample_at_zero():
     report = explore(broken_allocator_case())
     assert not report.passed
     zero = [c for c in report.counterexamples if c.inputs == (0,)]
-    assert zero and zero[0].lhs_cost == 1 and zero[0].rhs_cost == 15
+    assert zero and zero[0].lhs.cost == 1 and zero[0].rhs.cost == 15
     # The slack range spans every square: 1 - 15 at 0, 2 - 0 from 1 to 7.
     assert (report.slack_min, report.slack_max) == (-14, 2)
 
@@ -230,6 +230,16 @@ def test_explore_rejects_bad_bounds():
         explore(case, max_depth=-1)
     with pytest.raises(ValueError):
         explore(case, max_states=3)  # fewer than the 8 seeds
+
+
+def test_explore_refuses_a_filter_that_admits_no_seed():
+    # Such a run checks no square; it passed with 0 states and 0 squares.
+    case = replace(broken_allocator_case(), explore_filter=lambda s: False)
+    with pytest.raises(ValueError, match=r"^allocator-broken: the explore filter admits no seed$"):
+        explore(case)
+    # One admitted seed is enough: its square is checked, and fails.
+    report = explore(replace(case, explore_filter=lambda s: s == 7))
+    assert (report.states_explored, report.squares_checked, report.failures) == (1, 1, 1)
 
 
 def test_explore_rejects_a_negative_limit():
@@ -563,11 +573,11 @@ def test_expected_square_randomized_allocator_values():
     at0 = check_square(case, "alloc", (0,))
     # lhs = 3/2 + 1/2 = 2 ; rhs = E[Bin(4,1/2)] + phi(3) = 2 + 0
     assert at0.verdict is Verdict.PASS
-    assert at0.lhs_cost == 2 and at0.rhs_cost == 2
+    assert at0.lhs.cost == 2 and at0.rhs.cost == 2
     at2 = check_square(case, "alloc", (2,))
     # lhs = 1/2 + 1/2 = 1 ; rhs = 0 + phi(1) = 1
     assert at2.verdict is Verdict.PASS
-    assert at2.lhs_cost == 1 and at2.rhs_cost == 1
+    assert at2.lhs.cost == 1 and at2.rhs.cost == 1
 
 
 def test_rand_alloc_square_sides_are_charged_outcome_laws():
@@ -576,8 +586,7 @@ def test_rand_alloc_square_sides_are_charged_outcome_laws():
     assert check.verdict is Verdict.PASS
     for side in (check.lhs, check.rhs):
         assert type(side) is Charged and type(side.value) is Dist
-    assert check.lhs_cost == check.lhs.cost == Fraction(2)
-    assert check.rhs_cost == check.rhs.cost == Fraction(2)
+    assert check.lhs.cost == check.rhs.cost == Fraction(2)
     assert check.lhs.value == check.rhs.value == Dist(
         [(1, Continue(UNIT, (UNIT,)))]
     )
@@ -688,16 +697,16 @@ def test_square_weighs_stop_and_continue_branches():
     # lhs = phi(0) + 1 = 1 ; rhs = E[impl] + 1/2 * phi(1) = 0 + 1
     at0 = check_square(case, "alloc", (0,))
     assert at0.verdict is Verdict.PASS
-    assert at0.lhs_cost == 1 and at0.rhs_cost == 1
+    assert at0.lhs.cost == 1 and at0.rhs.cost == 1
     # lhs = phi(1) + 1 = 3 ; rhs = 1/2 * 6 + 1/2 * phi(0) = 3
     at1 = check_square(case, "alloc", (1,))
     assert at1.verdict is Verdict.PASS
-    assert at1.lhs_cost == 3 and at1.rhs_cost == 3
+    assert at1.lhs.cost == 3 and at1.rhs.cost == 3
 
     # Same expected costs, but the spec stops with probability 1/4.
     skewed = check_square(_coin_stop_case(Fraction(1, 4)), "alloc", (0,))
     assert skewed.verdict is Verdict.BEHAVIOR_MISMATCH
-    assert skewed.lhs_cost == skewed.rhs_cost == 1
+    assert skewed.lhs.cost == skewed.rhs.cost == 1
 
 
 def _fair_flip_case():
@@ -932,7 +941,7 @@ def test_every_phi_sum_folds_from_the_identity_once():
     def fold(states):
         return sum_images(TERM_COST, map(case.phi.phi, states))[0]
 
-    assert check_square(case, "step", (0,)).lhs_cost == ("+", ("+", "0", "c0"), "t")
+    assert check_square(case, "step", (0,)).lhs.cost == ("+", ("+", "0", "c0"), "t")
     report = explore(case, limit=100)
     assert report.failures == len(report.counterexamples) == 3 + 9
     checks = report.counterexamples + (
@@ -942,8 +951,8 @@ def test_every_phi_sum_folds_from_the_identity_once():
     assert {len(c.inputs) for c in checks} == {1, 2}
     for c in checks:
         assert c.verdict is Verdict.COST_MISMATCH
-        assert c.lhs_cost == ("+", fold(c.inputs), "t"), c
-        assert c.rhs_cost == ("+", "i", fold(c.rhs.value.states)), c  # Φ(s) holds s
+        assert c.lhs.cost == ("+", fold(c.inputs), "t"), c
+        assert c.rhs.cost == ("+", "i", fold(c.rhs.value.states)), c  # Φ(s) holds s
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

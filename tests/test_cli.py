@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, output formats, determinism."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from amortcheck import VerificationCase, registered_names
+from amortcheck import cli
 from amortcheck.cli import CSV_HEADER, _csv_rows, main
 
 EXPECTED_ALL_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "all.csv"
@@ -231,6 +233,16 @@ def test_state_cap_below_seed_count_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "allocator", "--max-states", "4")
     assert code == 2
     assert "seeds" in err
+
+
+def test_a_filter_that_admits_no_seed_is_config_error(capsys, monkeypatch):
+    real = cli.get_case
+    monkeypatch.setattr(
+        cli, "get_case", lambda name: replace(real(name), explore_filter=lambda s: False)
+    )
+    code, out, err = run(capsys, "verify", "allocator-broken")
+    assert (code, out) == (2, "")
+    assert err == "error: allocator-broken: the explore filter admits no seed\n"
 
 
 def test_explicit_depth_flag_overrides_case_default(capsys):

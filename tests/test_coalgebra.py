@@ -82,6 +82,13 @@ def test_coalgebra_needs_a_seed_and_distinct_method_names():
         Coalgebra(StateDomain("zero"), (0,), (step, step))
 
 
+def test_coalgebra_needs_a_method():
+    # With no method a case has no square: it passed on 1 state and 0
+    # squares, and so did its empty trace.
+    with pytest.raises(ValueError, match=r"^a coalgebra needs at least one method$"):
+        Coalgebra(StateDomain("zero"), (0,), ())
+
+
 def test_method_sig_rejects_bad_arities():
     with pytest.raises(ArityMismatch, match=r"^m: in_arity must be positive$"):
         MethodSig("m", in_arity=0)

@@ -19,12 +19,14 @@ from amortcheck import (
     PotentialMorphism,
     StateDomain,
     StepBudgetExceeded,
+    Trace,
     UNIT,
     UnsupportedArity,
     VerificationCase,
     Verdict,
     charge,
     check_square,
+    check_trace,
     compose_phi,
     expect,
     explore,
@@ -37,6 +39,7 @@ from amortcheck.compose import (
     ProgramMethod,
     SubstrateRun,
     alloc16_to_8_case,
+    alloc16_to_8_phi,
     alloc16_via_8_case,
     counter_via_stack_case,
     queue_via_stacks_case,
@@ -45,6 +48,7 @@ from amortcheck.structures import (
     allocator_case,
     broken_allocator_case,
     buffer_case,
+    cyclic_allocator,
     randomized_allocator_case,
     stack_case,
     varying_cost_case,
@@ -80,6 +84,25 @@ def test_alloc16_composite_potential_is_fifteen_minus_d():
     assert explore(case).passed
 
 
+def test_alloc16_via_8_is_its_first_stage_with_a_composed_potential():
+    # The composite keeps the 16-burst impl, the unit-cost spec, the cost
+    # model and the exact mode, and its Φ is the composition it restated.
+    case, stage2 = alloc16_via_8_case(), allocator_case()
+    assert case.name == "alloc16-via-8"
+    assert case.monoid is NAT_COST and case.phi.mode is Mode.EXACT
+    for got, want in ((case.impl, cyclic_allocator(16)), (case.spec, stage2.spec)):
+        assert got.state_domain == want.state_domain and got.seeds == want.seeds
+        assert got.sig_table == want.sig_table
+        for s in got.seeds:
+            assert got.method("alloc").run((s,), UNIT) == want.method("alloc").run((s,), UNIT)
+    assert case.impl.state_invariant is not None
+    assert all(case.impl.state_invariant(d) for d in range(16))
+    assert not case.impl.state_invariant(16)
+    old = compose_phi(NAT_COST, alloc16_to_8_phi(), stage2.phi)
+    for d in range(16):
+        assert case.phi.phi(d) == old.phi(d)
+
+
 def test_composite_passes_when_both_stages_pass():
     stage1 = explore(alloc16_to_8_case())
     stage2 = explore(allocator_case())
@@ -99,6 +122,27 @@ def test_pair_potential_adds_component_potentials():
     for a in range(8):
         for b in range(8):
             assert paired.phi.phi((a, b)).cost == (7 - a) + (7 - b)
+
+
+@pytest.mark.parametrize("over", ["spec", "impl"])
+def test_a_translation_keeps_its_substrate_whole(over):
+    # The implementation is the substrate with the programs for methods:
+    # its domain, seeds and invariant are the substrate's own objects.
+    base = allocator_case()
+    base = replace(base, spec=replace(base.spec, state_invariant=lambda s: s == UNIT))
+    substrate = getattr(base, over)
+    programs = (ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc")),)
+    case = translate_case(base, programs, base.spec, _identity_phi(), "alloc-via-alloc", over=over)
+    assert case.impl.state_domain is substrate.state_domain
+    assert case.impl.seeds is substrate.seeds
+    assert case.impl.state_invariant is substrate.state_invariant is not None
+    assert [m.sig for m in case.impl.methods] == [programs[0].sig]
+
+
+def test_a_translation_with_no_program_is_refused():
+    base = allocator_case()
+    with pytest.raises(ValueError, match=r"^a coalgebra needs at least one method$"):
+        translate_case(base, (), base.spec, _identity_phi(), "nothing")
 
 
 def test_composite_bounds_follow_the_case_defaults():
@@ -125,6 +169,43 @@ def test_pairs_keep_their_parts_explore_filters():
     assert report.passed
     assert (report.states_explored, report.squares_checked) == (30 * 8, 2 * 30 * 8)
     assert pair_cases(allocator_case(), allocator_case()).explore_filter is None
+
+
+def test_a_pair_whose_component_filter_refuses_its_seed_is_refused():
+    # The stack's one seed is the empty array; a filter that wants items
+    # refuses it, so the pair's filter admits none of the 8 pair seeds.
+    stack = replace(stack_case(), explore_filter=lambda s: len(s[1]) > 0)
+    paired = pair_cases(stack, allocator_case())
+    with pytest.raises(ValueError, match=r"^pair\(stack,allocator\): the explore filter admits no seed$"):
+        explore(paired)
+
+
+def test_pair_methods_are_named_by_their_side():
+    # Each lifted signature is its component's, renamed `left.` or `right.`.
+    left, right = stack_case(), allocator_case()
+    paired = pair_cases(left, right)
+    for side in ("impl", "spec"):
+        want = [
+            replace(m.sig, name=f"{tag}.{m.sig.name}")
+            for tag, part in (("left", left), ("right", right))
+            for m in getattr(part, side).methods
+        ]
+        assert [m.sig for m in getattr(paired, side).methods] == want
+    assert list(paired.impl.sig_table) == ["left.push", "left.pop", "right.alloc"]
+
+
+def test_a_trace_that_stops_on_both_sides_ends_with_no_potential():
+    # A pair's Stop ends the trace: potential(end) vanishes, so the
+    # allocator's potential 7 - d at the start is left on the lhs alone,
+    # as on the pair's Stop square.
+    paired = pair_cases(get_case("queue-exact"), allocator_case())
+    for d in (0, 3, 7):
+        report = check_trace(paired, Trace((("left.dequeue", UNIT),), seed_index=d))
+        assert report.slack_max == 7 - d
+        assert report.passed == (d == 7)
+        if d < 7:
+            (mismatch,) = report.counterexamples
+            assert mismatch.detail == f"wanted lhs = rhs, got lhs={7 - d} rhs=0"
 
 
 def test_pairing_with_a_failing_case_fails():
@@ -247,12 +328,12 @@ def test_counter_via_stack_passes_exact(explored):
 def test_counter_via_stack_square_costs():
     case = counter_via_stack_case()
     inc = check_square(case, "increment", ((),))
-    assert inc.lhs_cost == 3 and inc.rhs_cost == 3  # push costs the spec's 3
+    assert inc.lhs.cost == 3 and inc.rhs.cost == 3  # push costs the spec's 3
     dec_empty = check_square(case, "decrement", ((),))
     assert dec_empty.verdict is Verdict.PASS
-    assert dec_empty.lhs_cost == 0 and dec_empty.rhs_cost == 0
+    assert dec_empty.lhs.cost == 0 and dec_empty.rhs.cost == 0
     dec = check_square(case, "decrement", ((("a", "a"),),))
-    assert dec.lhs_cost == 2 and dec.rhs_cost == 2
+    assert dec.lhs.cost == 2 and dec.rhs.cost == 2
 
 
 def test_queue_via_stacks_passes_exact(explored):
@@ -266,14 +347,14 @@ def test_queue_via_stacks_flush_square():
     state = ((("b", "a"), ()),)
     check = check_square(case, "dequeue", state)
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 12 and check.rhs_cost == 12
+    assert check.lhs.cost == 12 and check.rhs.cost == 12
 
 
 def test_queue_via_stacks_dequeue_on_empty_pair_stops():
     case = queue_via_stacks_case()
     check = check_square(case, "dequeue", (((), ()),))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 0 and check.rhs_cost == 0
+    assert check.lhs.cost == 0 and check.rhs.cost == 0
 
 
 def test_pipeline_over_arrays_passes_colax(explored):

@@ -9,7 +9,8 @@ over Fin n, whose states are labelled with values that Python compares
 equal in pairs (``1``, ``True``, ``Fraction(1)``, ...) but that serialize
 apart, in a deterministic, a randomized and a word-cost flavour (string
 costs over the non-commutative `TRACE_COST`). The reports must agree
-on every count, on the slack and on the kept counterexamples, in order.
+on every count, on the slack and on the kept counterexamples, in order;
+a drawn case whose filter admits no seed must be refused by both.
 
 Every registered case, `allocator-broken` and a planted `varying` defect
 run through both explorers too: list-valued states, an explore filter, a
@@ -154,6 +155,8 @@ def reference_explore(case, max_depth, max_states, limit):
 
     for seed in case.impl.seeds:
         admit(seed, 0)
+    if not states:
+        raise ValueError(f"{case.name}: the explore filter admits no seed")
     squares = failures = 0
     kept, slack_min, slack_max = [], None, None
     i = 0
@@ -168,7 +171,7 @@ def reference_explore(case, max_depth, max_states, limit):
                     check = reference_square(case, m.sig.name, inputs, arg)
                     squares += 1
                     if case.monoid.ordered:
-                        gap = check.lhs_cost - check.rhs_cost
+                        gap = check.lhs.cost - check.rhs.cost
                         if slack_max is None or gap > slack_max:
                             slack_max = gap
                         if slack_min is None or gap < slack_min:
@@ -319,6 +322,13 @@ def random_case(rng, randomized=False, words=False, merge=True):
 
 
 def assert_explore_matches_reference(case, bounds, seed):
+    """Both explorers report alike, or both refuse a filter that admits no
+    seed, with one message."""
+    if case.explore_filter is not None and not any(map(case.explore_filter, case.impl.seeds)):
+        for run in (explore, reference_explore):
+            with pytest.raises(ValueError, match=f"^{case.name}: the explore filter admits no seed$"):
+                run(case, **bounds)
+        return
     report = explore(case, **bounds)
     states, squares, failures, slack_min, slack_max, kept = reference_explore(case, **bounds)
     got = (report.states_explored, report.squares_checked, report.failures)
@@ -386,7 +396,7 @@ def telescope_outcomes(case, rng, traces=4, max_steps=8):
             lhs, rhs = last.lhs.value, last.rhs.value
             if (lhs is STOP) != (rhs is STOP) or lhs is not STOP and lhs.obs != rhs.obs:
                 kind = "behaviour"
-            elif last.lhs_cost != last.rhs_cost:
+            elif last.lhs.cost != last.rhs.cost:
                 kind = "cost"
             else:
                 continue  # only the spec successor differs, which traces do not see
@@ -910,15 +920,15 @@ def test_each_pair_square_is_a_square_of_one_component():
             j = int(side == "right")
             own = check_square((left, right)[j], method, (states[j],), c.arg)
             other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
-            assert c.lhs_cost == own.lhs_cost + other_phi, c
+            assert c.lhs.cost == own.lhs.cost + other_phi, c
             if own.rhs.value is STOP:
-                assert c.rhs_cost == own.rhs_cost, c
+                assert c.rhs.cost == own.rhs.cost, c
                 seen["stop squares"] += 1
                 if own.verdict is Verdict.PASS:
                     assert pair.phi.mode is Mode.EXACT and other_phi != 0, c
                     continue
             else:
-                assert c.rhs_cost == own.rhs_cost + other_phi, c
+                assert c.rhs.cost == own.rhs.cost + other_phi, c
             assert own.verdict is c.verdict, c
             seen["component failures"] += 1
     assert all(n >= 20 for n in seen.values()), seen
@@ -937,7 +947,7 @@ def test_a_stop_ends_the_pair_beside_the_other_potential():
             j = int(c.method.startswith("right."))
             other_phi = (right, left)[j].phi.phi(states[1 - j]).cost
             assert c.rhs.value is STOP and c.verdict is Verdict.COST_MISMATCH, c
-            assert c.lhs_cost - other_phi == c.rhs_cost and other_phi != 0, c
+            assert c.lhs.cost - other_phi == c.rhs.cost and other_phi != 0, c
             stops += 1
     assert len(passing) >= 10 and stops >= 20, (len(passing), stops)
     allocator = get_case("allocator")

@@ -118,7 +118,7 @@ def test_dynarray_resize_square_concrete():
     # n=1, |a|=2 forces a copy: lhs 2+3 = 5 = (3+2)+0 = rhs
     check = check_square(dynamic_array_case(False), "push", ((1, ("a", "b")),), "a")
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 5 and check.rhs_cost == 5
+    assert check.lhs.cost == 5 and check.rhs.cost == 5
 
 
 def test_dynarray_cheap_push_raises_potential_by_two():
@@ -144,7 +144,7 @@ def test_dynarray_update_squares_charge_length_both_sides(explored):
             check = check_square(case, "update", (state,), fn)
             assert check.verdict is Verdict.PASS
             # both paths cost potential + |a|
-            assert check.lhs_cost == array_potential(state) + len(state[1])
+            assert check.lhs.cost == array_potential(state) + len(state[1])
     assert explored("dynarray-update").passed
 
 
@@ -251,21 +251,21 @@ def test_stack_push_squares_are_exact():
     for state, arg in [((0, ()), "a"), ((1, ("a",)), "b"), ((1, ("a", "b")), "a")]:
         check = check_square(case, "push", (state,), arg)
         assert check.verdict is Verdict.PASS
-        assert check.lhs_cost == check.rhs_cost
+        assert check.lhs.cost == check.rhs.cost
 
 
 def test_stack_pop_slack_above_threshold():
     # phi = 2 at (1, two items): lhs 2+2 = 4, rhs 1+0 = 1... slack 3
     check = check_square(stack_case(), "pop", ((1, ("a", "b")),))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost - check.rhs_cost == 3
+    assert check.lhs.cost - check.rhs.cost == 3
 
 
 def test_stack_pop_slack_at_zero_potential():
     # popped-down array: phi = 0, lhs 2, rhs 1
     check = check_square(stack_case(), "pop", ((2, ("a",)),))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 2 and check.rhs_cost == 1
+    assert check.lhs.cost == 2 and check.rhs.cost == 1
 
 
 def test_stack_passes_colax(explored):
@@ -281,7 +281,7 @@ def test_queue_enqueue_exact_in_both_configurations():
         case = batched_queue_case(per)
         for state in [((), ()), (("a",), ()), (("b", "a"), ("a",))]:
             check = check_square(case, "enqueue", (state,), "b")
-            assert check.lhs_cost == check.rhs_cost
+            assert check.lhs.cost == check.rhs.cost
             assert check.verdict is Verdict.PASS
 
 
@@ -323,13 +323,13 @@ def test_queue_simulation_observables_match():
 def test_deque_push_front_square_on_balanced_state():
     check = check_square(deque_case(), "push_front", ((("a",), ("b",)),), "a")
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 2 and check.rhs_cost == 2
+    assert check.lhs.cost == 2 and check.rhs.cost == 2
 
 
 def test_deque_pop_on_empty_stops_both_sides():
     check = check_square(deque_case(), "pop_front", (((), ()),))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 0 and check.rhs_cost == 0
+    assert check.lhs.cost == 0 and check.rhs.cost == 0
 
 
 def test_deque_rebalance_parity():
@@ -337,11 +337,11 @@ def test_deque_rebalance_parity():
     # odd split: three elements rebalanced, strict inequality
     odd = check_square(case, "pop_front", (((), ("a", "b", "a")),))
     assert odd.verdict is Verdict.PASS
-    assert odd.lhs_cost - odd.rhs_cost == 1
+    assert odd.lhs.cost - odd.rhs.cost == 1
     # even split: square commutes exactly
     even = check_square(case, "pop_front", (((), ("a", "b")),))
     assert even.verdict is Verdict.PASS
-    assert even.lhs_cost == even.rhs_cost
+    assert even.lhs.cost == even.rhs.cost
 
 
 def test_deque_exhaustive_exploration(explored):
@@ -359,7 +359,7 @@ def test_buffer_square_flushes_on_full_chunk():
     case = buffer_case(4)
     check = check_square(case, "write", ("aba",), "b")
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == "abab" and check.rhs_cost == "abab"
+    assert check.lhs.cost == "abab" and check.rhs.cost == "abab"
     res = case.impl.method("write").run(("aba",), "b")
     assert res.cost == "abab" and res.value.states == ("",)
 
@@ -369,7 +369,7 @@ def test_buffer_empty_write_is_identity():
     for residue in ["", "a", "ab", "aba"]:
         check = check_square(case, "write", (residue,), "")
         assert check.verdict is Verdict.PASS
-        assert check.lhs_cost == residue
+        assert check.lhs.cost == residue
 
 
 def test_chop_identity_brute_force():
@@ -394,7 +394,7 @@ def test_buffer_square_breaks_if_combine_order_is_swapped():
     case = dataclasses.replace(buffer_case(2), monoid=flipped)
     check = check_square(case, "write", ("a",), "b")
     assert check.verdict is Verdict.COST_MISMATCH
-    assert check.lhs_cost == "ba" and check.rhs_cost == "ab"
+    assert check.lhs.cost == "ba" and check.rhs.cost == "ab"
 
 
 # --- randomized allocator ---------------------------------------------------
@@ -421,19 +421,19 @@ def test_randomized_allocator_k_one_collapses_to_spec():
 def test_piggy_merge_square_sums_potentials():
     check = check_square(get_case("piggy"), "merge", (2, 5))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 7 and check.rhs_cost == 7
+    assert check.lhs.cost == 7 and check.rhs.cost == 7
 
 
 def test_piggy_split_square():
     check = check_square(get_case("piggy"), "split", (7,))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 7 and check.rhs_cost == 7  # 4 + 3 on the right
+    assert check.lhs.cost == 7 and check.rhs.cost == 7  # 4 + 3 on the right
 
 
 def test_piggy_merge_of_empty_banks():
     check = check_square(get_case("piggy"), "merge", (0, 0))
     assert check.verdict is Verdict.PASS
-    assert check.lhs_cost == 0 and check.rhs_cost == 0
+    assert check.lhs.cost == 0 and check.rhs.cost == 0
 
 
 def test_piggy_passes_documented_bounds(explored):
