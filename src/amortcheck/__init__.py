@@ -39,7 +39,7 @@ from .compose import (
     SubstrateRun,
     compose_phi,
     pair_cases,
-    translate_case,
+    translate,
 )
 from .cost import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST, CostMonoid
 from .errors import (

@@ -76,11 +76,12 @@ class Dist:
     """A finitely-supported distribution, canonical by construction.
 
     `Dist(branches)` takes (weight, outcome) pairs. Weights must be exact,
-    positive and sum to 1, else `BadWeights`. Outcomes with equal typed
-    encodings are merged and branches sorted by that encoding, so every
-    `Dist` is a valid law in canonical form. Equality and hash read the
-    (encoding, weight) pairs, not the outcomes by ``==``: a law observing
-    ``True`` is not one observing ``1``.
+    of type `int` or `Fraction` (not ``0.5`` or ``True``), positive and sum
+    to 1, else `BadWeights`. Outcomes with equal typed encodings are merged
+    and branches sorted by that encoding, so every `Dist` is a valid law in
+    canonical form. Equality and hash read the (encoding, weight) pairs,
+    not the outcomes by ``==``: a law observing ``True`` is not one
+    observing ``1``.
     """
 
     branches: Tuple[Tuple[Fraction, Any], ...] = field(compare=False)
@@ -89,6 +90,8 @@ class Dist:
     def __init__(self, branches: Iterable[Tuple[Any, Any]]):
         merged, outcomes = {}, {}
         for w, x in branches:
+            if type(w) is not int and type(w) is not Fraction:
+                raise BadWeights(f"inexact weight {w!r}")
             w = Fraction(w)
             if w <= 0:
                 raise BadWeights(f"non-positive weight {w}")
@@ -108,9 +111,16 @@ def expect(branches: Sequence[Tuple[Any, Charged]]) -> Charged:
     """Collapse weighted charged branches to expected cost and outcome law.
 
     This realizes the map from a distribution of (cost, outcome) pairs to
-    a `Charged` of the expected cost and the `Dist` of outcomes. Costs must
-    live in the rational cost model so the expectation is exact.
+    a `Charged` of the expected cost and the `Dist` of outcomes. Costs are
+    weighed as given, ``Fraction(w) * cost``, and never converted: exact
+    costs give an exact expectation, and a cost no weight can scale (a
+    ``trace`` string) raises `BadWeights`.
     """
     dist = Dist((w, ch.value) for w, ch in branches)
-    expected = sum((Fraction(w) * Fraction(ch.cost) for w, ch in branches), Fraction(0))
+    expected = Fraction(0)
+    for w, ch in branches:
+        try:
+            expected += Fraction(w) * ch.cost
+        except TypeError:
+            raise BadWeights(f"weight {w} cannot scale the cost {ch.cost!r}") from None
     return Charged(expected, dist)

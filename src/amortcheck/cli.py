@@ -20,10 +20,6 @@ from .registry import REGISTRY, get_case, registered_names
 CSV_HEADER = "case,mode,states,squares,verdict,slack_max"
 
 
-class _UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amortcheck",
@@ -82,7 +78,7 @@ def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
         try:
             case = get_case(name)
         except KeyError:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown case {name!r}; run `amortcheck list` for the registry"
             )
         if mode != "default":
@@ -144,7 +140,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {out_path!r}: {exc}")
+            raise ValueError(f"cannot write {out_path!r}: {exc}")
 
 
 def _output_reports(reports: List[Report], args) -> None:
@@ -191,11 +187,11 @@ def _cmd_trace(args) -> int:
         with open(args.file) as fh:
             text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read trace file {args.file!r}: {exc}")
+        raise ValueError(f"cannot read trace file {args.file!r}: {exc}")
     try:
         trace = parse_trace(case, text)
     except TraceParseError as exc:
-        raise _UsageError(f"{args.file}: {exc}")
+        raise ValueError(f"{args.file}: {exc}")
     report = check_trace(case, trace)
     _output_reports([report], args)
     return 0 if report.passed else 1
@@ -215,7 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "all":
             return _cmd_verify(args, registered_names(include_negative=False))
         return _cmd_trace(args)
-    except (_UsageError, AmortError, ValueError) as exc:
+    except (AmortError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,14 @@ Three constructions:
   amortized implementation verifies against the outermost specification.
 * `pair_cases` runs two structures side by side over a shared commutative
   cost model; the paired potential adds the component potentials.
-* `translate_case` implements one interface by deterministic programs
+* `translate` implements one interface by deterministic programs
   (`ProgramMethod`s) over another: each target method makes finitely many
   calls into a substrate coalgebra, threading its state and accumulating
   exactly the substrate's costs, so the result is just another coalgebra.
-  Running the programs over the base case's specification isolates the
-  translation's own potential; running them over the base case's
-  implementation and composing potentials checks the whole pipeline.
+  Translating over a base case's specification isolates the translation's
+  own potential; translating over its implementation and composing the
+  potentials, `compose_phi(monoid, base.phi, phi)`, checks the whole
+  pipeline.
 
 A substrate call that Stops (e.g. popping an empty stack) is treated as an
 unproductive observation: the program sees `STOP`, the substrate state
@@ -50,6 +51,11 @@ from .structures import (
 )
 
 
+def _join(*modes: Mode) -> Mode:
+    """The mode of a potential built from parts in `modes`."""
+    return Mode.COLAX if Mode.COLAX in modes else Mode.EXACT
+
+
 def compose_phi(
     monoid: CostMonoid, first: PotentialMorphism, second: PotentialMorphism
 ) -> PotentialMorphism:
@@ -58,7 +64,7 @@ def compose_phi(
     Costs combine left to right. The composite is colax as soon as either
     component is; `VerificationCase` refuses it over an unordered monoid.
     """
-    mode = Mode.COLAX if Mode.COLAX in (first.mode, second.mode) else Mode.EXACT
+    mode = _join(first.mode, second.mode)
     return PotentialMorphism(lambda s: bind(monoid, first.phi(s), second.phi), mode)
 
 
@@ -127,13 +133,12 @@ def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationC
     def phi(pair):
         return tensor(monoid, lphi.phi(pair[0]), rphi.phi(pair[1]))
 
-    mode = Mode.COLAX if Mode.COLAX in (lphi.mode, rphi.mode) else Mode.EXACT
     return VerificationCase(
         name=f"pair({left.name},{right.name})",
         monoid=monoid,
         impl=_pair_coalgebra(left.impl, right.impl),
         spec=_pair_coalgebra(left.spec, right.spec),
-        phi=PotentialMorphism(phi, mode),
+        phi=PotentialMorphism(phi, _join(lphi.mode, rphi.mode)),
         max_depth=min(left.max_depth, right.max_depth),
         max_states=min(VerificationCase.max_states, left.max_states * right.max_states),
         explore_filter=_both(left.explore_filter, right.explore_filter),
@@ -189,33 +194,18 @@ class ProgramMethod:
     program: Callable[[SubstrateRun, Any], Any]  # returns obs, or STOP
 
 
-def translate_case(
-    base: VerificationCase,
-    programs: Tuple[ProgramMethod, ...],
-    target_spec: Coalgebra,
-    phi_extra: PotentialMorphism,
-    name: str,
-    over: str = "spec",
-    max_depth: int = VerificationCase.max_depth,
-) -> VerificationCase:
-    """Build the case whose implementation runs `programs` over `base`.
+def translate(
+    substrate: Coalgebra, monoid: CostMonoid, programs: Tuple[ProgramMethod, ...]
+) -> Coalgebra:
+    """The coalgebra that runs `programs` over `substrate`, costed in `monoid`.
 
-    The implementation is the substrate with the programs for methods, so
-    its domain, seeds and invariant are the substrate's (no program: refused).
-    Programs call the substrate by method name through a `SubstrateRun`
-    (`UnknownMethod` for a name it lacks) and cost exactly those calls.
-    Each program threads one substrate state, so its signature must pass
-    `Coalgebra.step_method`'s door (else `UnsupportedArity`).
-
-    With ``over="spec"`` the substrate is the base case's specification
-    coalgebra, so `phi_extra` alone is on trial. With ``over="impl"`` the
-    substrate is the base implementation and the checked potential is
-    `compose_phi(base.phi, phi_extra)`: the full pipeline.
+    It is the substrate with the programs for methods, so its domain, seeds
+    and invariant are the substrate's (no program: refused). Programs call
+    the substrate by method name through a `SubstrateRun` (`UnknownMethod`
+    for a name it lacks) and cost exactly those calls. Each program threads
+    one substrate state, so its signature must pass `Coalgebra.step_method`'s
+    door (else `UnsupportedArity`).
     """
-    if over not in ("spec", "impl"):
-        raise ValueError("over must be 'spec' or 'impl'")
-    substrate = base.spec if over == "spec" else base.impl
-    monoid = base.monoid
 
     def make_runner(pm: ProgramMethod):
         def run(states, arg):
@@ -227,18 +217,10 @@ def translate_case(
 
         return run
 
-    impl = replace(substrate, methods=tuple(Method(pm.sig, make_runner(pm)) for pm in programs))
+    coalg = replace(substrate, methods=tuple(Method(pm.sig, make_runner(pm)) for pm in programs))
     for pm in programs:
-        impl.step_method(pm.sig.name)
-    phi = phi_extra if over == "spec" else compose_phi(monoid, base.phi, phi_extra)
-    return VerificationCase(
-        name=name,
-        monoid=monoid,
-        impl=impl,
-        spec=target_spec,
-        phi=phi,
-        max_depth=max_depth,
-    )
+        coalg.step_method(pm.sig.name)
+    return coalg
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +289,12 @@ def counter_via_stack_case() -> VerificationCase:
         return charge(2, Continue(UNIT, (n - 1,)))
 
     spec_methods = (Method(inc_sig, spec_increment), Method(dec_sig, spec_decrement))
-    target_spec = Coalgebra(StateDomain("nat"), (0,), spec_methods)
-    phi = PotentialMorphism(lambda l: Charged(0, len(l)))
-    return translate_case(
-        base,
-        programs,
-        target_spec,
-        phi,
+    return VerificationCase(
         name="counter-via-stack",
+        monoid=base.monoid,
+        impl=translate(base.spec, base.monoid, programs),
+        spec=Coalgebra(StateDomain("nat"), (0,), spec_methods),
+        phi=PotentialMorphism(lambda l: Charged(0, len(l))),
         max_depth=8,
     )
 
@@ -322,10 +302,13 @@ def counter_via_stack_case() -> VerificationCase:
 def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
     """A queue as programs over a pair of stacks (inbox left, outbox right).
 
-    ``over="spec"`` checks the translation's own potential against the
-    derived queue costs; ``over="impl"`` runs the same programs over the
-    array-backed stacks and checks the composed potential laxly.
+    ``over="spec"`` translates over the stacks' specification and checks the
+    translation's own potential against the derived queue costs;
+    ``over="impl"`` translates over the array-backed stacks and checks the
+    composed potential laxly. Any other `over` is refused (`ValueError`).
     """
+    if over not in ("spec", "impl"):
+        raise ValueError("over must be 'spec' or 'impl'")
     base = pair_cases(stack_case(), stack_case())
     enq_sig = MethodSig("enqueue", arg_domain=ALPHABET)
     deq_sig = MethodSig("dequeue", may_stop=True)
@@ -355,13 +338,12 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
         inbox, outbox = pair
         return Charged(5 * len(inbox), outbox + inbox[::-1])
 
-    name = "queue-via-stacks" if over == "spec" else "queue-via-stacks-full"
-    return translate_case(
-        base,
-        programs,
-        target_spec,
-        PotentialMorphism(phi),
-        name=name,
-        over=over,
+    own = PotentialMorphism(phi)
+    return VerificationCase(
+        name="queue-via-stacks" if over == "spec" else "queue-via-stacks-full",
+        monoid=NAT_COST,
+        impl=translate(getattr(base, over), NAT_COST, programs),
+        spec=target_spec,
+        phi=own if over == "spec" else compose_phi(NAT_COST, base.phi, own),
         max_depth=6 if over == "spec" else 5,
     )

@@ -3,9 +3,9 @@
 A cost model is a monoid plus two capabilities. Commutativity licenses
 combining the costs of parallel states (multi-input/multi-output methods);
 an order licenses colax (inequality) verification and slack, lhs − rhs
-cost, so an ordered model's costs must subtract. Costs compare by
-structural equality: integers stay integers and rationals are
-`fractions.Fraction` values, normalized by construction.
+cost, so an ordered model's costs must subtract. Every model here adds
+with `+` (`operator.add`), so combining converts nothing: a cost keeps its
+type, and costs compare by structural equality.
 """
 
 import operator
@@ -35,14 +35,6 @@ class CostMonoid:
         return f"CostMonoid({self.name})"
 
 
-def _concat(a: str, b: str) -> str:
-    return a + b
-
-
-def _add_fractions(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(a) + Fraction(b)
-
-
 # Non-negative integers under addition.
 NAT_COST = CostMonoid("nat", 0, operator.add, True, operator.le)
 
@@ -52,7 +44,7 @@ INT_COST = CostMonoid("int", 0, operator.add, True, operator.le)
 
 # Finite strings under concatenation: the buffering cost model. Neither
 # commutative nor ordered, so no tensoring and no colax checking.
-TRACE_COST = CostMonoid("trace", "", _concat, False)
+TRACE_COST = CostMonoid("trace", "", operator.add, False)
 
 # Exact non-negative rationals under addition; the expected-cost model.
-RATIONAL_COST = CostMonoid("rational", Fraction(0), _add_fractions, True, operator.le)
+RATIONAL_COST = CostMonoid("rational", Fraction(0), operator.add, True, operator.le)

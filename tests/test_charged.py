@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,32 @@ def test_expect_rejects_bad_weights():
     for branches in ([], [(Fraction(1, 2), "x")], [(0, "x"), (1, "y")], [(2, "x"), (-1, "y")]):
         with pytest.raises(BadWeights):
             Dist(branches)
+
+
+@pytest.mark.parametrize(
+    "branches", [[(0.5, "a"), (0.5, "b")], [(True, "a")]], ids=["float", "bool"]
+)
+def test_dist_refuses_a_weight_that_is_not_an_exact_int_or_fraction(branches):
+    # 0.5 and True convert to exact fractions, but they are not exact weights.
+    message = f"^inexact weight {re.escape(repr(branches[0][0]))}$"
+    with pytest.raises(BadWeights, match=message):
+        Dist(branches)
+    with pytest.raises(BadWeights, match=message):
+        expect([(w, charge(Fraction(0), x)) for w, x in branches])
+
+
+def test_expect_weighs_costs_as_given():
+    # A cost is scaled by its weight, not converted first: a float stays a
+    # float, and a string is a cost no weight scales, not the number 3.
+    half = Fraction(1, 2)
+    exact = expect([(half, charge(1, "a")), (half, charge(Fraction(2), "b"))])
+    assert type(exact.cost) is Fraction and exact.cost == Fraction(3, 2)
+    inexact = expect([(half, charge(0.1, "a")), (half, charge(0.1, "b"))])
+    assert type(inexact.cost) is float
+    with pytest.raises(BadWeights, match=r"^weight 1/2 cannot scale the cost '3'$"):
+        expect([(half, charge("3", "a")), (half, charge("3", "b"))])
+    with pytest.raises(BadWeights, match=r"^weight 1 cannot scale the cost 'ab'$"):
+        expect([(1, charge("ab", "a"))])
 
 
 @given(

@@ -71,9 +71,9 @@ def test_verify_typed_state_control_exits_one(capsys):
 
 
 def test_unknown_case_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "nonesuch")
-    assert code == 2
-    assert "unknown case" in err
+    code, out, err = run(capsys, "verify", "nonesuch")
+    assert code == 2 and out == ""
+    assert err == "error: unknown case 'nonesuch'; run `amortcheck list` for the registry\n"
 
 
 def test_colax_override_rejected_on_unordered_model(capsys):
@@ -169,15 +169,17 @@ def test_verify_limit_flag_caps_counterexamples(capsys):
 def test_trace_parse_error_reports_line_and_column(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text('write "ab"\nwrite "qq"\n')
-    code, _, err = run(capsys, "trace", "buffer", "--file", str(trace))
-    assert code == 2
+    code, out, err = run(capsys, "trace", "buffer", "--file", str(trace))
+    assert code == 2 and out == ""
     assert "line 2" in err and "column 7" in err
+    assert err.startswith(f"error: {trace}: ") and err.count("\n") == 1
 
 
 def test_trace_missing_file_is_usage_error(capsys):
-    code, _, err = run(capsys, "trace", "buffer", "--file", "/nonexistent/t.txt")
-    assert code == 2
-    assert "cannot read" in err
+    code, out, err = run(capsys, "trace", "buffer", "--file", "/nonexistent/t.txt")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read trace file '/nonexistent/t.txt': ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("subcommand", ["verify", "trace"])

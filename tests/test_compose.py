@@ -32,7 +32,7 @@ from amortcheck import (
     explore,
     get_case,
     pair_cases,
-    translate_case,
+    translate,
 )
 from amortcheck.compose import (
     STEP_BUDGET,
@@ -132,31 +132,43 @@ def test_a_translation_keeps_its_substrate_whole(over):
     base = replace(base, spec=replace(base.spec, state_invariant=lambda s: s == UNIT))
     substrate = getattr(base, over)
     programs = (ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc")),)
-    case = translate_case(base, programs, base.spec, _identity_phi(), "alloc-via-alloc", over=over)
-    assert case.impl.state_domain is substrate.state_domain
-    assert case.impl.seeds is substrate.seeds
-    assert case.impl.state_invariant is substrate.state_invariant is not None
-    assert [m.sig for m in case.impl.methods] == [programs[0].sig]
+    impl = translate(substrate, base.monoid, programs)
+    assert isinstance(impl, Coalgebra)
+    assert impl.state_domain is substrate.state_domain
+    assert impl.seeds is substrate.seeds
+    assert impl.state_invariant is substrate.state_invariant is not None
+    assert [m.sig for m in impl.methods] == [programs[0].sig]
 
 
 def test_a_translation_with_no_program_is_refused():
     base = allocator_case()
     with pytest.raises(ValueError, match=r"^a coalgebra needs at least one method$"):
-        translate_case(base, (), base.spec, _identity_phi(), "nothing")
+        translate(base.spec, base.monoid, ())
 
 
 def test_composite_bounds_follow_the_case_defaults():
-    # A pair caps its state product at `VerificationCase`'s default cap,
-    # and a translation that states no depth gets the default depth.
+    # A pair caps its state product at `VerificationCase`'s default cap.
     defaults = {f.name: f.default for f in fields(VerificationCase)}
     paired = pair_cases(allocator_case(), allocator_case())
     assert paired.max_states == defaults["max_states"]
     small = replace(allocator_case(), max_states=8)
     assert pair_cases(small, small).max_states == 64
-    base = allocator_case()
-    programs = (ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc")),)
-    translated = translate_case(base, programs, base.spec, _identity_phi(), "alloc-via-alloc")
-    assert translated.max_depth == defaults["max_depth"]
+
+
+@pytest.mark.parametrize(
+    "left, right, joined",
+    [
+        (Mode.EXACT, Mode.EXACT, Mode.EXACT),
+        (Mode.EXACT, Mode.COLAX, Mode.COLAX),
+        (Mode.COLAX, Mode.EXACT, Mode.COLAX),
+        (Mode.COLAX, Mode.COLAX, Mode.COLAX),
+    ],
+    ids=["exact-exact", "exact-colax", "colax-exact", "colax-colax"],
+)
+def test_a_composite_is_colax_when_either_part_is(left, right, joined):
+    parts = allocator_case().with_mode(left), allocator_case().with_mode(right)
+    assert pair_cases(*parts).phi.mode is joined
+    assert compose_phi(NAT_COST, parts[0].phi, parts[1].phi).mode is joined
 
 
 def test_pairs_keep_their_parts_explore_filters():
@@ -280,17 +292,22 @@ def _half_per_alloc():
 ALLOC = ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc"))
 
 
+def _translation(base, over, spec, own):
+    """`ALLOC` over `base`'s `over` side against `spec`: `own` alone is on
+    trial over the spec, composed after `base.phi` over the impl."""
+    phi = own if over == "spec" else compose_phi(base.monoid, base.phi, own)
+    impl = translate(getattr(base, over), base.monoid, (ALLOC,))
+    return VerificationCase("t", base.monoid, impl, spec, phi)
+
+
 @pytest.mark.parametrize(
     "over, counts", [("spec", (1, 1)), ("impl", (4, 4))], ids=["spec", "impl"]
 )
 def test_translation_over_a_randomized_base_passes(over, counts):
     # A substrate call reads rand-alloc's point law as its outcome, at its
     # expected cost: 1/2 per call on the spec, 2 then 0, 0, 0 on the impl.
-    phi_extra = PotentialMorphism(lambda s: charge(0, UNIT))
-    case = translate_case(
-        randomized_allocator_case(), (ALLOC,), _half_per_alloc(), phi_extra, "t", over
-    )
-    report = explore(case)
+    own = PotentialMorphism(lambda s: charge(0, UNIT))
+    report = explore(_translation(randomized_allocator_case(), over, _half_per_alloc(), own))
     assert report.passed, report.counterexamples
     assert (report.states_explored, report.squares_checked) == counts
 
@@ -301,12 +318,11 @@ def test_translation_rejects_a_randomized_base_and_an_unknown_side():
     target = allocator_case()
     branching = _branching(randomized_allocator_case())
     for over in ("spec", "impl"):
-        case = translate_case(branching, (ALLOC,), target.spec, _identity_phi(), "t", over)
+        case = _translation(branching, over, target.spec, _identity_phi())
         with pytest.raises(ArityMismatch, match=BRANCHES):
             explore(case)
-    args = ((), target.spec, _identity_phi(), "t")
     with pytest.raises(ValueError, match=r"^over must be 'spec' or 'impl'$"):
-        translate_case(target, *args, over="bogus")
+        queue_via_stacks_case(over="bogus")
 
 
 def test_translation_refuses_a_program_that_is_not_one_in_one_out():
@@ -317,7 +333,7 @@ def test_translation_refuses_a_program_that_is_not_one_in_one_out():
     spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(join, step),))
     programs = (ProgramMethod(join, lambda sub, arg: UNIT),)
     with pytest.raises(UnsupportedArity, match=r"^join is 2-in/1-out, not 1-in/1-out$"):
-        translate_case(allocator_case(), programs, spec, _identity_phi(), "join")
+        translate(allocator_case().spec, NAT_COST, programs)
 
 
 def test_counter_via_stack_passes_exact(explored):
@@ -421,8 +437,6 @@ def test_substrate_calls_refuse_an_argument_outside_the_domain(arg, literal):
 
 
 def test_translation_budget_is_enforced():
-    from amortcheck import translate_case
-
     base = allocator_case()
 
     calls_made = []
@@ -438,9 +452,8 @@ def test_translation_budget_is_enforced():
         (UNIT,),
         (Method(MethodSig("spin"), lambda s, a: charge(1, Continue(UNIT, (UNIT,)))),),
     )
-    case = translate_case(
-        base, programs, spec, _identity_phi(), name="spin", max_depth=1
-    )
+    impl = translate(base.spec, base.monoid, programs)
+    case = VerificationCase("spin", base.monoid, impl, spec, _identity_phi(), max_depth=1)
     with pytest.raises(StepBudgetExceeded, match=f"exceeded {STEP_BUDGET} "):
         check_square(case, "spin", (UNIT,))
     assert calls_made[-1] == len(calls_made) == STEP_BUDGET

@@ -1,5 +1,6 @@
 """Monoid laws and capability flags of the shipped cost models."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -46,6 +47,14 @@ def test_monoid_laws_on_generated_triples(name):
         )
         if monoid.is_commutative:
             assert monoid.combine(a, b) == monoid.combine(b, a)
+
+
+def test_every_model_adds_with_plus():
+    # `+` converts nothing: a float or a string stays what it is.
+    assert all(monoid.combine is operator.add for monoid, _gen in GENS.values())
+    assert type(RATIONAL_COST.combine(Fraction(0), 0.1)) is float
+    with pytest.raises(TypeError):
+        RATIONAL_COST.combine(Fraction(0), "1/2")
 
 
 def test_trace_cost_is_not_commutative():
