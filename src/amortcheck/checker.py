@@ -341,6 +341,16 @@ def explore(
     built only for the first `limit` failures the engine calls back, the
     counterexamples kept. A case whose filter admits no seed checks
     nothing, so it is refused (`ValueError` naming the case).
+
+    An admitted tuple state that is its own `state_key` (exact strs, ints
+    and such tuples) is stored with each part replaced by the equal part
+    stored first, so an equal part (a deque's side) is one object across
+    the reached states; where parts never recur, the table of parts costs
+    about 27 bytes per state. Transitions, Φ and counterexamples receive
+    that typed-identical copy, which a pure transition cannot tell from the
+    state it built. A state holding any other value (a bool, a namedtuple,
+    a `Fraction`) is stored as built, and the filter and invariant see
+    every state as built.
     """
     if max_depth is None:
         max_depth = case.max_depth
@@ -358,8 +368,8 @@ def explore(
     keep = case.explore_filter
     invariant = case.impl.state_invariant
     states: List[Any] = []
-    depths: List[int] = []
     seen = set()
+    share = {}.setdefault  # share(v, v): the first stored part equal to v
     squares = failures = 0
     counterexamples: List[SquareCheck] = []
     slack = (None, None)  # (min, max)
@@ -378,7 +388,10 @@ def explore(
 
     # Candidates wait in `batch` for the one admission rule: first the
     # seeds, then the successors of each state, once its squares are done.
-    batch, depth = case.impl.seeds, 0
+    # Breadth-first admission keeps depths sorted, so state i is the
+    # deepest component of every tuple it closes, and states[level:] are
+    # one level deeper than state i, at `depth`, the candidates' depth.
+    batch, depth, level = case.impl.seeds, 0, 0
     i = 0
     while True:
         for s in batch or ():
@@ -394,14 +407,14 @@ def explore(
                     f"{case.name}: state {case.impl.state_domain.serialize(s)} "
                     f"at depth {depth} breaks the invariant"
                 )
+            if key is s and type(s) is tuple:  # plain: its parts are stored once each
+                key = s = tuple(map(share, s, s))
             seen.add(key)
             states.append(s)
-            depths.append(depth)
         if i == len(states):
             break
-        # Breadth-first admission keeps depths sorted, so state i is the
-        # deepest component of every tuple it closes.
-        depth = depths[i] + 1
+        if i == level:  # state i opens the next level
+            level, depth = len(states), depth + 1
         batch = [] if not full and depth <= max_depth else None
         ch = image(states[i])
         if entries is not None:

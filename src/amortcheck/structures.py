@@ -512,8 +512,10 @@ def buffer_case(n: int = 4) -> VerificationCase:
 
 
 def binomial_branches(k: int, p: Fraction):
-    """(probability, cost) pairs of a Binomial(k, p) cost, zero weights dropped."""
-    p = Fraction(p)
+    """(probability, cost) pairs of a Binomial(k, p) cost, zero weights dropped.
+
+    `p` is taken as given: an exact rational keeps the weights exact.
+    """
     q = 1 - p
     out = []
     for j in range(k + 1):
@@ -531,9 +533,10 @@ def randomized_allocator_case(k: int = 4, p: Fraction = Fraction(1, 2)) -> Verif
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p < 1:
+    # Exact types only: a float 0.1 would become its binary fraction.
+    if (type(p) is not int and type(p) is not Fraction) or not 0 <= p < 1:
         raise ValueError("p must be an exact rational in [0, 1)")
+    p = Fraction(p)
 
     def impl_alloc(states, arg) -> Charged:
         (d,) = states

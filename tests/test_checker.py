@@ -905,6 +905,83 @@ def test_explore_keeps_equal_values_of_different_types_apart():
     assert [encode(s) for s in seen] == ["i1", "b1", "q1/1", "t(i1)", "t(b1)"]
 
 
+def _recording(case, received, returned=None):
+    """`case` with the states its impl transitions receive appended to
+    `received`, and, if given, the outcomes they return to `returned`."""
+
+    def record(run):
+        def traced(states, arg):
+            received.extend(states)
+            res = run(states, arg)
+            if returned is not None:
+                returned.append(res.value)
+            return res
+
+        return traced
+
+    methods = tuple(replace(m, run=record(m.run)) for m in case.impl.methods)
+    return replace(case, impl=replace(case.impl, methods=methods))
+
+
+def test_explore_stores_each_equal_side_of_the_deque_once():
+    # 16,129 admitted (front, back) states hold 127 distinct sides; every
+    # transition receives its state built from the one stored copy of each.
+    received = []
+    report = explore(_recording(get_case("deque"), received))
+    assert report.states_explored == 16129
+    sides = [side for state in received for side in state]
+    assert len(set(sides)) == 127
+    assert len({id(side) for side in sides}) == 127
+
+
+def _bool_part_case():
+    """From the seed (("a",), (0,)), `to_int` and `to_bool` build fresh
+    (("a",), (1,)) and (("a",), (True,)): equal under ``==``, not typed."""
+    to_int, to_bool = MethodSig("to_int"), MethodSig("to_bool")
+
+    def build(n):
+        return lambda states, arg: charge(0, Continue(UNIT, ((tuple("a"), (n,)),)))
+
+    impl = Coalgebra(
+        StateDomain("parts"),
+        ((tuple("a"), (0,)),),
+        (Method(to_int, build(1)), Method(to_bool, build(True))),
+    )
+    unit = lambda states, arg: charge(0, Continue(UNIT, (UNIT,)))
+    spec = Coalgebra(
+        StateDomain("unit"), (UNIT,), (Method(to_int, unit), Method(to_bool, unit))
+    )
+    phi = PotentialMorphism(lambda s: charge(0, UNIT))
+    return VerificationCase("bool-part", INT_COST, impl, spec, phi)
+
+
+def test_explore_shares_plain_parts_and_keeps_a_bool_bearing_state_as_built():
+    received, returned = [], []
+    case = _bool_part_case()
+    report = explore(_recording(case, received, returned))
+    assert report.passed and report.states_explored == 3
+    (seed,) = case.impl.seeds
+    built = [o.states[0] for o in returned]
+    ints = [s for s in received if type(s[1][0]) is int and s[1][0] == 1]
+    bools = [s for s in received if s[1][0] is True]
+    # The plain state is a copy holding the seed's ("a",); the bool-bearing
+    # one is the object `to_bool` returned first, its own ("a",) kept.
+    assert ints and all(s[0] is seed[0] and all(s is not b for b in built) for s in ints)
+    first_bool = next(b for b in built if b[1][0] is True)
+    assert bools and all(s is first_bool for s in bools)
+    assert first_bool[0] is not seed[0]
+
+
+def test_explore_hands_namedtuple_states_over_as_the_transition_built_them():
+    received, returned = [], []
+    case = get_case("typed-state")
+    explore(_recording(case, received, returned))
+    (seed,) = case.impl.seeds
+    # tick(_P(0)) admits the _Q(0) it returns; tick(_Q(0)) builds another.
+    assert len(received) == 2 and received[0] is seed
+    assert received[1] is returned[0].states[0]
+
+
 # Commutative by declaration only: its sums are terms that record the fold.
 TERM_COST = CostMonoid("terms", "0", lambda a, b: ("+", a, b), True)
 
@@ -1036,6 +1113,27 @@ def test_reports_serialize_states_with_the_domain_serializer():
     report = explore(case, max_depth=2, limit=2)
     assert report.failures == 3
     assert [c.inputs_serialized for c in report.counterexamples] == [("<0>",), ("<1>",)]
+
+
+def test_an_invariant_violation_names_its_depth_under_two_seeds():
+    # Seeds 0 and 10 open level 0; 1 and 11 are level 1, 2 and 12 level 2.
+    sig = MethodSig("tick")
+    impl = Coalgebra(
+        StateDomain("nat"),
+        (0, 10),
+        (Method(sig, lambda states, arg: charge(1, Continue(UNIT, (states[0] + 1,)))),),
+        state_invariant=lambda n: n != 12,
+    )
+    spec = Coalgebra(
+        StateDomain("unit"),
+        (UNIT,),
+        (Method(sig, lambda states, arg: charge(1, Continue(UNIT, (UNIT,)))),),
+    )
+    phi = PotentialMorphism(lambda n: charge(0, UNIT))
+    case = VerificationCase("two-seeds", INT_COST, impl, spec, phi)
+    with pytest.raises(StateInvariantViolation, match="state i12 at depth 2 breaks"):
+        explore(case)
+    assert explore(case, max_depth=1).states_explored == 4
 
 
 def _counted(case):

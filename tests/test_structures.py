@@ -552,8 +552,13 @@ def test_every_declared_bound_binds(name, explored):
         (lambda: buffer_case(0), "buffer size must be >= 1"),
         (lambda: randomized_allocator_case(k=0), "k must be >= 1"),
         (lambda: randomized_allocator_case(p=Fraction(1)), "p must be an exact rational in [0, 1)"),
+        (lambda: randomized_allocator_case(p=0.1), "p must be an exact rational in [0, 1)"),
+        (lambda: randomized_allocator_case(p=True), "p must be an exact rational in [0, 1)"),
     ],
-    ids=["queue-reverse-3", "buffer-0", "rand-alloc-k-0", "rand-alloc-p-1"],
+    ids=[
+        "queue-reverse-3", "buffer-0", "rand-alloc-k-0", "rand-alloc-p-1",
+        "rand-alloc-p-float", "rand-alloc-p-bool",
+    ],
 )
 def test_case_builders_refuse_parameters_out_of_range(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
