@@ -1,7 +1,7 @@
 """Cost-instrumented values and the finite-distribution layer.
 
 `Charged` pairs a value with accumulated cost; `bind` sequences two charged
-steps, combining their costs left to right in the ambient monoid. `tensor`
+steps, adding their costs left to right with the costs' own `+`. `tensor`
 combines independent charged values and therefore demands commutativity.
 
 Randomization is one more effect in the same algebra: `expect` collapses a
@@ -13,7 +13,7 @@ is sampled, so every verdict is reproducible.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence, Tuple
+from typing import Any, Callable, Iterable, Tuple
 
 from .cost import CostMonoid
 from .encoding import encode
@@ -52,10 +52,10 @@ def unit(monoid: CostMonoid, value: Any) -> Charged:
     return Charged(monoid.identity, value)
 
 
-def bind(monoid: CostMonoid, a: Charged, f: Callable[[Any], Charged]) -> Charged:
-    """Sequence `a` then `f`, accumulating cost left to right."""
+def bind(a: Charged, f: Callable[[Any], Charged]) -> Charged:
+    """Sequence `a` then `f`, adding cost left to right."""
     b = f(a.value)
-    return Charged(monoid.combine(a.cost, b.cost), b.value)
+    return Charged(a.cost + b.cost, b.value)
 
 
 def tensor(monoid: CostMonoid, a: Charged, b: Charged) -> Charged:
@@ -68,7 +68,7 @@ def tensor(monoid: CostMonoid, a: Charged, b: Charged) -> Charged:
         raise NonCommutativeTensor(
             f"tensor needs a commutative cost monoid, got {monoid.name}"
         )
-    return Charged(monoid.combine(a.cost, b.cost), (a.value, b.value))
+    return Charged(a.cost + b.cost, (a.value, b.value))
 
 
 @dataclass(frozen=True, init=False)
@@ -107,15 +107,17 @@ class Dist:
         return len(self.branches) == 1
 
 
-def expect(branches: Sequence[Tuple[Any, Charged]]) -> Charged:
+def expect(branches: Iterable[Tuple[Any, Charged]]) -> Charged:
     """Collapse weighted charged branches to expected cost and outcome law.
 
     This realizes the map from a distribution of (cost, outcome) pairs to
     a `Charged` of the expected cost and the `Dist` of outcomes. Costs are
     weighed as given, ``Fraction(w) * cost``, and never converted: exact
     costs give an exact expectation, and a cost no weight can scale (a
-    ``trace`` string) raises `BadWeights`.
+    ``trace`` string) raises `BadWeights`. The branches are read once, so
+    an iterator or a generator gives what a list does.
     """
+    branches = tuple(branches)
     dist = Dist((w, ch.value) for w, ch in branches)
     expected = Fraction(0)
     for w, ch in branches:

@@ -140,9 +140,10 @@ def _square_for(case: VerificationCase, failed=None):
     unless it is None, and calls back only for a failing square:
     `failed(signature, inputs, arg, square)`, whose sides `_mk_check`
     builds. A square is (verdict, lhs cost, rhs cost, lhs behaviour, rhs
-    behaviour). It returns (squares, slack, last square or None), `slack`
-    extending the (min, max) of lhs − rhs cost passed in; it stays (None,
-    None) unless the monoid is ordered. The outcomes pick each square's
+    behaviour); its costs add with their own `+`, and colax mode compares
+    them by ``rhs <= lhs``. It returns (squares, slack, last square or
+    None), `slack` extending the (min, max) of lhs − rhs cost passed in; it
+    stays (None, None) unless the monoid is ordered. The outcomes pick each square's
     law. When neither side's value is a `Dist`, a behaviour is `STOP` or
     (observable, states), the impl's states taken through Φ (summed from
     the identity, left to right, after the impl's cost). An outcome of
@@ -167,7 +168,7 @@ def _square_for(case: VerificationCase, failed=None):
     Else `image` is Φ itself. Every Φ sum folds from the identity once.
     """
     monoid = case.monoid
-    combine, identity, leq = monoid.combine, monoid.identity, monoid.leq
+    identity = monoid.identity
     phi, exact = case.phi.phi, case.phi.mode is Mode.EXACT
     ordered, PASS = monoid.ordered, Verdict.PASS
     table = {} if any(m.sig.in_arity > 1 for m in case.impl.methods) else None
@@ -188,7 +189,7 @@ def _square_for(case: VerificationCase, failed=None):
         unset = last_out = object()  # the last spec outcome guarded: none yet
         for (inputs, phi_cost, phi_values), arg in product(tuples, args):
             spec_res = spec_run(phi_values, arg)
-            lhs_cost = combine(phi_cost, spec_res.cost)
+            lhs_cost = phi_cost + spec_res.cost
             impl_res = impl_run(inputs, arg)
             spec_out, out = spec_res.value, impl_res.value
             if type(out) is Dist or type(spec_out) is Dist:
@@ -207,7 +208,7 @@ def _square_for(case: VerificationCase, failed=None):
                         except TypeError:
                             msg = f"{sig.name}: weight {w} cannot scale a {monoid.name} cost"
                             raise BadWeights(msg) from None
-                        rhs_cost = combine(rhs_cost, scaled)
+                        rhs_cost = rhs_cost + scaled
                         if batch is not None:
                             batch += out.states
                         out = Continue(out.obs, mapped)
@@ -235,8 +236,8 @@ def _square_for(case: VerificationCase, failed=None):
                         else:  # an exact int or str is its own `state_key`; a Charged is truthy
                             t = type(s)
                             ch = table.get(s if t is int or t is str else state_key(s)) or lookup(s)
-                        mapped_cost, mapped = combine(identity, ch.cost), (ch.value,)
-                    rhs_cost = combine(impl_res.cost, mapped_cost)
+                        mapped_cost, mapped = identity + ch.cost, (ch.value,)
+                    rhs_cost = impl_res.cost + mapped_cost
                     rhs_beh = (out.obs, mapped)
                     if out.obs is not spec_obs:  # a Continue never equals lhs_beh
                         typed = typed_eq(out.obs, spec_obs)
@@ -254,7 +255,7 @@ def _square_for(case: VerificationCase, failed=None):
                     slack_min = gap
             if lhs_beh != rhs_beh:
                 verdict = Verdict.BEHAVIOR_MISMATCH
-            elif lhs_cost == rhs_cost if exact else leq(rhs_cost, lhs_cost):
+            elif lhs_cost == rhs_cost if exact else rhs_cost <= lhs_cost:
                 verdict = PASS
             else:
                 verdict = Verdict.COST_MISMATCH
@@ -301,17 +302,17 @@ def _tuples_with_max(entries, i: int, k: int, monoid) -> Iterator[tuple]:
     order, each a shared (k-1)-prefix, built once, plus one component; costs
     fold as `sum_images` does.
     """
-    combine, head, last = monoid.combine, entries[: i + 1], entries[i]
+    head, last = entries[: i + 1], entries[i]
     prefixes = [((), monoid.identity, (), False)]  # + whether index i occurs
     for _ in range(k - 1):
         prefixes = [
-            (inputs + s, combine(cost, c), values + v, has or j == i)
+            (inputs + s, cost + c, values + v, has or j == i)
             for inputs, cost, values, has in prefixes
             for j, (s, c, v) in enumerate(head)
         ]
     for inputs, cost, values, has in prefixes:
         for s, c, v in head if has else (last,):
-            yield inputs + s, combine(cost, c), values + v
+            yield inputs + s, cost + c, values + v
 
 
 def explore(
@@ -382,7 +383,6 @@ def explore(
 
     engine, image = _square_for(case, failed)
     methods = [(m, case.spec.method(m.sig.name), m.sig) for m in case.impl.methods]
-    combine, identity = monoid.combine, monoid.identity
     entries = [] if any(sig.in_arity > 1 for _, _, sig in methods) else None
     full = False  # the cap has refused an unseen state: nothing more gets in
 
@@ -419,7 +419,7 @@ def explore(
         ch = image(states[i])
         if entries is not None:
             entries.append(((states[i],), ch.cost, (ch.value,)))
-        unary = (((states[i],), combine(identity, ch.cost), (ch.value,)),)
+        unary = (((states[i],), monoid.identity + ch.cost, (ch.value,)),)
         for impl, spec, sig in methods:
             k = sig.in_arity
             # Every ordered k-tuple over reached states, generated once:
@@ -472,7 +472,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     if not 0 <= trace.seed_index < len(seeds):
         raise ValueError(f"{case.name}: seed_index must lie in range({len(seeds)})")
     t0 = time.perf_counter()
-    mode, monoid, combine = case.phi.mode, case.monoid, case.monoid.combine
+    mode, monoid = case.phi.mode, case.monoid
 
     impl_state = seeds[trace.seed_index]
     phi0 = case.phi.phi(impl_state)
@@ -505,8 +505,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
         spec_cost, spec_out = res.cost, res.value
         if type(spec_out) is not Continue or len(spec_out.states) != 1:
             spec_out = guard_outcome(sig, spec_out)
-        total_impl = combine(total_impl, impl_cost)
-        total_spec = combine(total_spec, spec_cost)
+        total_impl = total_impl + impl_cost
+        total_spec = total_spec + spec_cost
 
         if impl_out is STOP or spec_out is STOP:
             if impl_out is not spec_out:
@@ -531,10 +531,10 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
     slack = None
     if not mismatches:
-        lhs = combine(phi0.cost, total_spec)
+        lhs = phi0.cost + total_spec
         end = monoid.identity if impl_state is STOP else case.phi.phi(impl_state).cost
-        rhs = combine(total_impl, end)
-        if not (lhs == rhs if mode is Mode.EXACT else monoid.leq(rhs, lhs)):
+        rhs = total_impl + end
+        if not (lhs == rhs if mode is Mode.EXACT else rhs <= lhs):
             rel = "=" if mode is Mode.EXACT else ">="
             mismatches.append(
                 TraceMismatch(

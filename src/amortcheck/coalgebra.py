@@ -308,9 +308,9 @@ def sum_images(monoid: CostMonoid, images: Iterable[Charged]) -> Tuple[Any, Tupl
     Returns (cost, spec states). Images of several slots are summed only in
     cases whose monoid is commutative, which `VerificationCase` enforces.
     """
-    combine, total, values = monoid.combine, monoid.identity, []
+    total, values = monoid.identity, []
     for ch in images:
-        total = combine(total, ch.cost)
+        total = total + ch.cost
         values.append(ch.value)
     return total, tuple(values)
 

@@ -12,7 +12,7 @@ Three constructions:
   exactly the substrate's costs, so the result is just another coalgebra.
   Translating over a base case's specification isolates the translation's
   own potential; translating over its implementation and composing the
-  potentials, `compose_phi(monoid, base.phi, phi)`, checks the whole
+  potentials, `compose_phi(base.phi, phi)`, checks the whole
   pipeline.
 
 A substrate call that Stops (e.g. popping an empty stack) is treated as an
@@ -56,16 +56,14 @@ def _join(*modes: Mode) -> Mode:
     return Mode.COLAX if Mode.COLAX in modes else Mode.EXACT
 
 
-def compose_phi(
-    monoid: CostMonoid, first: PotentialMorphism, second: PotentialMorphism
-) -> PotentialMorphism:
+def compose_phi(first: PotentialMorphism, second: PotentialMorphism) -> PotentialMorphism:
     """Sequential composition: `bind` `first`'s image through `second`.
 
-    Costs combine left to right. The composite is colax as soon as either
+    Costs add left to right. The composite is colax as soon as either
     component is; `VerificationCase` refuses it over an unordered monoid.
     """
     mode = _join(first.mode, second.mode)
-    return PotentialMorphism(lambda s: bind(monoid, first.phi(s), second.phi), mode)
+    return PotentialMorphism(lambda s: bind(first.phi(s), second.phi), mode)
 
 
 def _lift_method(method: Method, side: int) -> Method:
@@ -152,13 +150,12 @@ STEP_BUDGET = 10_000
 class SubstrateRun:
     """One translated-method execution over a substrate coalgebra.
 
-    Threads the substrate state through `call`s and sequences their costs
-    in the ambient monoid, so the run's cost is exactly the substrate's.
+    Threads the substrate state through `call`s and adds their costs, from
+    the monoid's identity, so the run's cost is exactly the substrate's.
     """
 
     def __init__(self, coalg: Coalgebra, monoid: CostMonoid, state: Any):
         self._coalg = coalg
-        self._monoid = monoid
         self.state = state
         self.cost = monoid.identity
         self.calls = 0
@@ -178,7 +175,7 @@ class SubstrateRun:
         m.sig.admits(arg)
         res = m.run((self.state,), arg)
         out = guard_outcome(m.sig, res.value)
-        self.cost = self._monoid.combine(self.cost, res.cost)
+        self.cost = self.cost + res.cost
         self.calls += 1
         if out is STOP:
             return STOP
@@ -254,7 +251,7 @@ def alloc16_via_8_case() -> VerificationCase:
     composed potential, which works out to 15 - d.
     """
     stage1, stage2 = alloc16_to_8_case(), allocator_case()
-    phi = compose_phi(stage1.monoid, stage1.phi, stage2.phi)
+    phi = compose_phi(stage1.phi, stage2.phi)
     return replace(stage1, name="alloc16-via-8", spec=stage2.spec, phi=phi)
 
 
@@ -344,6 +341,6 @@ def queue_via_stacks_case(over: str = "spec") -> VerificationCase:
         monoid=NAT_COST,
         impl=translate(getattr(base, over), NAT_COST, programs),
         spec=target_spec,
-        phi=own if over == "spec" else compose_phi(NAT_COST, base.phi, own),
+        phi=own if over == "spec" else compose_phi(base.phi, own),
         max_depth=6 if over == "spec" else 5,
     )

@@ -40,22 +40,22 @@ def test_charge_examples():
 
 def test_bind_examples():
     ret = lambda v: unit(NAT_COST, v)
-    assert bind(NAT_COST, charge(0, "x"), ret) == charge(0, "x")
-    assert bind(NAT_COST, charge(3, "x"), lambda _: charge(5, "y")) == charge(8, "y")
-    got = bind(TRACE_COST, charge("ab", "x"), lambda _: charge("c", "y"))
+    assert bind(charge(0, "x"), ret) == charge(0, "x")
+    assert bind(charge(3, "x"), lambda _: charge(5, "y")) == charge(8, "y")
+    got = bind(charge("ab", "x"), lambda _: charge("c", "y"))
     assert got == charge("abc", "y")
 
 
 @given(nat_costs, values)
 def test_monad_left_unit(c, v):
     f = lambda x: charge(c, x + 1)
-    assert bind(NAT_COST, unit(NAT_COST, v), f) == f(v)
+    assert bind(unit(NAT_COST, v), f) == f(v)
 
 
 @given(nat_costs, values)
 def test_monad_right_unit(c, v):
     m = charge(c, v)
-    assert bind(NAT_COST, m, lambda x: unit(NAT_COST, x)) == m
+    assert bind(m, lambda x: unit(NAT_COST, x)) == m
 
 
 @given(trace_costs, trace_costs, trace_costs, values)
@@ -63,8 +63,8 @@ def test_monad_associativity_including_non_commutative(c1, c2, c3, v):
     m = charge(c1, v)
     f = lambda x: charge(c2, x + 1)
     g = lambda x: charge(c3, x * 2)
-    lhs = bind(TRACE_COST, bind(TRACE_COST, m, f), g)
-    rhs = bind(TRACE_COST, m, lambda x: bind(TRACE_COST, f(x), g))
+    lhs = bind(bind(m, f), g)
+    rhs = bind(m, lambda x: bind(f(x), g))
     assert lhs == rhs
 
 
@@ -157,6 +157,16 @@ def test_expect_weighs_costs_as_given():
         expect([(half, charge("3", "a")), (half, charge("3", "b"))])
     with pytest.raises(BadWeights, match=r"^weight 1 cannot scale the cost 'ab'$"):
         expect([(1, charge("ab", "a"))])
+
+
+def test_expect_reads_its_branches_once():
+    # A fair coin over costs 4 and 2: a one-shot iterable gives what a list does.
+    half = Fraction(1, 2)
+    coin = [(half, charge(4, "heads")), (half, charge(2, "tails"))]
+    want = Charged(Fraction(3), Dist([(half, "heads"), (half, "tails")]))
+    assert expect(coin) == want
+    assert expect(iter(coin)) == want
+    assert expect(branch for branch in coin) == want
 
 
 @given(

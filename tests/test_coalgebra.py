@@ -189,7 +189,7 @@ def test_case_rejects_colax_over_unordered_monoid():
     colax = PotentialMorphism(lambda s: Charged("", s), Mode.COLAX)
     exact = PotentialMorphism(lambda s: Charged("", s))
     # A colax composite is refused where the case is built, naming the case.
-    for phi in (colax, compose_phi(TRACE_COST, exact, colax)):
+    for phi in (colax, compose_phi(exact, colax)):
         with pytest.raises(OrderUnavailable, match="^bad: colax mode needs an ordered"):
             VerificationCase("bad", TRACE_COST, coalg, coalg, phi)
 

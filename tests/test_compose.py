@@ -61,8 +61,8 @@ def _identity_phi():
 
 def test_compose_with_identity_is_identity():
     phi = PotentialMorphism(lambda d: Charged(7 - d, UNIT))
-    left = compose_phi(NAT_COST, _identity_phi(), phi)
-    right = compose_phi(NAT_COST, phi, PotentialMorphism(lambda s: Charged(0, s)))
+    left = compose_phi(_identity_phi(), phi)
+    right = compose_phi(phi, PotentialMorphism(lambda s: Charged(0, s)))
     for d in range(8):
         assert left.phi(d) == phi.phi(d) == right.phi(d)
 
@@ -71,8 +71,8 @@ def test_compose_is_associative_pointwise():
     f = PotentialMorphism(lambda d: Charged(1, d + 1))
     g = PotentialMorphism(lambda d: Charged(2 * d, d % 3))
     h = PotentialMorphism(lambda d: Charged(5, str(d)))
-    lhs = compose_phi(NAT_COST, compose_phi(NAT_COST, f, g), h)
-    rhs = compose_phi(NAT_COST, f, compose_phi(NAT_COST, g, h))
+    lhs = compose_phi(compose_phi(f, g), h)
+    rhs = compose_phi(f, compose_phi(g, h))
     for d in range(10):
         assert lhs.phi(d) == rhs.phi(d)
 
@@ -98,7 +98,7 @@ def test_alloc16_via_8_is_its_first_stage_with_a_composed_potential():
     assert case.impl.state_invariant is not None
     assert all(case.impl.state_invariant(d) for d in range(16))
     assert not case.impl.state_invariant(16)
-    old = compose_phi(NAT_COST, alloc16_to_8_phi(), stage2.phi)
+    old = compose_phi(alloc16_to_8_phi(), stage2.phi)
     for d in range(16):
         assert case.phi.phi(d) == old.phi(d)
 
@@ -168,7 +168,7 @@ def test_composite_bounds_follow_the_case_defaults():
 def test_a_composite_is_colax_when_either_part_is(left, right, joined):
     parts = allocator_case().with_mode(left), allocator_case().with_mode(right)
     assert pair_cases(*parts).phi.mode is joined
-    assert compose_phi(NAT_COST, parts[0].phi, parts[1].phi).mode is joined
+    assert compose_phi(parts[0].phi, parts[1].phi).mode is joined
 
 
 def test_pairs_keep_their_parts_explore_filters():
@@ -295,7 +295,7 @@ ALLOC = ProgramMethod(MethodSig("alloc"), lambda sub, arg: sub.call("alloc"))
 def _translation(base, over, spec, own):
     """`ALLOC` over `base`'s `over` side against `spec`: `own` alone is on
     trial over the spec, composed after `base.phi` over the impl."""
-    phi = own if over == "spec" else compose_phi(base.monoid, base.phi, own)
+    phi = own if over == "spec" else compose_phi(base.phi, own)
     impl = translate(getattr(base, over), base.monoid, (ALLOC,))
     return VerificationCase("t", base.monoid, impl, spec, phi)
 

@@ -1,5 +1,10 @@
-"""Monoid laws and capability flags of the shipped cost models."""
+"""Monoid laws and capability flags of the shipped cost models.
 
+A model's costs carry its algebra: they add with `+` from the model's
+identity and, in an ordered model, compare with `<=`.
+"""
+
+import dataclasses
 import operator
 import random
 from fractions import Fraction
@@ -7,7 +12,7 @@ from functools import reduce
 
 import pytest
 
-from amortcheck import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST
+from amortcheck import INT_COST, NAT_COST, RATIONAL_COST, TRACE_COST, CostMonoid
 
 
 def _nat_gen(rng):
@@ -40,27 +45,33 @@ def test_monoid_laws_on_generated_triples(name):
     rng = random.Random(20240801)
     for _ in range(1000):
         a, b, c = gen(rng), gen(rng), gen(rng)
-        assert monoid.combine(monoid.identity, a) == a
-        assert monoid.combine(a, monoid.identity) == a
-        assert monoid.combine(monoid.combine(a, b), c) == monoid.combine(
-            a, monoid.combine(b, c)
-        )
+        assert monoid.identity + a == a
+        assert a + monoid.identity == a
+        assert (a + b) + c == a + (b + c)
         if monoid.is_commutative:
-            assert monoid.combine(a, b) == monoid.combine(b, a)
+            assert a + b == b + a
+
+
+def test_a_cost_monoid_states_its_identity_and_two_capabilities():
+    # The operation and the order are the costs' own, so no field names them.
+    fields = [f.name for f in dataclasses.fields(CostMonoid)]
+    assert fields == ["name", "identity", "is_commutative", "ordered"]
+    assert [m.ordered for m in (NAT_COST, INT_COST, TRACE_COST, RATIONAL_COST)] == [
+        True, True, False, True
+    ]
 
 
 def test_every_model_adds_with_plus():
     # `+` converts nothing: a float or a string stays what it is.
-    assert all(monoid.combine is operator.add for monoid, _gen in GENS.values())
-    assert type(RATIONAL_COST.combine(Fraction(0), 0.1)) is float
+    assert type(RATIONAL_COST.identity + 0.1) is float
     with pytest.raises(TypeError):
-        RATIONAL_COST.combine(Fraction(0), "1/2")
+        RATIONAL_COST.identity + "1/2"
 
 
 def test_trace_cost_is_not_commutative():
     assert not TRACE_COST.is_commutative
-    assert TRACE_COST.combine("a", "b") != TRACE_COST.combine("b", "a")
-    assert TRACE_COST.leq is None
+    assert "a" + "b" != "b" + "a"
+    assert not TRACE_COST.ordered
 
 
 @pytest.mark.parametrize("name", ["nat", "int", "rational"])
@@ -69,19 +80,19 @@ def test_leq_is_an_order_and_monotone(name):
     rng = random.Random(99)
     for _ in range(1000):
         a, b, c = gen(rng), gen(rng), gen(rng)
-        assert monoid.leq(a, a)
-        if monoid.leq(a, b) and monoid.leq(b, a):
+        assert a <= a
+        if a <= b and b <= a:
             assert a == b
-        if monoid.leq(a, b) and monoid.leq(b, c):
-            assert monoid.leq(a, c)
-        if monoid.leq(a, b):
-            assert monoid.leq(monoid.combine(c, a), monoid.combine(c, b))
-            assert monoid.leq(monoid.combine(a, c), monoid.combine(b, c))
+        if a <= b and b <= c:
+            assert a <= c
+        if a <= b:
+            assert c + a <= c + b
+            assert a + c <= b + c
 
 
 def combine_all(monoid, costs):
-    """Left-to-right fold of `combine` from the identity."""
-    return reduce(monoid.combine, costs, monoid.identity)
+    """Left-to-right fold of `+` from the identity."""
+    return reduce(operator.add, costs, monoid.identity)
 
 
 def test_combine_all_examples():

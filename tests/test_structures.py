@@ -389,8 +389,18 @@ def test_buffer_passes_for_small_sizes(explored):
         assert explore(buffer_case(n)).passed
 
 
+class Flipped(str):
+    """A string cost whose `+` concatenates in reverse, beside a plain str too."""
+
+    def __add__(self, other):
+        return Flipped(str.__add__(other, self))
+
+    def __radd__(self, other):
+        return Flipped(str.__add__(self, other))
+
+
 def test_buffer_square_breaks_if_combine_order_is_swapped():
-    flipped = CostMonoid("trace-flipped", "", lambda a, b: b + a, False)
+    flipped = CostMonoid("trace-flipped", Flipped(""), False, False)
     case = dataclasses.replace(buffer_case(2), monoid=flipped)
     check = check_square(case, "write", ("a",), "b")
     assert check.verdict is Verdict.COST_MISMATCH
