@@ -2,13 +2,14 @@
 
 `Charged` pairs a value with accumulated cost; `bind` sequences two charged
 steps, adding their costs left to right with the costs' own `+`. `tensor`
-combines independent charged values and therefore demands commutativity.
+is the one monoidal product of independent charged values (Φ images).
 
 Randomization is one more effect in the same algebra: `expect` collapses a
 finite weighted family of charged outcomes into a `Charged` whose cost is
 the exact expected cost and whose value is the outcome `Dist`, validated
-and made canonical as it is built. Weights are exact rationals and nothing
-is sampled, so every verdict is reproducible.
+and made canonical as it is built; the square engine weighs Φ through it
+too, so no expected cost is formed elsewhere. Weights are exact rationals
+and nothing is sampled, so every verdict is reproducible.
 """
 
 from dataclasses import dataclass, field
@@ -58,17 +59,16 @@ def bind(a: Charged, f: Callable[[Any], Charged]) -> Charged:
     return Charged(a.cost + b.cost, b.value)
 
 
-def tensor(monoid: CostMonoid, a: Charged, b: Charged) -> Charged:
-    """Combine two independent charged values into a charged pair.
-
-    Only meaningful when cost order does not matter, so non-commutative
-    monoids are rejected.
-    """
-    if not monoid.is_commutative:
-        raise NonCommutativeTensor(
-            f"tensor needs a commutative cost monoid, got {monoid.name}"
-        )
-    return Charged(a.cost + b.cost, (a.value, b.value))
+def tensor(monoid: CostMonoid, *images: Charged) -> Charged:
+    """The monoidal product: costs add from the identity in slot order and
+    the values form one tuple. Parallel costs have no order, so two or more
+    images need a commutative monoid (`NonCommutativeTensor`)."""
+    if len(images) > 1 and not monoid.is_commutative:
+        raise NonCommutativeTensor(f"tensor needs a commutative cost monoid, got {monoid.name}")
+    total = monoid.identity
+    for ch in images:
+        total = total + ch.cost
+    return Charged(total, tuple(ch.value for ch in images))
 
 
 @dataclass(frozen=True, init=False)

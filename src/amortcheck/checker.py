@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import product
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .charged import Charged, Dist
+from .charged import Charged, Dist, expect, tensor
 from .coalgebra import (
     STOP,
     UNIT,
@@ -32,7 +32,6 @@ from .coalgebra import (
     VerificationCase,
     arg_literal,
     guard_outcome,
-    sum_images,
 )
 from .encoding import state_key, typed_eq
 from .errors import (
@@ -145,15 +144,16 @@ def _square_for(case: VerificationCase, failed=None):
     None), `slack` extending the (min, max) of lhs − rhs cost passed in; it
     stays (None, None) unless the monoid is ordered. The outcomes pick each square's
     law. When neither side's value is a `Dist`, a behaviour is `STOP` or
-    (observable, states), the impl's states taken through Φ (summed from
-    the identity, left to right, after the impl's cost). An outcome of
-    type exactly `Continue` with ``out_arity`` states passes with no call,
-    any other goes to `guard_outcome` (the one shape rule), and the spec
-    outcome last passed in a call (a shared constant) is not checked
-    again. When either is, both behaviours are `Dist`s, compared on
-    expected cost: the spec's law as returned, and a side that is not a
-    `Dist` is its point law ``Dist(((1, outcome),))``; a weight that
-    cannot scale a cost (``trace``) raises `BadWeights`.
+    (observable, states), the impl's states taken through Φ by `tensor`
+    (one image folded inline as `tensor` folds it) after the impl's cost.
+    An outcome of type exactly `Continue` with ``out_arity`` states passes
+    with no call, any other goes to `guard_outcome` (the one shape rule),
+    and the spec outcome last passed in a call (a shared constant) is not
+    checked again. When either is, a side that is not a `Dist` is its point
+    law, and the rhs is the impl cost plus `expect` of the impl branches
+    through Φ (`tensor`'s cost and a `Continue` of its values, or the
+    identity and `STOP`). A cost no weight can scale (``trace``, in a point
+    law too) raises `expect`'s `BadWeights`, the method's name in front.
 
     Behaviour compares by typed identity. A `Dist` compares its outcomes'
     encodings. Two observables agree when they are one object (a shared
@@ -198,22 +198,21 @@ def _square_for(case: VerificationCase, failed=None):
                     guard_outcome(sig, branch)
                 lhs_beh = spec_out if type(spec_out) is Dist else Dist(spec_outs)
                 last_out = unset  # lhs_beh is this square's law now
-                rhs_cost, rhs_outs = impl_res.cost, []
+                branches = []  # each impl branch through Φ
                 for w, out in out.branches if type(out) is Dist else ((1, out),):
                     guard_outcome(sig, out)
-                    if out is not STOP:
-                        mapped_cost, mapped = sum_images(monoid, map(image, out.states))
-                        try:
-                            scaled = mapped_cost if w == 1 else w * mapped_cost
-                        except TypeError:
-                            msg = f"{sig.name}: weight {w} cannot scale a {monoid.name} cost"
-                            raise BadWeights(msg) from None
-                        rhs_cost = rhs_cost + scaled
+                    if out is STOP:
+                        branches.append((w, Charged(identity, STOP)))
+                    else:
+                        ch = tensor(monoid, *map(image, out.states))
+                        branches.append((w, Charged(ch.cost, Continue(out.obs, ch.value))))
                         if batch is not None:
                             batch += out.states
-                        out = Continue(out.obs, mapped)
-                    rhs_outs.append((w, out))
-                rhs_beh = Dist(rhs_outs)
+                try:
+                    law = expect(branches)
+                except BadWeights as err:
+                    raise BadWeights(f"{sig.name}: {err}") from None
+                rhs_cost, rhs_beh = impl_res.cost + law.cost, law.value
             else:
                 if spec_out is not last_out:  # else lhs_beh is still last_out's
                     if type(spec_out) is not Continue or len(spec_out.states) != n_out:
@@ -228,7 +227,8 @@ def _square_for(case: VerificationCase, failed=None):
                 else:
                     successors = out.states
                     if len(successors) != 1:
-                        mapped_cost, mapped = sum_images(monoid, map(image, successors))
+                        ch = tensor(monoid, *map(image, successors))
+                        mapped_cost, mapped = ch.cost, ch.value
                     else:  # one image, `lookup` inlined: no frame per square
                         s = successors[0]
                         if table is None:
@@ -289,7 +289,8 @@ def check_square(
     sig.admits(arg)
     spec = case.spec.method(method)
     engine, image = _square_for(case)
-    tuples = ((inputs, *sum_images(case.monoid, map(image, inputs))),)
+    ch = tensor(case.monoid, *map(image, inputs))
+    tuples = ((inputs, ch.cost, ch.value),)
     square = engine(impl, spec, tuples, (arg,), None, (None, None))[2]
     return _mk_check(case, method, inputs, arg, square)
 
@@ -300,7 +301,7 @@ def _tuples_with_max(entries, i: int, k: int, monoid) -> Iterator[tuple]:
     `entries` holds ((state,), Φ cost, (Φ spec state,)) per state, and
     tuples join those kept 1-tuples, in ``product(range(i + 1), repeat=k)``
     order, each a shared (k-1)-prefix, built once, plus one component; costs
-    fold as `sum_images` does.
+    fold inline as `tensor` folds them, from the identity in slot order.
     """
     head, last = entries[: i + 1], entries[i]
     prefixes = [((), monoid.identity, (), False)]  # + whether index i occurs
@@ -330,18 +331,18 @@ def explore(
     expanded state and method with the tuples that state closes: itself, or
     `_tuples_with_max`'s k-tuples, which join the 1-tuples of kept
     ((state,), Φ cost, (Φ spec state,)) entries, each image as Φ returns it;
-    a tuple's Φ cost folds its images from the identity once, as
-    `sum_images` does. Φ runs once on each state as it is expanded and once
-    per successor, or, with a k-input method (k >= 2), once per distinct
-    typed state. The engine collects a state's successors into one batch,
-    admitted in order once its squares are checked, by the rule the seeds
-    pass too: `explore_filter`, dedup by typed value (`state_key`: ``1`` and
-    ``True`` stay distinct), the state cap and the state invariant. None is
-    collected past the depth limit or once the cap has refused an unseen
-    state (a cap merely reached stops nothing). Sides and state text are
-    built only for the first `limit` failures the engine calls back, the
-    counterexamples kept. A case whose filter admits no seed checks
-    nothing, so it is refused (`ValueError` naming the case).
+    a tuple's Φ cost folds its images from the identity once, inline as
+    `tensor` folds them (a 1-tuple's too). Φ runs once on each state as it
+    is expanded and once per successor, or, with a k-input method (k >= 2),
+    once per distinct typed state. The engine collects a state's successors
+    into one batch, admitted in order once its squares are checked, by the
+    rule the seeds pass too: `explore_filter`, dedup by typed value
+    (`state_key`: ``1`` and ``True`` stay distinct), the state cap and the
+    state invariant. None is collected past the depth limit or once the cap
+    has refused an unseen state (a cap merely reached stops nothing). Sides
+    and state text are built only for the first `limit` failures the engine
+    calls back, the counterexamples kept. A case whose filter admits no seed
+    checks nothing, so it is refused (`ValueError` naming the case).
 
     An admitted tuple state that is its own `state_key` (exact strs, ints
     and such tuples) is stored with each part replaced by the equal part
@@ -462,11 +463,13 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     `seed_index` must index the case's seeds (else `ValueError`).
 
     Each step passes the door before it runs, and a refused step raises
-    after the steps before it ran: a method name that is unknown or not
-    1-in/1-out is refused by `Coalgebra.step_method`, and an argument
-    outside the method's domain by `MethodSig.admits` (`ArityMismatch`). A
-    member object of the domain passes with no call (``members.get(arg) is
-    arg``, `admits`' own first rule); anything else goes to `admits`.
+    after the steps before it ran; the steps after a Stop or a failing
+    observable run no transition but pass the door too. A method name that
+    is unknown or not 1-in/1-out is refused by `Coalgebra.step_method`, and
+    an argument outside the method's domain by `MethodSig.admits`
+    (`ArityMismatch`). A member object of the domain passes with no call
+    (``members.get(arg) is arg``, `admits`' own first rule); anything else
+    goes to `admits`.
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -479,7 +482,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     spec_state = phi0.value
 
     total_impl = total_spec = monoid.identity
-    step_no = -1  # the last step that ran
+    ran, live = -1, True  # the last step that ran; a Stop or a mismatch ends the run
     mismatches: List[TraceMismatch] = []
     methods = {
         m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.members)
@@ -497,6 +500,9 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                 sig.admits(arg)
         except TypeError:  # unhashable: `admits` refuses it
             sig.admits(arg)
+        if not live:  # the run has ended: the step only passes the door
+            continue
+        ran = step_no
         res = impl_run((impl_state,), arg)
         impl_cost, impl_out = res.cost, res.value
         if type(impl_out) is not Continue or len(impl_out.states) != 1:
@@ -514,8 +520,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                 mismatches.append(
                     TraceMismatch(step_no, "stop", f"{method}: only {side} stopped")
                 )
-            impl_state = STOP
-            break
+            impl_state, live = STOP, False
+            continue
         if impl_out.obs is not spec_out.obs and not typed_eq(impl_out.obs, spec_out.obs):
             mismatches.append(
                 TraceMismatch(
@@ -525,7 +531,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
                     f"spec observed {spec_out.obs!r}",
                 )
             )
-            break
+            live = False
+            continue
         impl_state = impl_out.states[0]
         spec_state = spec_out.states[0]
 
@@ -549,8 +556,8 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     return Report(
         case_name=case.name,
         mode=mode,
-        states_explored=step_no + 2,
-        squares_checked=step_no + 1,
+        states_explored=ran + 2,
+        squares_checked=ran + 1,
         failures=len(mismatches),
         counterexamples=tuple(mismatches),
         wall_time=time.perf_counter() - t0,

@@ -8,12 +8,13 @@ table; a potential morphism maps each implementation state to a charged
 specification state, carrying the stored potential in its cost component.
 
 Multi-slot methods make sense only over commutative cost monoids, because
-the potentials of parallel states must be summed order-independently.
+the potentials of parallel states are combined by `charged.tensor`, which
+has no order to add them in.
 """
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .charged import Charged, Dist
 from .cost import CostMonoid
@@ -302,19 +303,6 @@ class PotentialMorphism:
     mode: Mode = Mode.EXACT
 
 
-def sum_images(monoid: CostMonoid, images: Iterable[Charged]) -> Tuple[Any, Tuple[Any, ...]]:
-    """The one Φ fold: sum images in slot order, costs from the identity.
-
-    Returns (cost, spec states). Images of several slots are summed only in
-    cases whose monoid is commutative, which `VerificationCase` enforces.
-    """
-    total, values = monoid.identity, []
-    for ch in images:
-        total = total + ch.cost
-        values.append(ch.value)
-    return total, tuple(values)
-
-
 @dataclass(frozen=True)
 class VerificationCase:
     """Everything the checker needs: impl, spec, potential and bounds.
@@ -336,14 +324,15 @@ class VerificationCase:
     explore_filter: Optional[Callable[[Any], bool]] = None
 
     def __post_init__(self):
-        impl_table = self.impl.sig_table
-        spec_table = self.spec.sig_table
-        if impl_table != spec_table:
-            raise ValueError(
-                f"{self.name}: impl and spec disagree on the signature table "
-                f"({sorted(impl_table)} vs {sorted(spec_table)})"
-            )
-        for sig in impl_table.values():
+        # A domain compares by typed literal too: ``(1,) == (True,)``.
+        impl_sigs, spec_sigs = (
+            {m.sig.name: (m.sig, tuple(m.sig.literals)) for m in side.methods}
+            for side in (self.impl, self.spec)
+        )
+        for name in sorted(impl_sigs.keys() | spec_sigs.keys()):
+            if impl_sigs.get(name) != spec_sigs.get(name):
+                raise ValueError(f"{self.name}: impl and spec disagree on the signature of {name}")
+        for sig in self.impl.sig_table.values():
             if sig.multi_slot and not self.monoid.is_commutative:
                 raise NonCommutativeTensor(
                     f"{self.name}: method {sig.name} has multiple state slots "

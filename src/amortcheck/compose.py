@@ -105,7 +105,7 @@ def _pair_coalgebra(left: Coalgebra, right: Coalgebra) -> Coalgebra:
 
 
 def pair_cases(left: VerificationCase, right: VerificationCase) -> VerificationCase:
-    """Run two cases side by side; the paired potential adds the parts.
+    """Run two cases side by side; the paired Φ is `tensor` of the parts' images.
 
     Methods are tagged ``left.<name>`` / ``right.<name>`` and act on their
     component only. Every method must pass `Coalgebra.step_method`'s door

@@ -75,6 +75,18 @@ def test_tensor_examples():
         tensor(TRACE_COST, charge("a", "x"), charge("b", "y"))
 
 
+def test_tensor_of_no_image_or_one_never_refuses():
+    assert tensor(NAT_COST) == charge(0, ())
+    assert tensor(TRACE_COST) == charge("", ())
+    assert tensor(NAT_COST, charge(3, "x")) == charge(3, ("x",))
+    assert tensor(TRACE_COST, charge("ab", "x")) == charge("ab", ("x",))
+    three = charge(1, "x"), charge(2, "y"), charge(3, "z")
+    assert tensor(NAT_COST, *three) == charge(6, ("x", "y", "z"))
+    message = r"^tensor needs a commutative cost monoid, got trace$"
+    with pytest.raises(NonCommutativeTensor, match=message):
+        tensor(TRACE_COST, charge("a", "x"), charge("b", "y"), charge("c", "z"))
+
+
 @given(nat_costs, nat_costs, values, values)
 def test_tensor_cost_is_symmetric(c1, c2, v1, v2):
     a, b = charge(c1, v1), charge(c2, v2)

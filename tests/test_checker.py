@@ -49,10 +49,10 @@ from amortcheck import (
     pair_cases,
     parse_trace,
     random_trace,
+    tensor,
 )
 from amortcheck import coalgebra
 from amortcheck.checker import _tuples_with_max, arg_literal
-from amortcheck.coalgebra import sum_images
 from amortcheck.compose import SubstrateRun
 from amortcheck.encoding import encode, typed_eq
 from amortcheck.registry import registered_names
@@ -350,6 +350,26 @@ def test_trace_arguments_take_the_member_fast_path(monkeypatch):
     bab = "".join(["b", "a", "b"])
     assert check_trace(buffer, Trace((("write", bab),))).passed
     assert scans
+
+
+@pytest.mark.parametrize(
+    "step, error, message",
+    [
+        (("bogus", UNIT), UnknownMethod, "bogus"),
+        (("push", 5), ArityMismatch, "push: argument 5 is not in its domain"),
+    ],
+    ids=["unknown-method", "outside-domain"],
+)
+def test_steps_after_a_stop_still_pass_the_door(step, error, message):
+    # `pop` on the empty stack Stops on both sides, which ends the trace:
+    # no later step runs, but each is refused as it is before a Stop.
+    case, counts = _counted(get_case("stack"))
+    with pytest.raises(error, match=f"^{message}$"):
+        check_trace(case, Trace((("pop", UNIT), step, ("push", "a"))))
+    assert counts["impl"] == counts["spec"] == 1
+    report = check_trace(case, Trace((("pop", UNIT), ("push", "a"), ("pop", UNIT))))
+    assert report.passed and report.squares_checked == 1
+    assert counts["impl"] == counts["spec"] == 2
 
 
 def test_trace_door_makes_no_call_for_a_member(monkeypatch):
@@ -773,7 +793,7 @@ def test_a_branching_law_over_costs_no_weight_scales_is_refused():
     # scale, so the square refuses the law where it used to die on a bare
     # `TypeError`. A trace step refuses a branching law on its own.
     case = _coin_flip_case(TRACE_COST, Charged("", UNIT))
-    message = r"^flip: weight 1/2 cannot scale a trace cost$"
+    message = r"^flip: weight 1/2 cannot scale the cost ''$"
     with pytest.raises(BadWeights, match=message):
         explore(case)
     with pytest.raises(BadWeights, match=message):
@@ -781,6 +801,38 @@ def test_a_branching_law_over_costs_no_weight_scales_is_refused():
     with pytest.raises(ArityMismatch, match=r"^flip returned a law of 2 outcomes, not one$"):
         check_trace(case, Trace((("flip", UNIT),)))
     assert explore(_coin_flip_case(INT_COST, charge(0, UNIT))).passed
+
+
+def test_a_point_law_over_costs_no_weight_scales_is_refused():
+    # A randomized square weighs every impl branch in `expect`, a point
+    # law's one branch too, so a `trace` cost is refused there as well; the
+    # refusal names the method and the cost it could not scale.
+    sig = MethodSig("step")
+    step = charge("", Continue(UNIT, (0,)))
+    impl = Coalgebra(StateDomain("zero"), (0,), (Method(sig, lambda s, a: step),))
+    point = Charged("", Dist(((1, Continue(UNIT, (UNIT,))),)))
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, lambda s, a: point),))
+    phi = PotentialMorphism(lambda s: Charged("", UNIT))
+    case = VerificationCase("point-trace", TRACE_COST, impl, spec, phi)
+    message = r"^step: weight 1 cannot scale the cost ''$"
+    with pytest.raises(BadWeights, match=message):
+        explore(case)
+    with pytest.raises(BadWeights, match=message):
+        check_square(case, "step", (0,))
+
+
+def test_a_mixed_square_over_int_costs_has_the_expected_rhs_cost():
+    # A deterministic impl beside a spec law: the rhs cost is `expect`'s, a
+    # `Fraction` equal to the int sum 3 + Φ(1).
+    sig = MethodSig("step")
+    step = charge(3, Continue(UNIT, (1,)))
+    impl = Coalgebra(StateDomain("n"), (0,), (Method(sig, lambda s, a: step),))
+    law = expect([(1, charge(4, Continue(UNIT, (UNIT,))))])
+    spec = Coalgebra(StateDomain("unit"), (UNIT,), (Method(sig, lambda s, a: law),))
+    phi = PotentialMorphism(lambda n: charge(n, UNIT))
+    check = check_square(VerificationCase("mixed", INT_COST, impl, spec, phi), "step", (0,))
+    assert check.verdict is Verdict.PASS
+    assert check.rhs.cost == Fraction(4) and type(check.rhs.cost) is Fraction
 
 
 def test_explore_admits_only_continue_successors():
@@ -1008,6 +1060,14 @@ class Sum(Term, tuple):
 TERM_COST = CostMonoid("terms", Word("0"), True, False)
 
 
+def test_tensor_folds_from_the_identity_in_slot_order():
+    images = [Charged(Word(f"c{j}"), f"v{j}") for j in range(3)]
+    assert tensor(TERM_COST) == Charged("0", ())
+    assert tensor(TERM_COST, images[0]) == Charged(("+", "0", "c0"), ("v0",))
+    folded = ("+", ("+", ("+", "0", "c0"), "c1"), "c2")
+    assert tensor(TERM_COST, *images) == Charged(folded, ("v0", "v1", "v2"))
+
+
 def _term_swap_case():
     """Fin 3 over `TERM_COST`: `step` (1-in/1-out) and `swap` (2-in/2-out).
 
@@ -1033,12 +1093,12 @@ def _term_swap_case():
 
 def test_every_phi_sum_folds_from_the_identity_once():
     # The Φ table of a case with a 2-input method keeps Φ's images as Φ
-    # returns them, so a unary square folds Φ(in) as `sum_images` does,
+    # returns them, so a unary square folds Φ(in) as `tensor` does,
     # in `check_square` and in `explore` alike, and so does every successor.
     case = _term_swap_case()
 
     def fold(states):
-        return sum_images(TERM_COST, map(case.phi.phi, states))[0]
+        return tensor(TERM_COST, *map(case.phi.phi, states)).cost
 
     assert check_square(case, "step", (0,)).lhs.cost == ("+", ("+", "0", "c0"), "t")
     report = explore(case, limit=100)
@@ -1066,7 +1126,7 @@ def test_tuples_with_max_matches_filtered_product(i, k):
     assert [inputs for inputs, _, _ in got] == [tuple(f"s{j}" for j in t) for t in expected]
     for t, (_, cost, values) in zip(expected, got):
         images = [Charged(f"c{j}", f"v{j}") for j in t]
-        assert (cost, values) == sum_images(TERM_COST, images), t
+        assert Charged(cost, values) == tensor(TERM_COST, *images), t
     if (i, k) == (1, 2):
         assert got[0][1] == ("+", ("+", "0", "c0"), "c1")
 

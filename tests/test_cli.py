@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, output formats, determinism."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from amortcheck import VerificationCase, registered_names
 from amortcheck import cli
 from amortcheck.cli import CSV_HEADER, _csv_rows, main
 
-EXPECTED_ALL_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "all.csv"
+ROOT = Path(__file__).resolve().parents[1]
+EXPECTED_ALL_CSV = ROOT / "perfbench" / "expected" / "all.csv"
 
 
 def run(capsys, *argv):
@@ -286,6 +290,22 @@ def test_all_command_prints_the_recorded_csv(capsys):
     code, out, err = run(capsys, "all", "--format", "csv")
     assert (code, err) == (0, "")
     assert out.encode() == EXPECTED_ALL_CSV.read_bytes()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_all_csv_is_the_recorded_bytes_under_every_hash_seed(hash_seed):
+    # A fresh interpreter per seed, so set and dict order differ between
+    # the runs; none of it may reach the output. No bytecode is written.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "amortcheck.cli", "all", "--format", "csv"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == EXPECTED_ALL_CSV.read_bytes()
 
 
 def test_all_csv_matches_the_recorded_bytes(explored):

@@ -27,30 +27,31 @@ from amortcheck import (
     compose_phi,
     explore,
     get_case,
+    tensor,
 )
-from amortcheck.coalgebra import STOP, Continue, guard_outcome, sum_images
+from amortcheck.coalgebra import STOP, Continue, guard_outcome
 from amortcheck.encoding import encode, state_key
 
 
-def test_sum_images_allocator_potential():
+def test_tensor_allocator_potential():
     phi = lambda d: Charged(7 - d, UNIT)
-    assert sum_images(NAT_COST, map(phi, (3,))) == (4, (UNIT,))
+    assert tensor(NAT_COST, *map(phi, (3,))) == Charged(4, (UNIT,))
 
 
-def test_sum_images_zero_cost_on_two_states():
+def test_tensor_zero_cost_on_two_states():
     phi = lambda s: Charged(0, s)
-    assert sum_images(NAT_COST, map(phi, ("s1", "s2"))) == (0, ("s1", "s2"))
+    assert tensor(NAT_COST, *map(phi, ("s1", "s2"))) == Charged(0, ("s1", "s2"))
 
 
-def test_sum_images_sums_piggy_potentials():
+def test_tensor_sums_piggy_potentials():
     phi = lambda n: Charged(n, UNIT)
-    assert sum_images(NAT_COST, map(phi, (2, 5))) == (7, (UNIT, UNIT))
+    assert tensor(NAT_COST, *map(phi, (2, 5))) == Charged(7, (UNIT, UNIT))
 
 
-def test_sum_images_singleton_equals_phi():
+def test_tensor_singleton_equals_phi():
     phi = lambda s: Charged(2 * s, s + 1)
     for s in range(6):
-        assert sum_images(NAT_COST, map(phi, (s,))) == (phi(s).cost, (phi(s).value,))
+        assert tensor(NAT_COST, phi(s)) == Charged(phi(s).cost, (phi(s).value,))
 
 
 def _tiny_coalgebra(sig=None):
@@ -161,10 +162,26 @@ def test_method_sig_literal_table_is_derived():
 def test_case_rejects_mismatched_signature_tables():
     impl = _tiny_coalgebra(MethodSig("step"))
     spec = _tiny_coalgebra(MethodSig("other"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad: .* disagree on the signature of other$"):
         VerificationCase(
             "bad", NAT_COST, impl, spec, PotentialMorphism(lambda s: Charged(0, s))
         )
+
+
+@pytest.mark.parametrize(
+    "impl_domain, spec_domain",
+    [((1,), (True,)), ((0, True), (0, 1)), ((0, 1), (1, 0))],
+    ids=["int-bool", "second-member", "order"],
+)
+def test_case_compares_domains_by_typed_literal_in_domain_order(impl_domain, spec_domain):
+    # ``(1,) == (True,)``, but the spec of such a case would run on the int
+    # the impl's domain holds; the refusal names the method.
+    impl = _tiny_coalgebra(MethodSig("tick", arg_domain=impl_domain))
+    phi = PotentialMorphism(lambda s: Charged(0, s))
+    assert VerificationCase("same", NAT_COST, impl, impl, phi).impl is impl
+    spec = _tiny_coalgebra(MethodSig("tick", arg_domain=spec_domain))
+    with pytest.raises(ValueError, match=r"^bad: .* disagree on the signature of tick$"):
+        VerificationCase("bad", NAT_COST, impl, spec, phi)
 
 
 def test_case_rejects_multi_slot_over_non_commutative_monoid():

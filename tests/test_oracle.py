@@ -79,7 +79,6 @@ from amortcheck import (
     random_trace,
 )
 from amortcheck.checker import arg_literal
-from amortcheck.coalgebra import sum_images
 from amortcheck.encoding import encode, state_key
 from amortcheck.registry import get_case, registered_names
 from amortcheck.structures import varying_cost_case
@@ -98,29 +97,49 @@ def branches(value):
     return value.branches if type(value) is Dist else ((1, value),)
 
 
+def fold_images(monoid, states, phi):
+    """(Φ cost, Φ spec states) of `states`: costs added in slot order from
+    the identity. The checker's own fold is not used, so a fault in it
+    cannot hide in both explorers."""
+    cost, values = monoid.identity, []
+    for s in states:
+        image = phi(s)
+        cost = cost + image.cost
+        values.append(image.value)
+    return cost, tuple(values)
+
+
 def reference_square(case, method, inputs, arg):
     """The square at `inputs` with both sides built and compared whole.
 
     The sides are laws when either transition returns a `Dist`, else
-    outcomes. Laws compare whole (a `Dist` compares typed encodings);
-    outcomes compare by ``==`` and their observables by encoding too, so
-    ``True`` is not ``1``.
+    outcomes. A law's rhs cost is the impl cost plus the expected Φ cost,
+    ``Fraction(w) * cost`` summed from 0 over the impl branches, a point
+    law's one branch too; an outcome's adds its Φ cost as it is. Neither
+    `tensor` nor `expect` is called here. Laws compare whole (a `Dist`
+    compares typed encodings); outcomes compare by ``==`` and their
+    observables by encoding too, so ``True`` is not ``1``.
     """
     monoid = case.monoid
     impl = case.impl.method(method)
-    phi_cost, phi_values = sum_images(monoid, map(case.phi.phi, inputs))
+    phi_cost, phi_values = fold_images(monoid, inputs, case.phi.phi)
     spec_res = case.spec.method(method).run(phi_values, arg)
     impl_res = impl.run(inputs, arg)
     spec_outs, impl_outs = branches(spec_res.value), branches(impl_res.value)
+    randomized = Dist in (type(spec_res.value), type(impl_res.value))
     lhs_cost = phi_cost + spec_res.cost
-    rhs_cost, rhs_outs = impl_res.cost, []
+    rhs_cost, rhs_outs, expected = impl_res.cost, [], Fraction(0)
     for w, out in impl_outs:
         if out is not STOP:
-            mapped_cost, mapped = sum_images(monoid, map(case.phi.phi, out.states))
-            rhs_cost = rhs_cost + (mapped_cost if w == 1 else w * mapped_cost)
+            mapped_cost, mapped = fold_images(monoid, out.states, case.phi.phi)
+            if randomized:
+                expected = expected + Fraction(w) * mapped_cost
+            else:
+                rhs_cost = rhs_cost + mapped_cost
             out = Continue(out.obs, mapped)
         rhs_outs.append((w, out))
-    if Dist in (type(spec_res.value), type(impl_res.value)):
+    if randomized:
+        rhs_cost = rhs_cost + expected
         lhs = Charged(lhs_cost, Dist(spec_outs))
         rhs = Charged(rhs_cost, Dist(rhs_outs))
     else:
@@ -332,6 +351,7 @@ def assert_explore_matches_reference(case, bounds, seed):
     states, squares, failures, slack_min, slack_max, kept = reference_explore(case, **bounds)
     got = (report.states_explored, report.squares_checked, report.failures)
     assert got == (states, squares, failures), seed
+    assert squares > 0, seed
     assert (report.slack_min, report.slack_max) == (slack_min, slack_max), seed
     assert report.passed == (failures == 0), seed
     assert [c.inputs_serialized for c in report.counterexamples] == [
