@@ -7,7 +7,7 @@ space (exactly, or up to a cost inequality) and the telescoped identity
 over traces.
 """
 
-from .charged import Charged, Dist, bind, charge, expect, tensor, unit
+from .charged import Charged, Dist, bind, charge, expect, tensor
 from .checker import (
     Report,
     SquareCheck,

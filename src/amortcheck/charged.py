@@ -48,11 +48,6 @@ _set_cost, _set_value = Charged.cost.__set__, Charged.value.__set__
 charge = Charged
 
 
-def unit(monoid: CostMonoid, value: Any) -> Charged:
-    """The free (zero-cost) charged value."""
-    return Charged(monoid.identity, value)
-
-
 def bind(a: Charged, f: Callable[[Any], Charged]) -> Charged:
     """Sequence `a` then `f`, adding cost left to right."""
     b = f(a.value)
@@ -102,9 +97,6 @@ class Dist:
             raise BadWeights("weights must sum exactly to 1")
         object.__setattr__(self, "_key", tuple(sorted(merged.items())))
         object.__setattr__(self, "branches", tuple((w, outcomes[k]) for k, w in self._key))
-
-    def is_point(self) -> bool:
-        return len(self.branches) == 1
 
 
 def expect(branches: Iterable[Tuple[Any, Charged]]) -> Charged:

@@ -30,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, explores=True):
         p.add_argument(
             "--mode",
-            choices=["exact", "colax", "default"],
-            default="default",
+            choices=["exact", "colax"],
             help="override the case's checking mode",
         )
         if explores:
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
+def _resolve_cases(names: Sequence[str], mode: Optional[str]) -> List[VerificationCase]:
     cases = []
     for name in names:
         try:
@@ -81,7 +80,7 @@ def _resolve_cases(names: Sequence[str], mode: str) -> List[VerificationCase]:
             raise ValueError(
                 f"unknown case {name!r}; run `amortcheck list` for the registry"
             )
-        if mode != "default":
+        if mode is not None:
             case = case.with_mode(Mode(mode))
         cases.append(case)
     return cases

@@ -133,10 +133,6 @@ class MethodSig:
         raise ArityMismatch(f"{self.name}: argument {arg!r} is not in its domain")
 
     @property
-    def multi_slot(self) -> bool:
-        return self.in_arity >= 2 or self.out_arity >= 2
-
-    @property
     def sequential(self) -> bool:
         return self.in_arity == 1 and self.out_arity == 1
 
@@ -202,8 +198,8 @@ def guard_outcome(sig: MethodSig, outcome: Outcome) -> Outcome:
         if type(outcome) is not Dist:
             kind = type(outcome).__name__
             raise ArityMismatch(f"{sig.name} returned {kind}, not Stop or Continue") from None
-    if not outcome.is_point():
-        n = len(outcome.branches)
+    n = len(outcome.branches)
+    if n != 1:
         raise ArityMismatch(f"{sig.name} returned a law of {n} outcomes, not one")
     return guard_outcome(sig, outcome.branches[0][1])
 
@@ -333,7 +329,7 @@ class VerificationCase:
             if impl_sigs.get(name) != spec_sigs.get(name):
                 raise ValueError(f"{self.name}: impl and spec disagree on the signature of {name}")
         for sig in self.impl.sig_table.values():
-            if sig.multi_slot and not self.monoid.is_commutative:
+            if max(sig.in_arity, sig.out_arity) > 1 and not self.monoid.is_commutative:
                 raise NonCommutativeTensor(
                     f"{self.name}: method {sig.name} has multiple state slots "
                     f"but monoid {self.monoid.name} is not commutative"

@@ -224,23 +224,18 @@ def translate(
 # Concrete composed cases.
 
 
-def alloc16_to_8_phi() -> PotentialMorphism:
-    """The morphism from the 16-burst allocator onto the 8-burst one.
+def alloc16_to_8_case() -> VerificationCase:
+    """Intermediate stage: 16-burst allocator against the 8-burst one.
 
     Behavior folds the 16-cycle onto the 8-cycle; the potential pays the
     8-burst forward during the first half of each 16-cycle.
     """
-    return PotentialMorphism(lambda d: Charged(8 if d < 8 else 0, d % 8))
-
-
-def alloc16_to_8_case() -> VerificationCase:
-    """Intermediate stage: 16-burst allocator against the 8-burst one."""
     return VerificationCase(
         name="alloc16-to-8",
         monoid=NAT_COST,
         impl=cyclic_allocator(16),
         spec=cyclic_allocator(8),
-        phi=alloc16_to_8_phi(),
+        phi=PotentialMorphism(lambda d: Charged(8 if d < 8 else 0, d % 8)),
     )
 
 

@@ -29,9 +29,6 @@ class CostMonoid:
     is_commutative: bool
     ordered: bool
 
-    def __repr__(self) -> str:
-        return f"CostMonoid({self.name})"
-
 
 # Non-negative integers under addition.
 NAT_COST = CostMonoid("nat", 0, True, True)

@@ -23,7 +23,6 @@ from amortcheck import (
     charge,
     expect,
     tensor,
-    unit,
 )
 from amortcheck.encoding import encode
 
@@ -39,7 +38,7 @@ def test_charge_examples():
 
 
 def test_bind_examples():
-    ret = lambda v: unit(NAT_COST, v)
+    ret = lambda v: Charged(NAT_COST.identity, v)
     assert bind(charge(0, "x"), ret) == charge(0, "x")
     assert bind(charge(3, "x"), lambda _: charge(5, "y")) == charge(8, "y")
     got = bind(charge("ab", "x"), lambda _: charge("c", "y"))
@@ -49,13 +48,13 @@ def test_bind_examples():
 @given(nat_costs, values)
 def test_monad_left_unit(c, v):
     f = lambda x: charge(c, x + 1)
-    assert bind(unit(NAT_COST, v), f) == f(v)
+    assert bind(Charged(NAT_COST.identity, v), f) == f(v)
 
 
 @given(nat_costs, values)
 def test_monad_right_unit(c, v):
     m = charge(c, v)
-    assert bind(m, lambda x: unit(NAT_COST, x)) == m
+    assert bind(m, lambda x: Charged(NAT_COST.identity, x)) == m
 
 
 @given(trace_costs, trace_costs, trace_costs, values)
@@ -209,8 +208,7 @@ def test_dist_canonical_form_merges_and_orders():
     assert d1.branches == ((Fraction(1, 2), "a"), (Fraction(1, 2), "b"))
     assert Dist(d1.branches) == d1
     assert dataclasses.replace(d1, branches=[(Fraction(1, 2), "b"), (Fraction(1, 2), "a")]) == d1
-    assert not d1.is_point()
-    assert Dist([(1, 3)]).is_point()
+    assert Dist([(1, 3)]).branches == ((1, 3),)
 
 
 def test_dist_equality_is_typed():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from amortcheck import VerificationCase, registered_names
+from amortcheck import Mode, VerificationCase, get_case, registered_names
 from amortcheck import cli
 from amortcheck.cli import CSV_HEADER, _csv_rows, main
 
@@ -36,6 +36,12 @@ def test_list_names_and_negative_marker(capsys):
     assert "negative-control" in out
 
 
+def test_every_registered_case_carries_its_registry_name():
+    # `verify` and `all` print the case's own name; README keys by the registry's.
+    for name in registered_names():
+        assert get_case(name).name == name
+
+
 def test_verify_help_states_the_bound_defaults(capsys):
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0
@@ -54,6 +60,22 @@ def test_verify_forced_exact_queue_fails_with_counterexamples(capsys):
     code, out, _ = run(capsys, "verify", "queue-lax", "--mode", "exact")
     assert code == 1
     assert "FAIL" in out and "cost-mismatch" in out
+
+
+def test_leaving_out_mode_keeps_each_cases_own_mode():
+    parser = cli.build_parser()
+    names = registered_names()
+    for argv in (["verify", *names], ["all"], ["trace", "buffer", "--file", "t.txt"]):
+        assert parser.parse_args(argv).mode is None
+    modes = [case.phi.mode for case in cli._resolve_cases(names, None)]
+    assert modes == [get_case(name).phi.mode for name in names]
+    assert set(modes) == set(Mode)
+
+
+def test_mode_takes_only_exact_or_colax(capsys):
+    code, out, err = run(capsys, "verify", "queue-lax", "--mode", "default")
+    assert code == 2 and out == ""
+    assert re.search(r"argument --mode: invalid choice: '?default'?", err)
 
 
 def test_verify_negative_control_exits_one(capsys):

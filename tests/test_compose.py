@@ -39,7 +39,6 @@ from amortcheck.compose import (
     ProgramMethod,
     SubstrateRun,
     alloc16_to_8_case,
-    alloc16_to_8_phi,
     alloc16_via_8_case,
     counter_via_stack_case,
     queue_via_stacks_case,
@@ -98,7 +97,7 @@ def test_alloc16_via_8_is_its_first_stage_with_a_composed_potential():
     assert case.impl.state_invariant is not None
     assert all(case.impl.state_invariant(d) for d in range(16))
     assert not case.impl.state_invariant(16)
-    old = compose_phi(alloc16_to_8_phi(), stage2.phi)
+    old = compose_phi(alloc16_to_8_case().phi, stage2.phi)
     for d in range(16):
         assert case.phi.phi(d) == old.phi(d)
 
