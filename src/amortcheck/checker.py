@@ -39,6 +39,7 @@ from .errors import (
     BadWeights,
     StateInvariantViolation,
     TraceParseError,
+    UnknownMethod,
     UnsupportedArity,
 )
 
@@ -462,14 +463,10 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     `Continue` with one state is its own, with no call. The trace's
     `seed_index` must index the case's seeds (else `ValueError`).
 
-    Each step passes the door before it runs, and a refused step raises
-    after the steps before it ran; the steps after a Stop or a failing
-    observable run no transition but pass the door too. A method name that
-    is unknown or not 1-in/1-out is refused by `Coalgebra.step_method`, and
-    an argument outside the method's domain by `MethodSig.admits`
-    (`ArityMismatch`). A member object of the domain passes with no call
-    (``members.get(arg) is arg``, `admits`' own first rule); anything else
-    goes to `admits`.
+    Each step passes the door before it runs, the steps after a Stop or a
+    failing observable too: its method through `Coalgebra.step_method`, its
+    argument through `MethodSig.admits`. A refused step raises after the
+    steps before it ran.
     """
     seeds = case.impl.seeds
     if not 0 <= trace.seed_index < len(seeds):
@@ -484,16 +481,13 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     total_impl = total_spec = monoid.identity
     ran, live = -1, True  # the last step that ran; a Stop or a mismatch ends the run
     mismatches: List[TraceMismatch] = []
-    methods = {
-        m.sig.name: (m.run, case.spec.method(m.sig.name).run, m.sig, m.sig.members)
-        for m in case.impl.methods
-        if m.sig.sequential
-    }
+    methods = {}
 
     for step_no, (method, arg) in enumerate(trace.steps):
         step = methods.get(method)
-        if step is None:  # unknown, or not 1-in/1-out: the door refuses it
-            case.impl.step_method(method)
+        if step is None:  # a name's first step passes the door
+            m = case.impl.step_method(method)
+            step = methods[method] = (m.run, case.spec.method(method).run, m.sig, m.sig.members)
         impl_run, spec_run, sig, members = step
         try:
             if members.get(arg) is not arg:
@@ -589,10 +583,11 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
     ``true`` and ``false``, double-quoted strings, ``()`` for unit, or the
     name of a function in the method's domain (`coalgebra.arg_literal`);
     each is looked up in its method's `MethodSig.literals`, so every
-    argument a report prints reads back. The trace runs from the case's
-    first seed.
+    argument a report prints reads back. Each line's method passes
+    `Coalgebra.step_method`; a name it refuses (unknown, or not 1-in/1-out)
+    and a literal outside the table raise `TraceParseError` at their line
+    and column. The trace runs from the case's first seed.
     """
-    table = case.impl.sig_table
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -600,10 +595,13 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
             continue
         name = stripped.split(None, 1)[0]
         column = raw.index(name) + 1
-        if name not in table:
-            raise TraceParseError(line_no, column, f"unknown method {name!r}")
+        try:
+            literals = case.impl.step_method(name).sig.literals
+        except UnknownMethod:
+            raise TraceParseError(line_no, column, f"unknown method {name!r}") from None
+        except UnsupportedArity as err:
+            raise TraceParseError(line_no, column, str(err)) from None
         rest = stripped[len(name):].strip()
-        literals = table[name].literals
         if rest not in literals:
             problem = f"argument {rest!r} is not in the domain of" if rest else "missing argument for"
             arg_col = len(raw.rstrip()) - len(rest) + 1

@@ -241,8 +241,8 @@ class Coalgebra:
 
     With no seed or no method it has no square, so it is refused
     (`ValueError`). `method` resolves any method by name; `step_method` is
-    the one door for a step that threads one state (traces, pairs,
-    translations, substrate calls).
+    the one door for a step that threads one state (trace files and
+    traces, pairs, translations, substrate calls).
     """
 
     state_domain: StateDomain
@@ -267,19 +267,15 @@ class Coalgebra:
             raise UnknownMethod(name) from None
 
     def step_method(self, name: str) -> Method:
-        """The door rule for methods of a one-state step (trace steps,
-        pairs, translations, substrate calls): `UnknownMethod` for a missing
-        name, `UnsupportedArity` (``split is 1-in/2-out, not 1-in/1-out``)
-        for a method that is not 1-in/1-out."""
+        """The door rule for methods of a one-state step (trace file lines,
+        trace steps, pairs, translations, substrate calls): `UnknownMethod`
+        for a missing name, `UnsupportedArity` (``split is 1-in/2-out, not
+        1-in/1-out``) for a method that is not 1-in/1-out."""
         m = self.method(name)
         if not m.sig.sequential:
             arity = f"{m.sig.in_arity}-in/{m.sig.out_arity}-out"
             raise UnsupportedArity(f"{name} is {arity}, not 1-in/1-out")
         return m
-
-    @property
-    def sig_table(self) -> Dict[str, MethodSig]:
-        return {m.sig.name: m.sig for m in self.methods}
 
 
 class Mode(Enum):
@@ -328,10 +324,10 @@ class VerificationCase:
         for name in sorted(impl_sigs.keys() | spec_sigs.keys()):
             if impl_sigs.get(name) != spec_sigs.get(name):
                 raise ValueError(f"{self.name}: impl and spec disagree on the signature of {name}")
-        for sig in self.impl.sig_table.values():
-            if max(sig.in_arity, sig.out_arity) > 1 and not self.monoid.is_commutative:
+        for m in self.impl.methods:
+            if max(m.sig.in_arity, m.sig.out_arity) > 1 and not self.monoid.is_commutative:
                 raise NonCommutativeTensor(
-                    f"{self.name}: method {sig.name} has multiple state slots "
+                    f"{self.name}: method {m.sig.name} has multiple state slots "
                     f"but monoid {self.monoid.name} is not commutative"
                 )
         if self.phi.mode is Mode.COLAX and not self.monoid.ordered:

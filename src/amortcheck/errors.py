@@ -21,7 +21,7 @@ class ArityMismatch(AmortError):
 
 
 class UnknownMethod(AmortError):
-    """Method name absent from a coalgebra's signature table."""
+    """Method name absent from a coalgebra's methods."""
 
 
 class OrderUnavailable(AmortError):
@@ -29,9 +29,10 @@ class OrderUnavailable(AmortError):
 
 
 class UnsupportedArity(AmortError):
-    """Operation restricted to 1-in/1-out methods (traces, pairing, substrate
-    calls), refused by `Coalgebra.step_method` with one message; a law that
-    branches where one outcome is due is an `ArityMismatch` instead."""
+    """Operation restricted to 1-in/1-out methods (trace files, traces,
+    pairing, translations, substrate calls), refused by
+    `Coalgebra.step_method` with one message; a law that branches where one
+    outcome is due is an `ArityMismatch` instead."""
 
 
 class StepBudgetExceeded(AmortError):

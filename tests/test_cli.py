@@ -201,6 +201,25 @@ def test_trace_parse_error_reports_line_and_column(tmp_path, capsys):
     assert err.startswith(f"error: {trace}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("merge ()", "column 1: merge is 2-in/1-out, not 1-in/1-out"),
+        ("  split ()", "column 3: split is 1-in/2-out, not 1-in/1-out"),
+        ("bogus ()", "column 1: unknown method 'bogus'"),
+        ("deposit 7", "column 9: argument '7' is not in the domain of 'deposit'"),
+        ("deposit", "column 8: missing argument for 'deposit'"),
+    ],
+)
+def test_trace_file_line_the_door_refuses_is_placed(tmp_path, capsys, line, message):
+    # `Coalgebra.step_method` is the parser's door: its message, at the line.
+    trace = tmp_path / "t.txt"
+    trace.write_text(f"# piggy\n{line}\n")
+    code, out, err = run(capsys, "trace", "piggy", "--file", str(trace))
+    assert (code, out) == (2, "")
+    assert err == f"error: {trace}: line 2, {message}\n"
+
+
 def test_trace_missing_file_is_usage_error(capsys):
     code, out, err = run(capsys, "trace", "buffer", "--file", "/nonexistent/t.txt")
     assert code == 2 and out == ""

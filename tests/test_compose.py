@@ -91,7 +91,7 @@ def test_alloc16_via_8_is_its_first_stage_with_a_composed_potential():
     assert case.monoid is NAT_COST and case.phi.mode is Mode.EXACT
     for got, want in ((case.impl, cyclic_allocator(16)), (case.spec, stage2.spec)):
         assert got.state_domain == want.state_domain and got.seeds == want.seeds
-        assert got.sig_table == want.sig_table
+        assert [m.sig for m in got.methods] == [m.sig for m in want.methods]
         for s in got.seeds:
             assert got.method("alloc").run((s,), UNIT) == want.method("alloc").run((s,), UNIT)
     assert case.impl.state_invariant is not None
@@ -202,7 +202,7 @@ def test_pair_methods_are_named_by_their_side():
             for m in getattr(part, side).methods
         ]
         assert [m.sig for m in getattr(paired, side).methods] == want
-    assert list(paired.impl.sig_table) == ["left.push", "left.pop", "right.alloc"]
+    assert [m.sig.name for m in paired.impl.methods] == ["left.push", "left.pop", "right.alloc"]
 
 
 def test_a_trace_that_stops_on_both_sides_ends_with_no_potential():
