@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from .checker import Report, SquareCheck, TraceMismatch, check_trace, explore, parse_trace
 from .coalgebra import Mode, VerificationCase
 from .errors import AmortError, TraceParseError
-from .registry import REGISTRY, get_case, registered_names
+from .registry import CONTROLS, REGISTRY, get_case, registered_names
 
 CSV_HEADER = "case,mode,states,squares,verdict,slack_max"
 
@@ -156,11 +156,10 @@ def _output_reports(reports: List[Report], args) -> None:
 
 def _cmd_list() -> int:
     rows = []
-    for name in registered_names():
-        entry = REGISTRY[name]
-        case = entry.factory()
+    for name, factory in REGISTRY.items():
+        case = factory()
         tags = [case.phi.mode.value, case.monoid.name]
-        if entry.negative:
+        if name in CONTROLS:
             tags.append("negative-control")
         rows.append(f"{name:<22} {' '.join(tags)}")
     print("\n".join(rows))

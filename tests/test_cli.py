@@ -12,6 +12,7 @@ import pytest
 from amortcheck import Mode, VerificationCase, get_case, registered_names
 from amortcheck import cli
 from amortcheck.cli import CSV_HEADER, _csv_rows, main
+from amortcheck.registry import CASES, CONTROLS
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED_ALL_CSV = ROOT / "perfbench" / "expected" / "all.csv"
@@ -40,6 +41,14 @@ def test_every_registered_case_carries_its_registry_name():
     # `verify` and `all` print the case's own name; README keys by the registry's.
     for name in registered_names():
         assert get_case(name).name == name
+
+
+def test_cases_and_controls_share_no_name():
+    # A shared name would keep the control's factory in REGISTRY while `all`,
+    # which runs `registered_names(False)`, still listed it as a case.
+    assert not CASES.keys() & CONTROLS.keys()
+    assert registered_names(False) == list(CASES)
+    assert registered_names() == list(CASES) + list(CONTROLS)
 
 
 def test_verify_help_states_the_bound_defaults(capsys):
