@@ -111,10 +111,42 @@ class Report:
 
 @dataclass(frozen=True)
 class Trace:
-    """An operation sequence: (method name, argument) steps from a seed."""
+    """An operation sequence: (method name, argument) steps from a seed.
+
+    A trace stores each typed-distinct step once: `steps` is rebuilt as a
+    tuple in which every step typed-identical to an earlier one is that
+    earlier step object, so a long trace over a small domain holds a few
+    pairs. Two steps are typed-identical when both are exact 2-tuples with
+    the same exact-str method name and their arguments are an exact str,
+    int or bool of one type and value (``True`` is not ``1``), or both
+    ``()``, or one object (a `NamedFn`, an unhashable value, anything
+    else). A step of any other shape is kept as given, for `check_trace`
+    to refuse at its own step. Sharing changes no step's value, so
+    equality, hash and repr are as they were.
+    """
 
     steps: Tuple[Tuple[str, Any], ...]
     seed_index: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", _shared_steps(self.steps))
+
+
+def _shared_steps(steps) -> tuple:
+    """`steps` with each typed-identical step the first of its kind (see `Trace`)."""
+    by_type = {str: {}, int: {}, bool: {}, tuple: {}}  # exact arg type -> {step: step}
+    by_id = {}  # (method, id(arg)) -> step, which keeps arg alive: no id is reused
+    shared = []
+    for step in steps:
+        if type(step) is tuple and len(step) == 2 and type(step[0]) is str:
+            arg = step[1]
+            table = by_type.get(type(arg))
+            if table is not None and (type(arg) is not tuple or not arg):
+                step = table.setdefault(step, step)
+            else:
+                step = by_id.setdefault((step[0], id(arg)), step)
+        shared.append(step)
+    return tuple(shared)
 
 
 def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
@@ -461,15 +493,17 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
     successor state, and a point law stands for its one outcome while a
     law that branches raises `ArityMismatch`; an outcome of type exactly
     `Continue` with one state is its own, with no call. The trace's
-    `seed_index` must index the case's seeds (else `ValueError`).
+    `seed_index` must be an exact int indexing the case's seeds (else
+    `ValueError`, for ``True`` and ``1.0`` too).
 
     Each step passes the door before it runs, the steps after a Stop or a
     failing observable too: its method through `Coalgebra.step_method`, its
     argument through `MethodSig.admits`. A refused step raises after the
-    steps before it ran.
+    steps before it ran. Every step runs and is counted, a step the trace
+    stores once (`Trace`) as often as it occurs.
     """
     seeds = case.impl.seeds
-    if not 0 <= trace.seed_index < len(seeds):
+    if type(trace.seed_index) is not int or not 0 <= trace.seed_index < len(seeds):
         raise ValueError(f"{case.name}: seed_index must lie in range({len(seeds)})")
     t0 = time.perf_counter()
     mode, monoid = case.phi.mode, case.monoid
@@ -587,10 +621,21 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
     `Coalgebra.step_method`; a name it refuses (unknown, or not 1-in/1-out)
     and a literal outside the table raise `TraceParseError` at their line
     and column. The trace runs from the case's first seed.
+
+    Lines with one stripped text give one step object: a repeated line
+    reuses the step its first occurrence built, with no split or lookup,
+    and a refused line raises before anything is kept for it. `Trace` then
+    shares typed-identical steps across texts (``push "a"`` and
+    ``push  "a"``).
     """
     steps = []
+    parsed = {}  # stripped line text -> its step; a refused line raises first
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
+        step = parsed.get(stripped)
+        if step is not None:
+            steps.append(step)
+            continue
         if not stripped or stripped.startswith("#"):
             continue
         name = stripped.split(None, 1)[0]
@@ -606,5 +651,6 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
             problem = f"argument {rest!r} is not in the domain of" if rest else "missing argument for"
             arg_col = len(raw.rstrip()) - len(rest) + 1
             raise TraceParseError(line_no, arg_col, f"{problem} {name!r}")
-        steps.append((name, literals[rest]))
+        step = parsed[stripped] = (name, literals[rest])
+        steps.append(step)
     return Trace(tuple(steps))

@@ -6,6 +6,7 @@ frozen here; exploration results are cross-checked against those.
 """
 
 import random
+import tracemalloc
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -54,6 +55,7 @@ from amortcheck import (
 )
 from amortcheck import coalgebra
 from amortcheck.checker import _tuples_with_max, arg_literal
+from amortcheck.coalgebra import NamedFn
 from amortcheck.compose import SubstrateRun
 from amortcheck.encoding import encode, typed_eq
 from amortcheck.registry import registered_names
@@ -570,11 +572,90 @@ def test_trace_stop_on_one_side_only_ends_the_trace_there(side):
     assert report.slack_max is None  # no telescoped total on a mismatch
 
 
-@pytest.mark.parametrize("seed_index", [-1, 8])
+@pytest.mark.parametrize("seed_index", [-1, 8, True, 1.0])  # an exact int only
 def test_trace_rejects_a_seed_index_out_of_range(seed_index):
     trace = Trace((("alloc", UNIT),), seed_index=seed_index)
     with pytest.raises(ValueError, match=r"allocator: seed_index must lie in range\(8\)"):
         check_trace(allocator_case(), trace)
+
+
+def _pair(method, arg):
+    """A step built at run time, never a compiled constant shared by the caller."""
+    return tuple([method, arg])
+
+
+def _fresh_deque_steps(n, seed):
+    sigs = [m.sig for m in get_case("deque").impl.methods if m.sig.sequential]
+    rng = random.Random(seed)
+    return [_pair(s.name, rng.choice(s.arg_domain)) for s in (rng.choice(sigs) for _ in range(n))]
+
+
+def test_a_long_trace_stores_each_distinct_step_once():
+    # 100,000 fresh pairs over deque's 6 steps: the trace keeps 6 pair
+    # objects and its tuple of references, and the fresh pairs are freed.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = _fresh_deque_steps(100_000, 33)
+        trace = Trace(tuple(fresh))
+        del fresh
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len({id(step) for step in trace.steps}) == len(set(trace.steps)) <= 6
+    assert kept < 2**20
+    assert trace.steps == tuple(_fresh_deque_steps(100_000, 33))
+
+
+def test_trace_shares_only_typed_identical_steps():
+    fn, twin = NamedFn("double", lambda x: 2 * x), NamedFn("double", lambda x: 2 * x)
+    items = [0], [0]
+    steps = (
+        _pair("tick", True), _pair("tick", 1), _pair("tick", True), _pair("tick", 1),
+        _pair("tick", UNIT), _pair("tick", ()), _pair("tick", "a"), _pair("tock", "a"),
+        _pair("map", fn), _pair("map", twin), _pair("map", fn),
+        _pair("put", items[0]), _pair("put", items[1]), _pair("put", items[0]),
+        _pair("tick", float(1)), _pair("tick", float(1)),  # two float objects
+    )
+    shared = Trace(steps).steps
+    assert shared == steps
+    assert [type(arg) for _, arg in shared[:4]] == [bool, int, bool, int]
+    assert shared[0] is shared[2] and shared[1] is shared[3] and shared[0] is not shared[1]
+    assert shared[4] is shared[5] and shared[6] is not shared[7]
+    assert shared[8] is shared[10] and shared[9] is not shared[8] and shared[9][1] is twin
+    assert shared[11] is shared[13] and shared[12] is not shared[11]
+    assert shared[14] is steps[14] and shared[15] is steps[15]  # a float shares by object only
+    assert len({id(step) for step in shared}) == 11
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(("pop",), ValueError), (("push", "a", "b"), ValueError), (7, TypeError)],
+    ids=["one-item", "three-items", "not-a-pair"],
+)
+def test_a_malformed_step_is_kept_and_raises_at_its_own_step(bad, error):
+    case, counts = _counted(get_case("stack"))
+    steps = (_pair("push", "a"), _pair("push", "a"), bad, _pair("push", "a"))
+    trace = Trace(steps)
+    assert trace.steps[2] is bad and trace.steps[1] is trace.steps[0]
+    with pytest.raises(error):
+        check_trace(case, trace)
+    assert counts["impl"] == counts["spec"] == 2
+
+
+def test_a_seeded_random_trace_draws_as_before():
+    # Frozen from the tree before traces shared their steps.
+    deque = random_trace(get_case("deque"), 24, random.Random(1033))
+    assert deque == Trace((
+        ("push_back", "b"), ("pop_back", UNIT), ("push_front", "a"), ("push_front", "b"),
+        ("pop_back", UNIT), ("push_back", "a"), ("push_back", "b"), ("push_front", "a"),
+        ("pop_back", UNIT), ("push_front", "b"), ("pop_back", UNIT), ("pop_back", UNIT),
+        ("pop_front", UNIT), ("pop_front", UNIT), ("push_back", "b"), ("pop_front", UNIT),
+        ("push_front", "a"), ("pop_front", UNIT), ("push_front", "b"), ("pop_front", UNIT),
+    ))
+    assert len({id(step) for step in deque.steps}) == 6
+    alloc = random_trace(get_case("allocator"), 6, random.Random(1033))
+    assert alloc == Trace((("alloc", UNIT),) * 5, seed_index=2)
 
 
 def test_trace_naming_an_unknown_method_raises():
@@ -913,6 +994,30 @@ def test_parse_trace_and_errors():
     with pytest.raises(TraceParseError) as err:
         parse_trace(case, "write\n")
     assert err.value.line == 1 and err.value.column == 6
+
+
+def test_parse_trace_keeps_one_step_per_line_text():
+    case = get_case("stack")
+    trace = parse_trace(case, 'push "a"\n' * 3 + '  push "a"\t\n\tpush  "a"\npop ()\n# x\npop ()\n')
+    assert trace.steps == (("push", "a"),) * 5 + (("pop", UNIT),) * 2
+    assert len({id(step) for step in trace.steps}) == 2
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ('push "zz"\n', "line 7, column 6: argument '\"zz\"' is not in the domain of 'push'"),
+        ("  pop  7\n", "line 7, column 8: argument '7' is not in the domain of 'pop'"),
+        ("pup ()\n", "line 7, column 1: unknown method 'pup'"),
+    ],
+    ids=["push-zz", "pop-7", "unknown"],
+)
+def test_a_bad_line_after_repeated_lines_keeps_its_diagnostic(tail, message):
+    # Messages frozen from the tree before lines shared their steps.
+    text = 'push "a"\n' * 3 + '  push "a"\n' + "\tpop ()  \n" * 2 + tail
+    with pytest.raises(TraceParseError) as err:
+        parse_trace(get_case("stack"), text)
+    assert str(err.value) == message
 
 
 def test_parse_trace_unit_and_int_literals():
