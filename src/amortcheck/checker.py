@@ -113,40 +113,30 @@ class Report:
 class Trace:
     """An operation sequence: (method name, argument) steps from a seed.
 
-    A trace stores each typed-distinct step once: `steps` is rebuilt as a
-    tuple in which every step typed-identical to an earlier one is that
-    earlier step object, so a long trace over a small domain holds a few
-    pairs. Two steps are typed-identical when both are exact 2-tuples with
-    the same exact-str method name and their arguments are an exact str,
-    int or bool of one type and value (``True`` is not ``1``), or both
-    ``()``, or one object (a `NamedFn`, an unhashable value, anything
-    else). A step of any other shape is kept as given, for `check_trace`
-    to refuse at its own step. Sharing changes no step's value, so
-    equality, hash and repr are as they were.
+    A trace stores each distinct step once: when `steps` is a tuple, steps
+    with the same method name and the same argument object are rebuilt as
+    one pair, the first. A long trace over a small domain then holds a few
+    pairs. A step that is not a 2-tuple with a str name is kept as given,
+    for `check_trace` to refuse at its own step. Sharing changes no value.
     """
 
     steps: Tuple[Tuple[str, Any], ...]
     seed_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _shared_steps(self.steps))
+        if type(self.steps) is tuple:
+            object.__setattr__(self, "steps", _shared_steps(self.steps))
 
 
-def _shared_steps(steps) -> tuple:
-    """`steps` with each typed-identical step the first of its kind (see `Trace`)."""
-    by_type = {str: {}, int: {}, bool: {}, tuple: {}}  # exact arg type -> {step: step}
-    by_id = {}  # (method, id(arg)) -> step, which keeps arg alive: no id is reused
-    shared = []
-    for step in steps:
-        if type(step) is tuple and len(step) == 2 and type(step[0]) is str:
-            arg = step[1]
-            table = by_type.get(type(arg))
-            if table is not None and (type(arg) is not tuple or not arg):
-                step = table.setdefault(step, step)
-            else:
-                step = by_id.setdefault((step[0], id(arg)), step)
-        shared.append(step)
-    return tuple(shared)
+def _shared_steps(steps: tuple) -> tuple:
+    """`steps` with each step the first of its (method name, argument object)."""
+    first = {}  # (method, id(arg)) -> step, which keeps arg alive: no id is reused
+    return tuple(
+        first.setdefault((step[0], id(step[1])), step)
+        if type(step) is tuple and len(step) == 2 and type(step[0]) is str
+        else step
+        for step in steps
+    )
 
 
 def _mk_check(case, method, inputs, arg, square) -> SquareCheck:
@@ -620,22 +610,12 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
     argument a report prints reads back. Each line's method passes
     `Coalgebra.step_method`; a name it refuses (unknown, or not 1-in/1-out)
     and a literal outside the table raise `TraceParseError` at their line
-    and column. The trace runs from the case's first seed.
-
-    Lines with one stripped text give one step object: a repeated line
-    reuses the step its first occurrence built, with no split or lookup,
-    and a refused line raises before anything is kept for it. `Trace` then
-    shares typed-identical steps across texts (``push "a"`` and
-    ``push  "a"``).
+    and column. The trace runs from the case's first seed; each argument
+    is the domain member itself, so `Trace` stores a repeated step once.
     """
     steps = []
-    parsed = {}  # stripped line text -> its step; a refused line raises first
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        step = parsed.get(stripped)
-        if step is not None:
-            steps.append(step)
-            continue
         if not stripped or stripped.startswith("#"):
             continue
         name = stripped.split(None, 1)[0]
@@ -651,6 +631,5 @@ def parse_trace(case: VerificationCase, text: str) -> Trace:
             problem = f"argument {rest!r} is not in the domain of" if rest else "missing argument for"
             arg_col = len(raw.rstrip()) - len(rest) + 1
             raise TraceParseError(line_no, arg_col, f"{problem} {name!r}")
-        step = parsed[stripped] = (name, literals[rest])
-        steps.append(step)
+        steps.append((name, literals[rest]))
     return Trace(tuple(steps))

@@ -593,6 +593,7 @@ def _fresh_deque_steps(n, seed):
 def test_a_long_trace_stores_each_distinct_step_once():
     # 100,000 fresh pairs over deque's 6 steps: the trace keeps 6 pair
     # objects and its tuple of references, and the fresh pairs are freed.
+    started = not tracemalloc.is_tracing()  # leave a runner's own tracing on
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -601,21 +602,24 @@ def test_a_long_trace_stores_each_distinct_step_once():
         del fresh
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     assert len({id(step) for step in trace.steps}) == len(set(trace.steps)) <= 6
     assert kept < 2**20
     assert trace.steps == tuple(_fresh_deque_steps(100_000, 33))
 
 
-def test_trace_shares_only_typed_identical_steps():
+def test_trace_shares_steps_of_one_name_and_argument_object():
     fn, twin = NamedFn("double", lambda x: 2 * x), NamedFn("double", lambda x: 2 * x)
     items = [0], [0]
+    ab, ab_twin = "".join(["a", "b"]), "".join(["a", "b"])  # equal, two objects
     steps = (
         _pair("tick", True), _pair("tick", 1), _pair("tick", True), _pair("tick", 1),
         _pair("tick", UNIT), _pair("tick", ()), _pair("tick", "a"), _pair("tock", "a"),
         _pair("map", fn), _pair("map", twin), _pair("map", fn),
         _pair("put", items[0]), _pair("put", items[1]), _pair("put", items[0]),
         _pair("tick", float(1)), _pair("tick", float(1)),  # two float objects
+        _pair("push", ab), _pair("push", ab_twin),
     )
     shared = Trace(steps).steps
     assert shared == steps
@@ -624,8 +628,18 @@ def test_trace_shares_only_typed_identical_steps():
     assert shared[4] is shared[5] and shared[6] is not shared[7]
     assert shared[8] is shared[10] and shared[9] is not shared[8] and shared[9][1] is twin
     assert shared[11] is shared[13] and shared[12] is not shared[11]
-    assert shared[14] is steps[14] and shared[15] is steps[15]  # a float shares by object only
-    assert len({id(step) for step in shared}) == 11
+    assert shared[14] is steps[14] and shared[15] is steps[15]
+    assert shared[16] is steps[16] and shared[17] is steps[17]
+    assert len({id(step) for step in shared}) == 13
+
+
+def test_a_trace_built_from_a_list_keeps_it():
+    steps = [("push", "a"), ("push", "a")]
+    trace = Trace(steps)
+    assert trace.steps is steps
+    assert trace == Trace([("push", "a"), ("push", "a")]) != Trace(tuple(steps))
+    with pytest.raises(TypeError):
+        hash(trace)
 
 
 @pytest.mark.parametrize(
@@ -996,7 +1010,7 @@ def test_parse_trace_and_errors():
     assert err.value.line == 1 and err.value.column == 6
 
 
-def test_parse_trace_keeps_one_step_per_line_text():
+def test_parse_trace_shares_repeated_steps():
     case = get_case("stack")
     trace = parse_trace(case, 'push "a"\n' * 3 + '  push "a"\t\n\tpush  "a"\npop ()\n# x\npop ()\n')
     assert trace.steps == (("push", "a"),) * 5 + (("pop", UNIT),) * 2
@@ -1013,7 +1027,7 @@ def test_parse_trace_keeps_one_step_per_line_text():
     ids=["push-zz", "pop-7", "unknown"],
 )
 def test_a_bad_line_after_repeated_lines_keeps_its_diagnostic(tail, message):
-    # Messages frozen from the tree before lines shared their steps.
+    # Messages frozen from the tree before traces shared their steps.
     text = 'push "a"\n' * 3 + '  push "a"\n' + "\tpop ()  \n" * 2 + tail
     with pytest.raises(TraceParseError) as err:
         parse_trace(get_case("stack"), text)
