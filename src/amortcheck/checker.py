@@ -16,12 +16,11 @@ outcome distributions; a deterministic transition is the point-distribution
 case of the same square.
 """
 
-import random
 import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .charged import Charged, Dist, expect, tensor
 from .coalgebra import (
@@ -42,6 +41,9 @@ from .errors import (
     UnknownMethod,
     UnsupportedArity,
 )
+
+if TYPE_CHECKING:  # `random_trace`'s annotation only: not imported at start-up
+    import random
 
 
 class Verdict(Enum):
@@ -180,7 +182,8 @@ def _square_for(case: VerificationCase, failed=None):
 
     Behaviour compares by typed identity. A `Dist` compares its outcomes'
     encodings. Two observables agree when they are one object (a shared
-    ``()`` or alphabet string: one ``is`` per square) or when `typed_eq`
+    ``()``, or an element popped from a word, which is its `ALPHABET`
+    member: one ``is`` per square) or when `typed_eq`
     holds, so ``True`` is not ``1``. The spec states of a deterministic
     square compare by ``==``: keying them too made `all` a third slower.
 
@@ -585,7 +588,7 @@ def check_trace(case: VerificationCase, trace: Trace) -> Report:
 
 
 def random_trace(
-    case: VerificationCase, max_steps: int, rng: random.Random
+    case: VerificationCase, max_steps: int, rng: "random.Random"
 ) -> Trace:
     """A random trace over the case's sequential methods and argument domains."""
     sequential = [m.sig for m in case.impl.methods if m.sig.sequential]

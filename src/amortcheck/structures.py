@@ -7,6 +7,14 @@ Each transition builds its outcome directly, as
 ``charge(cost, Continue(obs, (successor,)))``, or ``charge(0, STOP)``.
 Element alphabets are fixed two-symbol sets so exhaustive exploration stays
 small while still distinguishing order-sensitive mistakes.
+
+Every list-backed carrier holds its sequences as `str` words over
+`ALPHABET`, one character per element: a push or a pop copies the word's
+bytes, not a tuple's references. `ALPHABET` is ``tuple("ab")``, not the
+literals ``("a", "b")``, because CPython gives back one shared object for
+each one-character string indexed out of a word: a popped element is then
+the member itself, which keeps `MethodSig.admits` on its member lookup
+and the observable test of a square on its ``is``.
 """
 
 import itertools
@@ -32,7 +40,7 @@ from .coalgebra import (
 )
 from .cost import NAT_COST, RATIONAL_COST, TRACE_COST
 
-ALPHABET: Tuple[str, ...] = ("a", "b")
+ALPHABET: Tuple[str, ...] = tuple("ab")
 
 UPDATE_FNS: Tuple[NamedFn, ...] = (
     NamedFn("id", lambda e: e),
@@ -184,8 +192,8 @@ def varying_cost_case(defect_at: Optional[int] = None) -> VerificationCase:
 def _array_push(states, e):
     ((n, items),) = states
     if len(items) + 1 == 2 ** (n + 1) - 1:
-        return charge(3 + len(items), Continue(UNIT, ((n + 1, items + (e,)),)))
-    return charge(1, Continue(UNIT, ((n, items + (e,)),)))
+        return charge(3 + len(items), Continue(UNIT, ((n + 1, items + e),)))
+    return charge(1, Continue(UNIT, ((n, items + e),)))
 
 
 def array_potential(state) -> int:
@@ -207,13 +215,13 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
 
         def impl_update(states, f):
             ((n, items),) = states
-            return charge(len(items), Continue(UNIT, ((n, tuple(f(x) for x in items)),)))
+            return charge(len(items), Continue(UNIT, ((n, "".join(map(f, items))),)))
 
         impl_methods.append(Method(update_sig, impl_update))
 
     impl = Coalgebra(
         StateDomain("bounded-array"),
-        ((0, ()),),
+        ((0, ""),),
         tuple(impl_methods),
         state_invariant=lambda s: 2 ** s[0] - 1 <= len(s[1]) < 2 ** (s[0] + 1) - 1,
     )
@@ -246,17 +254,18 @@ def dynamic_array_case(with_update: bool = False) -> VerificationCase:
 
 # ---------------------------------------------------------------------------
 # The list specification: every list-backed structure is checked against
-# plain lists with a constant cost per operation. Each factory makes one
+# plain lists with a constant cost per operation. A list is a word over
+# `ALPHABET`, its front first; the empty list is "". Each factory makes one
 # transition at a fixed `cost`: push the argument at an end, or pop an end
 # and observe its element; a pop Stops, free, on the empty list.
 
 
 def push_front(cost):
-    return lambda states, e: charge(cost, Continue(UNIT, ((e,) + states[0],)))
+    return lambda states, e: charge(cost, Continue(UNIT, (e + states[0],)))
 
 
 def push_back(cost):
-    return lambda states, e: charge(cost, Continue(UNIT, (states[0] + (e,),)))
+    return lambda states, e: charge(cost, Continue(UNIT, (states[0] + e,)))
 
 
 def pop_front(cost):
@@ -277,7 +286,7 @@ def pop_back(cost):
 
 def list_spec(*methods: Method) -> Coalgebra:
     """The list coalgebra, seeded with the empty list, with these methods."""
-    return Coalgebra(StateDomain("list"), ((),), methods)
+    return Coalgebra(StateDomain("list"), ("",), methods)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +311,7 @@ def stack_case() -> VerificationCase:
 
     impl = Coalgebra(
         StateDomain("bounded-array"),
-        ((0, ()),),
+        ((0, ""),),
         (Method(push_sig, _array_push), Method(pop_sig, impl_pop)),
         state_invariant=lambda s: len(s[1]) < 2 ** (s[0] + 1) - 1,
     )
@@ -342,7 +351,7 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
 
     def impl_enqueue(states, e):
         ((inbox, outbox),) = states
-        return charge(0, Continue(UNIT, (((e,) + inbox, outbox),)))
+        return charge(0, Continue(UNIT, ((e + inbox, outbox),)))
 
     def impl_dequeue(states, arg):
         ((inbox, outbox),) = states
@@ -351,11 +360,11 @@ def batched_queue_case(reverse_cost_per_element: int) -> VerificationCase:
         flushed = inbox[::-1]
         if not flushed:
             return charge(0, STOP)
-        return charge(per * len(inbox), Continue(flushed[0], (((), flushed[1:]),)))
+        return charge(per * len(inbox), Continue(flushed[0], (("", flushed[1:]),)))
 
     impl = Coalgebra(
         StateDomain("list-pair"),
-        (((), ()),),
+        (("", ""),),
         (Method(enq_sig, impl_enqueue), Method(deq_sig, impl_dequeue)),
     )
 
@@ -397,11 +406,11 @@ def deque_case() -> VerificationCase:
     # back list is the deque's last element.
     def impl_push_front(states, e):
         ((f, b),) = states
-        return charge(1, Continue(UNIT, (((e,) + f, b),)))
+        return charge(1, Continue(UNIT, ((e + f, b),)))
 
     def impl_push_back(states, e):
         ((f, b),) = states
-        return charge(1, Continue(UNIT, ((f, (e,) + b),)))
+        return charge(1, Continue(UNIT, ((f, e + b),)))
 
     def impl_pop_front(states, arg):
         ((f, b),) = states
@@ -427,7 +436,7 @@ def deque_case() -> VerificationCase:
 
     impl = Coalgebra(
         StateDomain("list-pair"),
-        (((), ()),),
+        (("", ""),),
         (
             Method(pf_sig, impl_push_front),
             Method(pb_sig, impl_push_back),

@@ -56,7 +56,7 @@ def test_criterion_01_allocator_exactness(explored):
 
 def test_criterion_02_dynamic_array_pushes():
     case = dynamic_array_case(False)
-    state = (0, ())
+    state = (0, "")
     total = 0
     ok = True
     for m in range(1, 257):
@@ -87,7 +87,7 @@ def test_criterion_03_queue_dichotomy(explored):
     lax_colax = batched_queue_case(1)
     for length in range(1, 7):
         for inbox in itertools.product("ab", repeat=length):
-            state = (inbox, ())
+            state = ("".join(inbox), "")
             ok = ok and check_square(exact_case, "dequeue", (state,)).verdict is Verdict.PASS
             ok = ok and check_square(lax_colax, "dequeue", (state,)).verdict is Verdict.PASS
             bad = check_square(lax_exact, "dequeue", (state,))
@@ -188,10 +188,10 @@ def test_criterion_08_composition_pipeline(explored):
     ok = ok and queue.passed and queue.mode is Mode.EXACT
 
     case = queue_via_stacks_case()
-    enq = case.spec.method("enqueue").run(((),), "a")
-    deq = case.spec.method("dequeue").run((("a",),), UNIT)
+    enq = case.spec.method("enqueue").run(("",), "a")
+    deq = case.spec.method("dequeue").run(("a",), UNIT)
     ok = ok and enq.cost == 8 and deq.cost == 2  # derived costs
-    ok = ok and case.phi.phi((("a", "b"), ())).cost == 10  # 5 per inbox element
+    ok = ok and case.phi.phi(("ab", "")).cost == 10  # 5 per inbox element
 
     pipeline = explore(queue_via_stacks_case(over="impl"))
     ok = ok and pipeline.passed and pipeline.mode is Mode.COLAX

@@ -85,9 +85,9 @@ def test_allocator_square_at_three():
 
 
 def test_queue_flush_square_dichotomy():
-    # inbox stores newest first; flushing ("a","b") reverses two elements.
+    # inbox stores newest first; flushing "ab" reverses two elements.
     # lhs = 2*2 + 0 = 4; rhs = per_element*2 + phi(empty inbox) = per*2.
-    state = (("a", "b"), ())
+    state = ("ab", "")
     lax = batched_queue_case(1)
     exact_check = check_square(lax.with_mode(Mode.EXACT), "dequeue", (state,))
     assert exact_check.verdict is Verdict.COST_MISMATCH
@@ -103,8 +103,8 @@ def test_queue_flush_square_dichotomy():
 
 def test_check_square_is_deterministic():
     case = get_case("stack")
-    a = check_square(case, "push", ((1, ("a",)),), "b")
-    b = check_square(case, "push", ((1, ("a",)),), "b")
+    a = check_square(case, "push", ((1, "a"),), "b")
+    b = check_square(case, "push", ((1, "a"),), "b")
     assert a == b
 
 
@@ -221,9 +221,9 @@ def test_behavior_mismatch_when_phi_forgets_to_reverse():
         case,
         phi=PotentialMorphism(lambda st: Charged(2 * len(st[0]), st[1] + st[0])),
     )
-    # inbox ("a","b") holds b older than a; forgetting to reverse swaps the
+    # inbox "ab" holds b older than a; forgetting to reverse swaps the
     # dequeue order, so the spec observes the wrong element.
-    check = check_square(wrong, "dequeue", ((("a", "b"), ()),))
+    check = check_square(wrong, "dequeue", (("ab", ""),))
     assert check.verdict is Verdict.BEHAVIOR_MISMATCH
     report = explore(wrong)
     assert not report.passed

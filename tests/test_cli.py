@@ -69,6 +69,9 @@ def test_verify_forced_exact_queue_fails_with_counterexamples(capsys):
     code, out, _ = run(capsys, "verify", "queue-lax", "--mode", "exact")
     assert code == 1
     assert "FAIL" in out and "cost-mismatch" in out
+    # The (inbox, outbox) state is a pair of words.
+    line = '  cost-mismatch: method=dequeue arg=() inputs=[t(s"ab",s"")] lhs_cost=4 rhs_cost=2'
+    assert line in out.splitlines()
 
 
 def test_leaving_out_mode_keeps_each_cases_own_mode():

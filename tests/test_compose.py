@@ -342,12 +342,12 @@ def test_counter_via_stack_passes_exact(explored):
 
 def test_counter_via_stack_square_costs():
     case = counter_via_stack_case()
-    inc = check_square(case, "increment", ((),))
+    inc = check_square(case, "increment", ("",))
     assert inc.lhs.cost == 3 and inc.rhs.cost == 3  # push costs the spec's 3
-    dec_empty = check_square(case, "decrement", ((),))
+    dec_empty = check_square(case, "decrement", ("",))
     assert dec_empty.verdict is Verdict.PASS
     assert dec_empty.lhs.cost == 0 and dec_empty.rhs.cost == 0
-    dec = check_square(case, "decrement", ((("a", "a"),),))
+    dec = check_square(case, "decrement", ("aa",))
     assert dec.lhs.cost == 2 and dec.rhs.cost == 2
 
 
@@ -359,7 +359,7 @@ def test_queue_via_stacks_passes_exact(explored):
 def test_queue_via_stacks_flush_square():
     case = queue_via_stacks_case()
     # two elements in the inbox stack, outbox empty: flush costs 5 each + 2
-    state = ((("b", "a"), ()),)
+    state = (("ba", ""),)
     check = check_square(case, "dequeue", state)
     assert check.verdict is Verdict.PASS
     assert check.lhs.cost == 12 and check.rhs.cost == 12
@@ -367,7 +367,7 @@ def test_queue_via_stacks_flush_square():
 
 def test_queue_via_stacks_dequeue_on_empty_pair_stops():
     case = queue_via_stacks_case()
-    check = check_square(case, "dequeue", (((), ()),))
+    check = check_square(case, "dequeue", (("", ""),))
     assert check.verdict is Verdict.PASS
     assert check.lhs.cost == 0 and check.rhs.cost == 0
 
@@ -391,11 +391,11 @@ def test_translation_flush_cost_is_the_sum_of_substrate_costs():
             sub.call("right.push", moved)
         return sub.call("right.pop")
 
-    sub = SubstrateRun(base.spec, NAT_COST, (("a", "b"), ()))
+    sub = SubstrateRun(base.spec, NAT_COST, ("ab", ""))
     got = dequeue(sub, UNIT)
     # failed pop 0, two pop+push moves 2*(2+3), emptiness probe 0, final pop 2
     assert sub.cost == 0 + 2 * (2 + 3) + 0 + 2 == 12
-    assert (got, sub.state) == ("b", ((), ("a",)))
+    assert (got, sub.state) == ("b", ("", "a"))
 
 
 def _substrate(sig, outcome):
@@ -427,7 +427,7 @@ def test_substrate_calls_need_one_in_one_out_methods():
 )
 def test_substrate_calls_refuse_an_argument_outside_the_domain(arg, literal):
     # The refused call does not run: state, cost and call count stay as the push left them.
-    sub = SubstrateRun(stack_case().spec, NAT_COST, ())
+    sub = SubstrateRun(stack_case().spec, NAT_COST, "")
     assert sub.call("push", "a") is UNIT
     state, cost = sub.state, sub.cost
     with pytest.raises(ArityMismatch, match=rf"^push: argument {literal} is not in its domain$"):

@@ -984,7 +984,7 @@ def test_a_stop_ends_the_pair_beside_the_other_potential():
     report = explore(pair_cases(get_case("queue-exact"), allocator))
     assert (report.failures, report.squares_checked) == (7, 16_416)
     assert {(c.method, c.inputs[0][0]) for c in report.counterexamples} == {
-        ("left.dequeue", ((), ()))
+        ("left.dequeue", ("", ""))
     }
     # The allocator states beside which the empty queue's dequeue fails
     # are exactly those with a nonzero potential: all but d = 7.
